@@ -31,12 +31,11 @@ from .operators import (
     SparseOperator,
     as_state_vector,
     basis_state,
-    matvec,
     operator_norm,
 )
 from .report import format_complex, format_scalar, format_table, kv_lines
 from .scenarios import classify_interference
-from .solver import AcyclicSystem, det_i_minus_t, make_system, solve_exact
+from .solver import _born_expansion, det_i_minus_t, make_system
 from .specfile import SystemSpec, load_spec, spec_to_operator
 from .truncation import remainder_bound
 
@@ -162,21 +161,25 @@ def _analysis_table(tree: dict[str, Any]) -> str:
     return format_table(["property", "value"], rows)
 
 
-def _solve_terms(op: SparseOperator, phi: np.ndarray, order: int):
-    terms = [phi]
-    current = phi
-    for _ in range(order):
-        current = matvec(op, current)
-        terms.append(current)
-    return terms, np.sum(terms, axis=0)
-
-
 def _cmd_solve(args) -> int:
     spec = load_spec(args.spec)
     op = spec_to_operator(spec)
     phi = _parse_phi(args.phi, op.dim)
-    graph = extract_graph(op)
-    report = analyze_acyclicity(graph)
+    try:
+        depth = make_system(op).depth
+    except NotNilpotentError as exc:
+        if args.order is None:
+            cycle = exc.witness_cycle
+            loop = " -> ".join(str(v) for v in cycle)
+            print(
+                f"error: the transition graph contains the cycle {loop} -> "
+                f"{cycle[0]}, so no exact finite expansion exists; "
+                f"rerun with --order N for a truncated expansion with remainder "
+                f"control",
+                file=sys.stderr,
+            )
+            return EXIT_CYCLIC
+        depth = None
 
     tree: dict[str, Any] = {
         "command": "solve",
@@ -184,35 +187,23 @@ def _cmd_solve(args) -> int:
         "dimension": op.dim,
     }
     if args.order is None:
-        if not report.is_acyclic:
-            loop = " -> ".join(str(v) for v in report.witness_cycle)
-            print(
-                f"error: the transition graph contains the cycle {loop} -> "
-                f"{report.witness_cycle[0]}, so no exact finite expansion exists; "
-                f"rerun with --order N for a truncated expansion with remainder "
-                f"control",
-                file=sys.stderr,
-            )
-            return EXIT_CYCLIC
-        system = AcyclicSystem(operator=op, graph=graph, depth=report.depth)
         tree["mode"] = "exact"
-        tree["depth"] = report.depth
-        expansion = solve_exact(system, phi)
-        terms = list(expansion.terms)
-        total = expansion.total
+        tree["depth"] = depth
     else:
         tree["mode"] = "truncated"
         tree["order"] = args.order
-        if report.is_acyclic:
-            tree["depth"] = report.depth
-            if args.order < report.depth:
+        if depth is not None:
+            tree["depth"] = depth
+            if args.order < depth:
                 print(
-                    f"warning: order {args.order} truncates a depth-{report.depth} "
+                    f"warning: order {args.order} truncates a depth-{depth} "
                     f"system; the first omitted contribution is order "
                     f"{args.order + 1}",
                     file=sys.stderr,
                 )
-        terms, total = _solve_terms(op, phi, args.order)
+    expansion = _born_expansion(op, phi, depth if args.order is None else args.order)
+    terms = expansion.terms
+    total = expansion.total
     tree["term_count"] = len(terms)
     tree["phi"] = _vector_tree(phi)
     tree["term"] = {str(k): _vector_tree(t) for k, t in enumerate(terms)}

@@ -45,6 +45,20 @@ class TransitionGraph:
             if (i, j) in store:
                 raise ValueError(f"duplicate edge ({i}, {j})")
             store[(i, j)] = amp
+        self._set_edges(num_vertices, store)
+
+    @classmethod
+    def _from_edges(
+        cls, num_vertices: int, store: dict[tuple[int, int], complex | None]
+    ) -> "TransitionGraph":
+        """Wrap an edge dict that already meets the constructor's checks."""
+        graph = cls.__new__(cls)
+        graph._set_edges(num_vertices, store)
+        return graph
+
+    def _set_edges(
+        self, num_vertices: int, store: dict[tuple[int, int], complex | None]
+    ) -> None:
         adj: dict[int, list[int]] = {}
         for i, j in store:
             adj.setdefault(i, []).append(j)
@@ -114,9 +128,14 @@ class WeightedPath:
 
 
 def extract_graph(op: SparseOperator) -> TransitionGraph:
-    """Transition graph of an operator: stored entry (j, i) becomes edge i -> j."""
-    return TransitionGraph(
-        op.dim, [(col, row, amp) for row, col, amp in op.entries()]
+    """Transition graph of an operator: stored entry (j, i) becomes edge i -> j.
+
+    The operator's rows are already checked (in range, no duplicates,
+    finite), so the edges are taken from them without a second check.
+    """
+    return TransitionGraph._from_edges(
+        op.dim,
+        {(col, row): amp for row, cols in op._rows.items() for col, amp in cols.items()},
     )
 
 

@@ -10,6 +10,15 @@ Absence of an entry is a structural zero: the transition graph, and with
 it every nilpotency statement, is read off the stored pattern.  Entries
 whose modulus falls at or below ZERO_THRESHOLD after arithmetic are
 dropped so the pattern stays meaningful.
+
+The stored rows are the only source of truth.  The first time an
+operator is applied to a state it derives flat arrays from them (for
+every entry, in storage order: its output row, the positions of its
+column's real and imaginary parts in the state, and its amplitude's
+real and imaginary parts) and caches them in the _arrays slot; every
+application is then an O(nnz) gather, product and per-row sum in numpy.
+The cache is derived data: it plays no part in equality, and since the
+rows are never mutated it cannot go stale.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ class SparseOperator:
     method mutates an instance; arithmetic returns new operators.
     """
 
-    __slots__ = ("dim", "_rows")
+    __slots__ = ("dim", "_rows", "_arrays")
 
     def __init__(self, dim: int, entries: Iterable[Entry] = ()):
         if dim < 1:
@@ -64,6 +73,16 @@ class SparseOperator:
             rows.setdefault(row, {})[col] = value
         self.dim = dim
         self._rows = rows
+        self._arrays = None
+
+    @classmethod
+    def _from_rows(cls, dim: int, rows: dict[int, dict[int, complex]]) -> "SparseOperator":
+        """Wrap rows that already meet the constructor's checks, without re-checking."""
+        op = cls.__new__(cls)
+        op.dim = dim
+        op._rows = rows
+        op._arrays = None
+        return op
 
     @classmethod
     def zero(cls, dim: int) -> "SparseOperator":
@@ -113,9 +132,7 @@ class SparseOperator:
         return out
 
     def scaled(self, factor: complex) -> "SparseOperator":
-        return SparseOperator(
-            self.dim, [(r, c, factor * a) for r, c, a in self.entries()]
-        )
+        return _row_scaled(self, [factor] * self.dim)
 
     def is_zero(self) -> bool:
         return not self._rows
@@ -141,8 +158,8 @@ def basis_state(dim: int, label: int) -> np.ndarray:
 
 
 def as_state_vector(values, dim: int) -> np.ndarray:
-    """Validate and convert to a complex state vector of the given dimension."""
-    v = np.asarray(values, dtype=complex)
+    """Validate and convert to a contiguous complex state vector of the given dimension."""
+    v = np.asarray(values, dtype=complex, order="C")
     if v.shape != (dim,):
         raise DimensionError(f"state vector has shape {v.shape}, expected ({dim},)")
     if not np.all(np.isfinite(v)):
@@ -153,17 +170,63 @@ def as_state_vector(values, dim: int) -> np.ndarray:
 def matvec(op: SparseOperator, vec) -> np.ndarray:
     """Apply the operator to a state: out[j] = sum_i T[j, i] vec[i].
 
-    Works straight off the stored entries; the operator is never
-    densified and nothing is dropped from the result.
+    Validates the state, then runs the cached index-array kernel (see
+    the module docstring); the operator is never densified and nothing
+    is dropped from the result.
     """
-    v = as_state_vector(vec, op.dim)
-    out = np.zeros(op.dim, dtype=complex)
-    for row, cols in op._rows.items():
-        acc = 0j
-        for col, amp in cols.items():
-            acc += amp * v[col - 1]
-        out[row - 1] = acc
-    return out
+    return _apply(op, as_state_vector(vec, op.dim))
+
+
+def _apply(op: SparseOperator, v: np.ndarray) -> np.ndarray:
+    """matvec for a state already checked by as_state_vector.
+
+    Works on v, which as_state_vector leaves complex and contiguous,
+    viewed as interleaved real and imaginary parts.  For an entry
+    a = ar + i ai in column c the first product block holds (ar xr, ai xr)
+    and the second (-ai xi, ar xi), where xr + i xi is v[c]; their sum is
+    the complex product a * v[c] with Python's roundings.  bincount then
+    adds each row's products in storage order, starting from 0.0,
+    exactly like a left-to-right multiply-add loop.
+    """
+    arrays = op._arrays
+    if arrays is None:
+        arrays = op._arrays = _index_arrays(op)
+    rows, gather, amps = arrays
+    products = v.view(float).take(gather)
+    products *= amps
+    half = rows.size
+    return np.bincount(
+        rows, products[:half] + products[half:], 2 * op.dim
+    ).view(complex)
+
+
+# Gather offsets from 2 * col of the two product blocks: real parts, then
+# imaginary parts, of v at the entry's 1-based column col.
+_GATHER_OFFSETS = np.array([[[-2, -2]], [[-1, -1]]], dtype=np.intp)
+
+
+def _index_arrays(op: SparseOperator):
+    """_apply's cached arrays, entries in storage order.
+
+    rows: the interleaved output position of each product pair; gather:
+    positions in the interleaved state; amps: (ar, ai) pairs, then
+    (-ai, ar) pairs.
+    """
+    rows: list[int] = []
+    cols: list[int] = []
+    amps: list[complex] = []
+    for row, entries in op._rows.items():
+        rows += [2 * row - 2, 2 * row - 1] * len(entries)
+        cols += entries
+        amps += entries.values()
+    c = np.array(cols, dtype=np.intp)
+    a = np.array(amps, dtype=complex)
+    swapped = np.conj(a).view(float).reshape(-1, 2)[:, ::-1]
+    return (
+        np.array(rows, dtype=np.intp),
+        ((c + c)[None, :, None] + _GATHER_OFFSETS).ravel(),
+        np.concatenate((a.view(float), swapped.ravel())),
+    )
 
 
 def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
@@ -273,8 +336,27 @@ def build_transfer_operator(
             f"free Hamiltonian has shape {h0.shape}, potential has dimension {potential.dim}"
         )
     g0 = free_resolvent_diagonal(h0, energy)
-    entries = [
-        (row, col, complex(g0[row - 1]) * amp)
-        for row, col, amp in potential.entries()
-    ]
-    return SparseOperator(potential.dim, entries)
+    return _row_scaled(potential, g0.tolist())
+
+
+def _row_scaled(op: SparseOperator, factors) -> SparseOperator:
+    """Operator with entries factors[row - 1] * T[row, col].
+
+    Reads the stored rows directly rather than re-validating them, but
+    keeps the constructor's rules for the products: they are checked
+    for finiteness and dropped at ZERO_THRESHOLD, in (row, col) order.
+    """
+    rows: dict[int, dict[int, complex]] = {}
+    for row in sorted(op._rows):
+        factor = factors[row - 1]
+        cols = op._rows[row]
+        out: dict[int, complex] = {}
+        for col in sorted(cols):
+            value = complex(factor * cols[col])
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise ValueError(f"entry ({row}, {col}) is not finite: {value}")
+            if abs(value) > ZERO_THRESHOLD:
+                out[col] = value
+        if out:
+            rows[row] = out
+    return SparseOperator._from_rows(op.dim, rows)

@@ -15,7 +15,7 @@ from typing import Sequence
 from .errors import TopologyError
 from .graph import WeightedPath
 from .operators import SparseOperator, basis_state
-from .solver import AcyclicSystem, born_approximation, make_system, solve_exact
+from .solver import AcyclicSystem, make_system, solve_exact
 
 # Relative scale below which the branch products count as cancelling
 # (dark state) or as equal (constructive).  Measured against the
@@ -98,9 +98,10 @@ def classify_interference(system: AcyclicSystem) -> InterferenceReport:
     t = system.operator
     p_left = t.entry(4, 2) * t.entry(2, 1)
     p_right = t.entry(4, 3) * t.entry(3, 1)
-    phi = basis_state(4, 1)
-    a4 = complex(solve_exact(system, phi).total[3])
-    a4_born1 = complex(born_approximation(t, phi, 1)[3])
+    expansion = solve_exact(system, basis_state(4, 1))
+    a4 = complex(expansion.total[3])
+    # orders 0 and 1 of the same expansion; a depth-0 system has order 0 only
+    a4_born1 = complex(sum(expansion.terms[:2])[3])
     scale = abs(p_left) + abs(p_right)
     if abs(a4) <= DARK_THRESHOLD * scale:
         regime = REGIME_DARK

@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .errors import DimensionError, NotNilpotentError, SingularError
 from .graph import TransitionGraph, analyze_acyclicity, extract_graph
-from .operators import SparseOperator, as_state_vector, matmul, matvec
+from .operators import SparseOperator, _apply, as_state_vector, matmul
 
 # Smallest |det(I - T)| the dense oracle accepts.  Pivot-versus-scale
 # tests misfire here: graded systems put legitimate pivots many orders
@@ -84,12 +84,7 @@ def solve_exact(system: AcyclicSystem, phi) -> BornExpansion:
     the truncation error of the total is exactly zero, not merely small.
     """
     v = as_state_vector(phi, system.dim)
-    terms = [v]
-    for _ in range(system.depth):
-        v = matvec(system.operator, v)
-        terms.append(v)
-    total = np.sum(terms, axis=0)
-    return BornExpansion(terms=tuple(terms), total=total)
+    return _born_expansion(system.operator, v, system.depth)
 
 
 def born_approximation(operator: SparseOperator, phi, order: int) -> np.ndarray:
@@ -100,12 +95,25 @@ def born_approximation(operator: SparseOperator, phi, order: int) -> np.ndarray:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    v = as_state_vector(phi, operator.dim)
-    total = v.copy()
-    for _ in range(order):
-        v = matvec(operator, v)
-        total += v
+    terms = _born_terms(operator, as_state_vector(phi, operator.dim), order)
+    total = next(terms).copy()
+    for term in terms:
+        total += term
     return total
+
+
+def _born_expansion(operator: SparseOperator, v: np.ndarray, order: int) -> BornExpansion:
+    """Terms 0..order of the Born series for a state already checked by as_state_vector."""
+    terms = tuple(_born_terms(operator, v, order))
+    return BornExpansion(terms=terms, total=np.sum(terms, axis=0))
+
+
+def _born_terms(operator: SparseOperator, v: np.ndarray, order: int):
+    """Yield v, T v, ..., T^order v: the one term loop every Born sum runs."""
+    yield v
+    for _ in range(order):
+        v = _apply(operator, v)
+        yield v
 
 
 def finite_neumann_inverse(system: AcyclicSystem) -> np.ndarray:

@@ -84,6 +84,21 @@ class TestExtraction:
         assert g.num_edges == 0
         assert g.num_vertices == 5
 
+    def test_matches_graph_built_from_entries(self):
+        # extract_graph skips the constructor's checks; the result must
+        # still be the graph the checked constructor builds
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            dim = int(rng.integers(1, 12))
+            op = random_dag(rng, dim) if trial % 2 else random_operator(rng, dim)
+            got = extract_graph(op)
+            want = TransitionGraph(dim, [(c, r, a) for r, c, a in op.entries()])
+            assert got == want
+            assert got.num_edges == want.num_edges == op.nnz
+            for v in range(1, dim + 1):
+                assert got.successors(v) == want.successors(v)
+            assert analyze_acyclicity(got) == analyze_acyclicity(want)
+
 
 class TestAcyclicity:
     def test_diamond(self):

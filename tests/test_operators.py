@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from bornsolve.errors import DimensionError, ResonanceError
+from bornsolve.graph import analyze_acyclicity, extract_graph
 from bornsolve.operators import (
     NORM_KINDS,
     ZERO_THRESHOLD,
@@ -320,3 +321,153 @@ class TestTransferOperator:
     def test_zero_threshold_constant(self):
         # the drop threshold is part of the structural-zero contract
         assert ZERO_THRESHOLD == 1e-14
+
+
+def python_matvec(dim, entries, v) -> np.ndarray:
+    """Reference apply: each row summed left to right with Python complex multiply-adds.
+
+    entries are taken in the order given, which must be the order they
+    were passed to the SparseOperator constructor.
+    """
+    out = [0j] * dim
+    for row, col, amp in entries:
+        out[row - 1] += complex(amp) * complex(v[col - 1])
+    return np.array(out, dtype=complex)
+
+
+def assert_same_bits(got, want) -> None:
+    """Equal values and equal signs, so -0.0 and 0.0 count as different."""
+    npt.assert_array_equal(got, want)
+    npt.assert_array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+def wide_entries(rng, dim, density, empty_rows=()):
+    """Shuffled entries with amplitudes over many decades, some with a zero part."""
+    entries = []
+    for row in range(1, dim + 1):
+        if row in empty_rows:
+            continue
+        for col in range(1, dim + 1):
+            if rng.random() < density:
+                re, im = rng.standard_normal(2) * 10.0 ** rng.integers(-6, 6, 2)
+                kind = rng.integers(4)
+                if kind == 1:
+                    im = 0.0
+                elif kind == 2:
+                    re = -0.0
+                entries.append((row, col, complex(re, im)))
+    return [entries[k] for k in rng.permutation(len(entries))]
+
+
+def wide_state(rng, dim) -> np.ndarray:
+    v = random_state(rng, dim) * 10.0 ** rng.integers(-8, 8, dim)
+    v[rng.random(dim) < 0.15] = complex(-0.0, 0.0)
+    v.imag[rng.random(dim) < 0.15] = 0.0
+    return v
+
+
+class TestKernel:
+    def test_bitwise_equal_to_python_accumulation(self):
+        # rows of more than 8 entries: numpy's pairwise summation would
+        # change the last bits there, a left-to-right sum must not
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            dim = int(rng.integers(12, 30))
+            empty = set(rng.choice(np.arange(1, dim + 1), size=dim // 4, replace=False).tolist())
+            entries = wide_entries(rng, dim, 0.7, empty)
+            op = SparseOperator(dim, entries)
+            assert max(sum(e[0] == r for e in entries) for r in range(1, dim + 1)) > 8
+            assert not analyze_acyclicity(extract_graph(op)).is_acyclic
+            for _ in range(3):
+                v = wide_state(rng, dim)
+                out = matvec(op, v)
+                assert_same_bits(out, python_matvec(dim, entries, v))
+                assert all(out[row - 1] == 0 for row in empty)
+
+    def test_signed_zeros_match_python(self):
+        entries = [(1, 1, complex(0.0, 2.0)), (1, 2, complex(-0.0, -1.0)),
+                   (2, 1, complex(3.0, 0.0)), (2, 2, complex(-0.0, 0.0))]
+        op = SparseOperator(2, entries)
+        for v in ([complex(-0.0, 0.0), complex(0.0, -0.0)],
+                  [complex(-0.0, -0.0), complex(1.0, -0.0)],
+                  [complex(2.0, 0.0), complex(-0.0, 5.0)]):
+            assert_same_bits(matvec(op, v), python_matvec(2, entries, v))
+
+    def test_zero_and_empty_operators(self):
+        v = np.arange(5) + 1j
+        npt.assert_array_equal(matvec(SparseOperator.zero(5), v), np.zeros(5))
+        npt.assert_array_equal(matvec(SparseOperator.identity(5), v), v)
+
+    def test_strided_and_real_states(self):
+        rng = np.random.default_rng(5)
+        entries = wide_entries(rng, 9, 0.6)
+        op = SparseOperator(9, entries)
+        backing = wide_state(rng, 18)
+        assert_same_bits(matvec(op, backing[::2]), python_matvec(9, entries, backing[::2]))
+        real = rng.standard_normal(9)
+        assert_same_bits(matvec(op, real), python_matvec(9, entries, real))
+
+    def test_applied_operator_still_equals_fresh_copy(self):
+        rng = np.random.default_rng(8)
+        op = random_operator(rng, 14, 0.7)
+        v = random_state(rng, 14)
+        first = matvec(op, v)
+        fresh = SparseOperator(op.dim, list(op.entries()))
+        assert op == fresh
+        assert fresh == op
+        npt.assert_array_equal(matvec(op, v), first)
+        assert op == fresh
+
+    def test_derived_operators_apply_correctly(self):
+        rng = np.random.default_rng(9)
+        op = random_operator(rng, 11, 0.8)
+        v = random_state(rng, 11)
+        before = matvec(op, v)  # fills op's cache before anything is derived
+        scaled = op.scaled(0.5 - 2.0j)
+        # scaled stores its entries in (row, col) order
+        assert_same_bits(matvec(scaled, v), python_matvec(11, list(scaled.entries()), v))
+        for derived in (matmul(op, op), power(op, 3)):
+            npt.assert_allclose(matvec(derived, v), derived.to_dense() @ v,
+                                rtol=RTOL, atol=ATOL)
+        npt.assert_array_equal(matvec(power(op, 0), v), v)
+        npt.assert_array_equal(matvec(op, v), before)
+
+
+class TestDirectBuilds:
+    """scaled and build_transfer_operator skip re-validation but keep its rules."""
+
+    def test_scaled_matches_constructor_route(self):
+        rng = np.random.default_rng(12)
+        for factor in (2.0, 0.3 - 1.1j, 1e-14, 0.0, np.complex128(-0.7j), 3):
+            op = random_operator(rng, 9, 0.6)
+            want = SparseOperator(op.dim, [(r, c, factor * a) for r, c, a in op.entries()])
+            got = op.scaled(factor)
+            assert got == want
+            assert list(got.entries()) == list(want.entries())
+
+    def test_scaled_rejects_overflow(self):
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
+            SparseOperator(2, [(1, 2, 1e300), (2, 1, 1e300)]).scaled(1e10)
+
+    def test_transfer_matches_constructor_route(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            potential = random_operator(rng, 8, 0.5)
+            h0 = rng.uniform(-2.0, 2.0, size=8)
+            energy = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 1.0))
+            g0 = free_resolvent_diagonal(h0, energy)
+            want = SparseOperator(8, [(r, c, complex(g0[r - 1]) * a)
+                                      for r, c, a in potential.entries()])
+            got = build_transfer_operator(h0, potential, energy)
+            assert got == want
+            assert list(got.entries()) == list(want.entries())
+
+    def test_transfer_drops_entries_that_vanish_after_scaling(self):
+        potential = SparseOperator(2, [(1, 2, 1e-10), (2, 1, 1.0)])
+        t = build_transfer_operator(np.zeros(2), potential, 1e5)
+        assert t.index_set() == {(2, 1)}
+
+    def test_transfer_rejects_overflow(self):
+        potential = SparseOperator(2, [(1, 2, 1e300)])
+        with pytest.raises(ValueError, match="not finite"):
+            build_transfer_operator(np.array([0.0, 0.0]), potential, 1e-9)

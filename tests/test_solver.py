@@ -128,6 +128,19 @@ class TestSolveExact:
             assert relative_gap(solve_exact(system, phi).total,
                                 direct_solve_oracle(op, phi)) <= 1e-9
 
+    def test_terms_are_repeated_matvec_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            system = make_system(random_dag(rng, 14, density=0.6))
+            phi = random_state(rng, 14)
+            expansion = solve_exact(system, phi)
+            current = phi
+            for k, term in enumerate(expansion.terms):
+                npt.assert_array_equal(term, current, err_msg=f"term {k}")
+                current = matvec(system.operator, current)
+            npt.assert_array_equal(
+                born_approximation(system.operator, phi, system.depth), expansion.total)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             solve_exact(make_system(diamond_operator()), np.zeros(3))
