@@ -26,9 +26,7 @@ from .graph import (
     TransitionGraph,
     WeightedPath,
     analyze_acyclicity,
-    enumerate_paths,
     extract_graph,
-    path_sum_entry,
 )
 from .operators import (
     NORM_KINDS,
@@ -120,7 +118,6 @@ __all__ = [
     "det_check",
     "det_i_minus_t",
     "direct_solve_oracle",
-    "enumerate_paths",
     "exact_remainder",
     "extract_graph",
     "finite_neumann_inverse",
@@ -133,7 +130,6 @@ __all__ = [
     "nilpotency_defect",
     "operator_norm",
     "parse_spec",
-    "path_sum_entry",
     "power",
     "random_dag_operator",
     "remainder_bound",

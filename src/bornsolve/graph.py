@@ -4,35 +4,38 @@ A transfer-operator entry at (row j, col i) is the directed edge i -> j.
 An acyclic transition graph certifies that the operator is nilpotent with
 index depth + 1, where depth is the longest directed-path length; that
 certificate is structural and involves no floating-point test.
+
+Edges are stored once, as predecessor rows {target: {source: amplitude}}:
+the layout of SparseOperator's rows, which extract_graph shares rather
+than copies.  Topological orders are by level, so by the pattern alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import TooManyPathsError, UnboundedEnumerationError
-from .operators import SparseOperator
+from .operators import _NO_COLS, SparseOperator
 
 DEFAULT_PATH_BUDGET = 10**6
-
-_WHITE, _GRAY, _BLACK = 0, 1, 2
 
 
 class TransitionGraph:
     """Directed graph on vertices 1..num_vertices with optional edge amplitudes.
 
-    Edges are given as (i, j) pairs or (i, j, amplitude) triples; parallel
-    edges are rejected.  Successor lists are kept sorted so traversals and
-    walk enumeration are deterministic.
+    Edges are given as (i, j) pairs or (i, j, amplitude) triples with
+    integer labels; parallel edges are rejected.  Successor lists come
+    back sorted so walk enumeration is deterministic.
     """
 
-    __slots__ = ("num_vertices", "_edges", "_adj")
+    __slots__ = ("num_vertices", "_preds")
 
     def __init__(self, num_vertices: int, edges: Iterable = ()):
         if num_vertices < 1:
             raise ValueError(f"need at least one vertex, got {num_vertices}")
-        store: dict[tuple[int, int], complex | None] = {}
+        preds: dict[int, dict[int, complex | None]] = {}
         for edge in edges:
             if len(edge) == 2:
                 i, j = edge
@@ -40,56 +43,44 @@ class TransitionGraph:
             else:
                 i, j, raw = edge
                 amp = complex(raw)
+            try:
+                i, j = index(i), index(j)
+            except TypeError:
+                raise ValueError(f"edge ({i}, {j}) has a non-integral vertex") from None
             if not (1 <= i <= num_vertices and 1 <= j <= num_vertices):
                 raise ValueError(f"edge ({i}, {j}) outside 1..{num_vertices}")
-            if (i, j) in store:
+            sources = preds.setdefault(j, {})
+            if i in sources:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            store[(i, j)] = amp
-        self._set_edges(num_vertices, store)
-
-    @classmethod
-    def _from_edges(
-        cls, num_vertices: int, store: dict[tuple[int, int], complex | None]
-    ) -> "TransitionGraph":
-        """Wrap an edge dict that already meets the constructor's checks."""
-        graph = cls.__new__(cls)
-        graph._set_edges(num_vertices, store)
-        return graph
-
-    def _set_edges(
-        self, num_vertices: int, store: dict[tuple[int, int], complex | None]
-    ) -> None:
-        adj: dict[int, list[int]] = {}
-        for i, j in store:
-            adj.setdefault(i, []).append(j)
+            sources[i] = amp
         self.num_vertices = num_vertices
-        self._edges = store
-        self._adj = {i: tuple(sorted(js)) for i, js in adj.items()}
+        self._preds = preds
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._preds.values()))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._edges))
+        return iter(sorted(self.edge_set()))
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return set(self._edges)
+        return {(i, j) for j, sources in self._preds.items() for i in sources}
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self._edges
+        return i in self._preds.get(j, _NO_COLS)
 
     def amplitude(self, i: int, j: int) -> complex | None:
         """Amplitude annotation of edge (i, j); None when unannotated or absent."""
-        return self._edges.get((i, j))
+        return self._preds.get(j, _NO_COLS).get(i)
 
     def successors(self, i: int) -> tuple[int, ...]:
-        return self._adj.get(i, ())
+        """Targets of the edges leaving i, sorted; a scan of every row."""
+        return tuple(sorted(j for j, sources in self._preds.items() if i in sources))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TransitionGraph):
             return NotImplemented
-        return self.num_vertices == other.num_vertices and self._edges == other._edges
+        return self.num_vertices == other.num_vertices and self._preds == other._preds
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -130,61 +121,60 @@ class WeightedPath:
 def extract_graph(op: SparseOperator) -> TransitionGraph:
     """Transition graph of an operator: stored entry (j, i) becomes edge i -> j.
 
-    The operator's rows are already checked (in range, no duplicates,
-    finite), so the edges are taken from them without a second check.
+    The operator's rows already are predecessor rows that meet the
+    constructor's checks (in range, no duplicates, finite amplitudes),
+    so the graph shares them: no entry is copied or checked again.
     """
-    return TransitionGraph._from_edges(
-        op.dim,
-        {(col, row): amp for row, cols in op._rows.items() for col, amp in cols.items()},
-    )
+    graph = TransitionGraph.__new__(TransitionGraph)
+    graph.num_vertices = op.dim
+    graph._preds = op._rows
+    return graph
 
 
 def analyze_acyclicity(graph: TransitionGraph) -> AcyclicityReport:
     """Classify the graph as acyclic or exhibit a directed cycle.
 
-    Depth-first search with an explicit stack (deep graphs would blow the
-    recursion limit); a back edge yields the witness cycle straight off
-    the gray trail.
+    One depth-first search over sorted predecessor lists, with an explicit
+    stack (deep graphs would blow the recursion limit).  A vertex finishes
+    at level 1 + its predecessors' largest level (0 for a source); depth
+    is the largest level and the order is by (level, label).  A
+    predecessor still on the trail closes a cycle, returned in edge
+    direction.
     """
     n = graph.num_vertices
-    color = [_WHITE] * (n + 1)
-    postorder: list[int] = []
+    preds = graph._preds
+    # None: not reached yet; -1: on the trail; otherwise the finished level
+    level: list[int | None] = [None] * (n + 1)
     for root in range(1, n + 1):
-        if color[root] != _WHITE:
+        if level[root] is not None:
             continue
-        color[root] = _GRAY
+        level[root] = -1
         trail = [root]
-        frames = [iter(graph.successors(root))]
+        frames = [iter(sorted(preds.get(root, _NO_COLS)))]
         while frames:
-            succ = next(frames[-1], None)
-            if succ is None:
+            p = next(frames[-1], None)
+            if p is None:
                 frames.pop()
-                done = trail.pop()
-                color[done] = _BLACK
-                postorder.append(done)
+                v = trail.pop()
+                sources = preds.get(v)
+                level[v] = 1 + max(map(level.__getitem__, sources)) if sources else 0
                 continue
-            if color[succ] == _GRAY:
-                start = trail.index(succ)
+            mark = level[p]
+            if mark is None:
+                level[p] = -1
+                trail.append(p)
+                frames.append(iter(sorted(preds.get(p, _NO_COLS))))
+            elif mark < 0:
+                # p -> trail[-1] -> trail[-2] -> ... -> trail[start + 1] -> p
+                start = trail.index(p)
                 return AcyclicityReport(
-                    is_acyclic=False, witness_cycle=tuple(trail[start:])
+                    is_acyclic=False,
+                    witness_cycle=(p, *reversed(trail[start + 1:])),
                 )
-            if color[succ] == _WHITE:
-                color[succ] = _GRAY
-                trail.append(succ)
-                frames.append(iter(graph.successors(succ)))
-        # vertices reached from this root are all black now
-    order = tuple(reversed(postorder))
-    longest = [0] * (n + 1)
-    depth = 0
-    for v in reversed(order):
-        best = 0
-        for w in graph.successors(v):
-            if longest[w] + 1 > best:
-                best = longest[w] + 1
-        longest[v] = best
-        if best > depth:
-            depth = best
-    return AcyclicityReport(is_acyclic=True, topological_order=order, depth=depth)
+    order = sorted(range(1, n + 1), key=level.__getitem__)
+    return AcyclicityReport(
+        is_acyclic=True, topological_order=tuple(order), depth=max(level[1:])
+    )
 
 
 def _check_vertex(graph: TransitionGraph, v: int, name: str) -> None:

@@ -24,6 +24,7 @@ rows are never mutated it cannot go stale.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -58,19 +59,27 @@ class SparseOperator:
         if dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim}")
         rows: dict[int, dict[int, complex]] = {}
-        seen: set[tuple[int, int]] = set()
+        # the rows themselves catch duplicates; only dropped entries need a set
+        dropped: set[tuple[int, int]] = set()
         for row, col, amp in entries:
+            try:
+                row, col = index(row), index(col)
+            except TypeError:
+                raise ValueError(f"entry ({row}, {col}) has a non-integral index") from None
             if not (1 <= row <= dim and 1 <= col <= dim):
                 raise ValueError(f"entry ({row}, {col}) outside 1..{dim}")
-            if (row, col) in seen:
+            cols = rows.get(row, _NO_COLS)
+            if col in cols or (dropped and (row, col) in dropped):
                 raise ValueError(f"duplicate entry at ({row}, {col})")
-            seen.add((row, col))
             value = complex(amp)
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ValueError(f"entry ({row}, {col}) is not finite: {value}")
             if abs(value) <= ZERO_THRESHOLD:
+                dropped.add((row, col))
                 continue
-            rows.setdefault(row, {})[col] = value
+            if cols is _NO_COLS:
+                cols = rows[row] = {}
+            cols[col] = value
         self.dim = dim
         self._rows = rows
         self._arrays = None

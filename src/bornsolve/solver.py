@@ -3,7 +3,8 @@
 When the transition graph of T is acyclic, T is nilpotent and the Neumann
 series of (I - T)^(-1) closes after depth + 1 terms, whatever the size of
 ||T||.  Scattered states, the full resolvent and the transition matrix
-then come out as exact finite sums of sparse operator powers.  A dense LU
+then come out as exact finite sums, all run by one term loop that applies
+T to a state depth times (the resolvent one column at a time).  A dense LU
 route is kept alongside as an independent cross-check; it shares none of
 the power-sum code.
 """
@@ -18,7 +19,7 @@ import scipy.linalg
 
 from .errors import DimensionError, NotNilpotentError, SingularError
 from .graph import TransitionGraph, analyze_acyclicity, extract_graph
-from .operators import SparseOperator, _apply, as_state_vector, matmul
+from .operators import SparseOperator, _apply, as_state_vector, basis_state
 
 # Smallest |det(I - T)| the dense oracle accepts.  Pivot-versus-scale
 # tests misfire here: graded systems put legitimate pivots many orders
@@ -95,7 +96,12 @@ def born_approximation(operator: SparseOperator, phi, order: int) -> np.ndarray:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    terms = _born_terms(operator, as_state_vector(phi, operator.dim), order)
+    return _born_sum(operator, as_state_vector(phi, operator.dim), order)
+
+
+def _born_sum(operator: SparseOperator, v: np.ndarray, order: int) -> np.ndarray:
+    """Running sum of terms 0..order, without holding the terms."""
+    terms = _born_terms(operator, v, order)
     total = next(terms).copy()
     for term in terms:
         total += term
@@ -119,16 +125,14 @@ def _born_terms(operator: SparseOperator, v: np.ndarray, order: int):
 def finite_neumann_inverse(system: AcyclicSystem) -> np.ndarray:
     """(I - T)^(-1) as the exact finite power sum, returned dense.
 
-    Powers accumulate sequentially, each sparse multiplication reusing
-    the previous power; nilpotency caps the loop at depth multiplications.
+    Column c is the Born sum of the one term loop on basis state c + 1:
+    depth applications of T, added up as they come, so no power of T is
+    formed and no stack of terms is held.
     """
-    out = np.eye(system.dim, dtype=complex)
-    term = SparseOperator.identity(system.dim)
-    for _ in range(system.depth):
-        term = matmul(term, system.operator)
-        if term.is_zero():
-            break
-        out += term.to_dense()
+    n = system.dim
+    out = np.empty((n, n), dtype=complex)
+    for c in range(n):
+        out[:, c] = _born_sum(system.operator, basis_state(n, c + 1), system.depth)
     return out
 
 

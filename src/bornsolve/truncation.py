@@ -65,8 +65,11 @@ def exact_remainder(operator: SparseOperator, phi, m: int) -> np.ndarray:
     """
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
-    v = as_state_vector(phi, operator.dim)
-    tail = power(operator, m + 1)
+    return _remainder(operator, as_state_vector(phi, operator.dim), power(operator, m + 1))
+
+
+def _remainder(operator: SparseOperator, v: np.ndarray, tail: SparseOperator) -> np.ndarray:
+    """(I - T)^(-1) tail v for an already formed tail = T^(m+1); zero if the tail is."""
     if tail.is_zero():
         return np.zeros(operator.dim, dtype=complex)
     return direct_solve_oracle(operator, matvec(tail, v))
@@ -92,10 +95,7 @@ def remainder_bound(
     op_norm = operator_norm(operator, norm_kind)
     defect = operator_norm(tail, norm_kind)
     phi_norm = vector_norm(v, norm_kind)
-    if tail.is_zero():
-        remainder = np.zeros(operator.dim, dtype=complex)
-    else:
-        remainder = direct_solve_oracle(operator, matvec(tail, v))
+    remainder = _remainder(operator, v, tail)
     bound = defect * phi_norm / (1.0 - op_norm) if op_norm < 1.0 else None
     return TruncationReport(
         order=m,

@@ -58,6 +58,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             TransitionGraph(2, [(1, 2), (1, 2, 0.5)])
 
+    def test_rejects_non_integral_vertices(self):
+        with pytest.raises(ValueError, match=r"edge \(1\.5, 2\) has a non-integral"):
+            TransitionGraph(3, [(1.5, 2)])
+        g = TransitionGraph(3, [(np.int64(1), np.int64(2), 0.5)])
+        assert g.edge_set() == {(1, 2)}
+        assert g.amplitude(1, 2) == 0.5
+
     def test_successors_sorted(self):
         g = TransitionGraph(4, [(1, 4), (1, 2), (1, 3)])
         assert g.successors(1) == (2, 3, 4)
@@ -107,6 +114,40 @@ class TestAcyclicity:
         assert report.depth == 2
         assert report.witness_cycle is None
         assert_valid_topological_order(diamond_graph(), report.topological_order)
+
+    def test_diamond_order_is_by_level(self):
+        assert analyze_acyclicity(diamond_graph()).topological_order == (1, 2, 3, 4)
+
+    def test_order_is_level_then_label(self):
+        def level(g, v):
+            return max((1 + level(g, u) for u in range(1, g.num_vertices + 1)
+                        if g.has_edge(u, v)), default=0)
+
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            dim = int(rng.integers(1, 9))
+            g = extract_graph(random_dag(rng, dim, density=0.45))
+            levels = {v: level(g, v) for v in range(1, dim + 1)}
+            report = analyze_acyclicity(g)
+            assert report.topological_order == tuple(
+                sorted(levels, key=lambda v: (levels[v], v))
+            )
+            assert report.depth == max(levels.values())
+
+    def test_report_ignores_entry_order(self):
+        rng = np.random.default_rng(73)
+        seen_cyclic = 0
+        for trial in range(60):
+            dim = int(rng.integers(1, 10))
+            op = random_dag(rng, dim) if trial % 2 else random_operator(rng, dim)
+            entries = list(op.entries())
+            want = analyze_acyclicity(extract_graph(op))
+            seen_cyclic += not want.is_acyclic
+            for _ in range(3):
+                shuffled = [entries[k] for k in rng.permutation(len(entries))]
+                got = analyze_acyclicity(extract_graph(SparseOperator(dim, shuffled)))
+                assert got == want
+        assert seen_cyclic > 10
 
     @pytest.mark.parametrize("levels", [2, 3, 4, 5, 6, 7, 8])
     def test_cascade_depth_is_level_count_minus_one(self, levels):

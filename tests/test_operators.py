@@ -47,6 +47,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             SparseOperator(3, [(1, 2, 1.0), (1, 2, 2.0)])
 
+    def test_rejects_duplicates_of_dropped_entries(self):
+        # an entry dropped at the threshold still occupies its position
+        for pair in ([(1, 2, 1e-15), (1, 2, 1.0)], [(1, 2, 1.0), (1, 2, 1e-15)],
+                     [(1, 2, 0.0), (1, 2, 0.0)]):
+            with pytest.raises(ValueError, match="duplicate"):
+                SparseOperator(3, pair)
+        op = SparseOperator(3, [(1, 2, 0.0), (1, 3, 1.0), (2, 2, 0.0)])
+        assert op.index_set() == {(1, 3)}
+        assert SparseOperator(3, [(2, 1, 0.0)]).is_zero()
+
+    def test_rejects_non_integral_indices(self):
+        # a float column used to land in the imaginary part of a state
+        with pytest.raises(ValueError, match=r"entry \(1\.5, 2\) has a non-integral"):
+            SparseOperator(3, [(1.5, 2, 1.0)])
+        with pytest.raises(ValueError, match="non-integral"):
+            SparseOperator(3, [(1, 2.0, 1.0)])
+        op = SparseOperator(3, [(np.int64(1), np.int32(2), 1.0)])
+        assert list(op.entries()) == [(1, 2, 1.0)]
+        npt.assert_array_equal(matvec(op, [0, 1, 0]), [1, 0, 0])
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             SparseOperator(2, [(1, 2, complex(np.inf, 0.0))])
