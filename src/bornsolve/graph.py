@@ -13,11 +13,10 @@ than copies.  Topological orders are by level, so by the pattern alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import Iterable, Iterator
 
 from .errors import TooManyPathsError, UnboundedEnumerationError
-from .operators import _NO_COLS, SparseOperator
+from .operators import _NO_COLS, SparseOperator, _label
 
 DEFAULT_PATH_BUDGET = 10**6
 
@@ -44,7 +43,7 @@ class TransitionGraph:
                 i, j, raw = edge
                 amp = complex(raw)
             try:
-                i, j = index(i), index(j)
+                i, j = _label(i), _label(j)
             except TypeError:
                 raise ValueError(f"edge ({i}, {j}) has a non-integral vertex") from None
             if not (1 <= i <= num_vertices and 1 <= j <= num_vertices):

@@ -7,9 +7,10 @@ target state.  State vectors are plain numpy arrays of complex128 whose
 position k holds the amplitude of basis state k + 1.
 
 Absence of an entry is a structural zero: the transition graph, and with
-it every nilpotency statement, is read off the stored pattern.  Entries
-whose modulus falls at or below ZERO_THRESHOLD after arithmetic are
-dropped so the pattern stays meaningful.
+it every nilpotency statement, is read off the stored pattern.  One store
+rule, _store, decides what every operator holds, however it was built: a
+non-finite value (NaN included) raises a ValueError naming its entry, and
+values at or below ZERO_THRESHOLD in modulus are dropped.
 
 The stored rows are the only source of truth.  The first time an
 operator is applied to a state it derives flat arrays from them (for
@@ -24,6 +25,7 @@ rows are never mutated it cannot go stale.
 from __future__ import annotations
 
 import math
+from cmath import isfinite
 from operator import index
 from typing import Iterable, Iterator
 
@@ -46,6 +48,35 @@ Entry = tuple[int, int, complex]
 _NO_COLS: dict[int, complex] = {}
 
 
+def _label(value) -> int:
+    """A basis label as int; TypeError unless integral (bool is not)."""
+    if isinstance(value, bool):
+        raise TypeError("bool is not a basis label")
+    return index(value)
+
+
+def _store(rows: dict[int, dict[int, complex]]) -> dict[int, dict[int, complex]]:
+    """The one store rule, applied in place to freshly built rows, which it returns.
+
+    Values become complex; a non-finite one raises, naming its entry; those
+    at or below ZERO_THRESHOLD go, and so do rows left empty.  Order is kept.
+    """
+    dropped = []
+    for row, cols in rows.items():
+        for col, amp in cols.items():
+            value = cols[col] = complex(amp)
+            if not isfinite(value):
+                raise ValueError(f"entry ({row}, {col}) is not finite: {value}")
+            if abs(value) <= ZERO_THRESHOLD:
+                dropped.append((row, col))
+    for row, col in dropped:
+        cols = rows[row]
+        del cols[col]
+        if not cols:
+            del rows[row]
+    return rows
+
+
 class SparseOperator:
     """Immutable sparse complex matrix with 1-based indices.
 
@@ -59,37 +90,30 @@ class SparseOperator:
         if dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim}")
         rows: dict[int, dict[int, complex]] = {}
-        # the rows themselves catch duplicates; only dropped entries need a set
-        dropped: set[tuple[int, int]] = set()
         for row, col, amp in entries:
-            try:
-                row, col = index(row), index(col)
-            except TypeError:
-                raise ValueError(f"entry ({row}, {col}) has a non-integral index") from None
+            if type(row) is not int or type(col) is not int:
+                try:
+                    row, col = _label(row), _label(col)
+                except TypeError:
+                    raise ValueError(f"entry ({row}, {col}) has a non-integral index") from None
             if not (1 <= row <= dim and 1 <= col <= dim):
                 raise ValueError(f"entry ({row}, {col}) outside 1..{dim}")
-            cols = rows.get(row, _NO_COLS)
-            if col in cols or (dropped and (row, col) in dropped):
-                raise ValueError(f"duplicate entry at ({row}, {col})")
-            value = complex(amp)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValueError(f"entry ({row}, {col}) is not finite: {value}")
-            if abs(value) <= ZERO_THRESHOLD:
-                dropped.add((row, col))
-                continue
-            if cols is _NO_COLS:
+            cols = rows.get(row)
+            if cols is None:
                 cols = rows[row] = {}
-            cols[col] = value
+            elif col in cols:
+                raise ValueError(f"duplicate entry at ({row}, {col})")
+            cols[col] = amp
         self.dim = dim
-        self._rows = rows
+        self._rows = _store(rows)
         self._arrays = None
 
     @classmethod
     def _from_rows(cls, dim: int, rows: dict[int, dict[int, complex]]) -> "SparseOperator":
-        """Wrap rows that already meet the constructor's checks, without re-checking."""
+        """Operator taking over fresh, non-empty rows with valid indices; see _store."""
         op = cls.__new__(cls)
         op.dim = dim
-        op._rows = rows
+        op._rows = _store(rows)
         op._arrays = None
         return op
 
@@ -106,14 +130,12 @@ class SparseOperator:
         a = np.asarray(matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        entries = [
-            (j + 1, i + 1, complex(a[j, i]))
-            for j in range(n)
-            for i in range(n)
-            if abs(a[j, i]) > ZERO_THRESHOLD
-        ]
-        return cls(n, entries)
+        rows: dict[int, dict[int, complex]] = {}
+        for j, line in enumerate(a.tolist(), 1):
+            cols = {i: value for i, value in enumerate(line, 1) if value}
+            if cols:
+                rows[j] = cols
+        return cls._from_rows(a.shape[0], rows)
 
     @property
     def nnz(self) -> int:
@@ -239,25 +261,18 @@ def _index_arrays(op: SparseOperator):
 
 
 def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """Sparse operator product a b.
-
-    Accumulated entries with modulus at or below ZERO_THRESHOLD are
-    dropped, so products only ever hold amplitudes that trace back to
-    actual transition chains.
-    """
+    """Sparse operator product a b; each row is accumulated, then stored by _store."""
     if a.dim != b.dim:
         raise DimensionError(f"cannot multiply dimension {a.dim} by {b.dim}")
-    acc: dict[tuple[int, int], complex] = {}
+    rows: dict[int, dict[int, complex]] = {}
     for row, cols in a._rows.items():
+        acc: dict[int, complex] = {}
         for mid, left in cols.items():
-            brow = b._rows.get(mid)
-            if not brow:
-                continue
-            for col, right in brow.items():
-                key = (row, col)
-                acc[key] = acc.get(key, 0j) + left * right
-    entries = [(r, c, v) for (r, c), v in acc.items() if abs(v) > ZERO_THRESHOLD]
-    return SparseOperator(a.dim, entries)
+            for col, right in b._rows.get(mid, _NO_COLS).items():
+                acc[col] = acc.get(col, 0j) + left * right
+        if acc:
+            rows[row] = acc
+    return SparseOperator._from_rows(a.dim, rows)
 
 
 def power(op: SparseOperator, k: int) -> SparseOperator:
@@ -349,23 +364,12 @@ def build_transfer_operator(
 
 
 def _row_scaled(op: SparseOperator, factors) -> SparseOperator:
-    """Operator with entries factors[row - 1] * T[row, col].
-
-    Reads the stored rows directly rather than re-validating them, but
-    keeps the constructor's rules for the products: they are checked
-    for finiteness and dropped at ZERO_THRESHOLD, in (row, col) order.
-    """
+    """Operator with entries factors[row - 1] * T[row, col], in (row, col) order."""
     rows: dict[int, dict[int, complex]] = {}
     for row in sorted(op._rows):
         factor = factors[row - 1]
         cols = op._rows[row]
-        out: dict[int, complex] = {}
-        for col in sorted(cols):
-            value = complex(factor * cols[col])
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValueError(f"entry ({row}, {col}) is not finite: {value}")
-            if abs(value) > ZERO_THRESHOLD:
-                out[col] = value
-        if out:
-            rows[row] = out
+        rows[row] = out = {}
+        for col, amp in sorted(cols.items()):
+            out[col] = factor * amp
     return SparseOperator._from_rows(op.dim, rows)

@@ -100,11 +100,13 @@ def born_approximation(operator: SparseOperator, phi, order: int) -> np.ndarray:
 
 
 def _born_sum(operator: SparseOperator, v: np.ndarray, order: int) -> np.ndarray:
-    """Running sum of terms 0..order, without holding the terms."""
+    """Running sum of terms 0..order, stopped at the first all-zero term (T 0 = 0)."""
     terms = _born_terms(operator, v, order)
     total = next(terms).copy()
     for term in terms:
         total += term
+        if not term.any():
+            break
     return total
 
 
@@ -125,9 +127,9 @@ def _born_terms(operator: SparseOperator, v: np.ndarray, order: int):
 def finite_neumann_inverse(system: AcyclicSystem) -> np.ndarray:
     """(I - T)^(-1) as the exact finite power sum, returned dense.
 
-    Column c is the Born sum of the one term loop on basis state c + 1:
-    depth applications of T, added up as they come, so no power of T is
-    formed and no stack of terms is held.
+    Column c is the Born sum of the one term loop on basis state c + 1: at
+    most depth applications of T, added up as they come, so no power of T
+    is formed and no stack of terms is held.
     """
     n = system.dim
     out = np.empty((n, n), dtype=complex)

@@ -65,6 +65,12 @@ class TestConstruction:
         assert g.edge_set() == {(1, 2)}
         assert g.amplitude(1, 2) == 0.5
 
+    def test_rejects_bool_vertices(self):
+        with pytest.raises(ValueError, match=r"edge \(True, 2\) has a non-integral"):
+            TransitionGraph(3, [(True, 2)])
+        with pytest.raises(ValueError, match="non-integral"):
+            TransitionGraph(3, [(1, False, 0.5)])
+
     def test_successors_sorted(self):
         g = TransitionGraph(4, [(1, 4), (1, 2), (1, 3)])
         assert g.successors(1) == (2, 3, 4)

@@ -67,6 +67,22 @@ class TestConstruction:
         assert list(op.entries()) == [(1, 2, 1.0)]
         npt.assert_array_equal(matvec(op, [0, 1, 0]), [1, 0, 0])
 
+    def test_rejects_bool_indices(self):
+        # operator.index(True) is 1, so a bool used to be stored as label 1
+        with pytest.raises(ValueError, match=r"entry \(True, 2\) has a non-integral"):
+            SparseOperator(3, [(True, 2, 1.0)])
+        with pytest.raises(ValueError, match=r"entry \(1, False\) has a non-integral"):
+            SparseOperator(3, [(1, False, 1.0)])
+        with pytest.raises(ValueError, match="non-integral"):
+            SparseOperator(3, [(np.True_, 2, 1.0)])
+
+    def test_index_faults_reported_before_value_faults(self):
+        # the whole declared pattern is checked before any value is
+        with pytest.raises(ValueError, match="outside"):
+            SparseOperator(2, [(1, 1, np.nan), (1, 3, 1.0)])
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseOperator(2, [(1, 1, np.inf), (1, 1, 1.0)])
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             SparseOperator(2, [(1, 2, complex(np.inf, 0.0))])
@@ -491,3 +507,86 @@ class TestDirectBuilds:
         potential = SparseOperator(2, [(1, 2, 1e300)])
         with pytest.raises(ValueError, match="not finite"):
             build_transfer_operator(np.array([0.0, 0.0]), potential, 1e-9)
+
+
+def storage(rows: dict) -> list:
+    """Rows with their entries, in storage order: the order _apply sums in."""
+    return [(row, list(cols.items())) for row, cols in rows.items()]
+
+
+def python_product(a_rows: dict, b_rows: dict) -> dict:
+    """Reference product of row dicts, a triple loop column by column.
+
+    Rows come in a's storage order and, within a row, columns in the order
+    a's row first reaches them through b's rows.  Each value is summed
+    left to right from 0j over a's row in storage order; values at or
+    below ZERO_THRESHOLD and rows left empty are dropped.
+    """
+    out = {}
+    for row, mids in a_rows.items():
+        reached = []
+        for mid in mids:
+            for col in b_rows.get(mid, {}):
+                if col not in reached:
+                    reached.append(col)
+        cols = {}
+        for col in reached:
+            value = 0j
+            for mid, left in mids.items():
+                right = b_rows.get(mid, {}).get(col)
+                if right is not None:
+                    value += left * right
+            if abs(value) > ZERO_THRESHOLD:
+                cols[col] = value
+        if cols:
+            out[row] = cols
+    return out
+
+
+def shuffled_operator(rng, dim: int, density: float) -> SparseOperator:
+    """random_operator's entries, declared in a random order."""
+    entries = list(random_operator(rng, dim, density).entries())
+    return SparseOperator(dim, [entries[k] for k in rng.permutation(len(entries))])
+
+
+class TestStoreRule:
+    """Every route to an operator stores values by one rule, NaN included."""
+
+    def test_from_dense_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
+            SparseOperator.from_dense([[0, np.nan], [1, 0]])
+
+    def test_from_dense_drops_small_values_and_empty_rows(self):
+        op = SparseOperator.from_dense([[0, 1e-15], [2, 0]])
+        assert storage(op._rows) == [(2, [(1, 2 + 0j)])]
+
+    def test_matmul_overflow_raises(self):
+        # the two products overflow to +inf and -inf; their sum is NaN,
+        # which used to be dropped as a structural zero
+        a = SparseOperator(2, [(1, 1, 1e200), (1, 2, -1e200)])
+        b = SparseOperator(2, [(1, 1, 1e200 + 1j), (2, 1, 1e200 + 1j)])
+        with pytest.raises(ValueError, match=r"entry \(1, 1\) is not finite"):
+            matmul(a, b)
+
+    def test_matmul_equals_python_reference(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            dim = int(rng.integers(1, 10))
+            a = shuffled_operator(rng, dim, 0.5)
+            b = shuffled_operator(rng, dim, 0.5)
+            assert storage(matmul(a, b)._rows) == storage(python_product(a._rows, b._rows))
+
+    def test_matmul_reference_with_cancellation(self):
+        op = diamond_operator(2.0, 4.0, 3.0, -1.5)
+        assert python_product(op._rows, op._rows) == {}
+        assert storage(matmul(op, op)._rows) == []
+
+    def test_power_equals_python_reference(self):
+        rng = np.random.default_rng(29)
+        for _ in range(15):
+            dim = int(rng.integers(1, 9))
+            op = shuffled_operator(rng, dim, 0.4)
+            want = {k: {k: 1 + 0j} for k in range(1, dim + 1)}
+            for k in range(6):
+                assert storage(power(op, k)._rows) == storage(want)
+                want = python_product(want, op._rows)

@@ -10,6 +10,7 @@ import scipy.linalg
 from bornsolve.errors import DimensionError, NotNilpotentError, SingularError
 from bornsolve.operators import (
     SparseOperator,
+    _apply,
     basis_state,
     build_transfer_operator,
     free_resolvent_diagonal,
@@ -216,6 +217,28 @@ class TestNeumannInverse:
             a = np.eye(dim, dtype=complex) - system.operator.to_dense()
             product = finite_neumann_inverse(system) @ a
             assert np.max(np.abs(product - np.eye(dim))) <= 1e-9
+
+
+class TestEarlyExit:
+    def test_born_sum_stops_at_first_zero_term(self, monkeypatch):
+        applies = []
+
+        def counting_apply(op, v):
+            applies.append(v)
+            return _apply(op, v)
+
+        monkeypatch.setattr("bornsolve.solver._apply", counting_apply)
+        t21, t32 = 0.8 + 0.1j, 0.5 - 0.2j
+        op = SparseOperator(3, [(1, 2, t21), (2, 3, t32)])
+        # from state 2: T e2 = t21 e1, T^2 e2 = 0, and nothing after that
+        total = born_approximation(op, basis_state(3, 2), 10)
+        assert len(applies) == 2
+        npt.assert_array_equal(total, [t21, 1, 0])
+        applies.clear()
+        # columns 1, 2, 3 of the inverse take 1, 2 and 2 applies
+        inverse = finite_neumann_inverse(make_system(op))
+        assert len(applies) == 5
+        npt.assert_array_equal(inverse, [[1, t21, t21 * t32], [0, 1, t32], [0, 0, 1]])
 
 
 class TestDeterminant:
