@@ -36,7 +36,7 @@ from .operators import (
 from .report import format_complex, format_scalar, format_table, kv_lines
 from .scenarios import classify_interference
 from .solver import _born_expansion, det_i_minus_t, make_system
-from .specfile import SystemSpec, load_spec, spec_to_operator
+from .specfile import SystemSpec, _parse_complex, load_spec, spec_to_operator
 from .truncation import remainder_bound
 
 EXIT_OK = 0
@@ -96,15 +96,7 @@ def _load_phi_file(path: str, dim: int) -> np.ndarray:
         raise SpecFormatError(f'{path}: expected a JSON array of {{"re", "im"}} objects')
     if len(raw) != dim:
         raise SpecFormatError(f"{path}: expected {dim} components, got {len(raw)}")
-    components = []
-    for pos, item in enumerate(raw):
-        where = f"{path}[{pos}]"
-        if not isinstance(item, dict) or set(item) - {"re", "im"}:
-            raise SpecFormatError(f'{where}: expected an object with "re" and "im"')
-        try:
-            components.append(complex(float(item["re"]), float(item["im"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecFormatError(f'{where}: bad "re"/"im" values') from exc
+    components = [_parse_complex(item, f"{path}[{pos}]") for pos, item in enumerate(raw)]
     return as_state_vector(components, dim)
 
 
@@ -344,12 +336,6 @@ def _cmd_scenario(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--norm",
-        choices=NORM_KINDS,
-        default="inf",
-        help="norm kind for report quantities (default: inf)",
-    )
-    common.add_argument(
         "--table",
         action="store_true",
         help="append a human-readable table to the report",
@@ -386,6 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="truncate at this order and report the remainder budget",
     )
+    p.add_argument(
+        "--norm",
+        choices=NORM_KINDS,
+        default="inf",
+        help="norm kind for the remainder budget (default: inf)",
+    )
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser(
@@ -413,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "scenario",
-        parents=[common],
         help="print a bundled example system file",
     )
     p.add_argument("name", choices=sorted(_SCENARIO_FILES))

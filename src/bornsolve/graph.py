@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import TooManyPathsError, UnboundedEnumerationError
-from .operators import _NO_COLS, SparseOperator, _label
+from .operators import _NO_COLS, SparseOperator, _label, _size
 
 DEFAULT_PATH_BUDGET = 10**6
 
@@ -32,8 +32,7 @@ class TransitionGraph:
     __slots__ = ("num_vertices", "_preds")
 
     def __init__(self, num_vertices: int, edges: Iterable = ()):
-        if num_vertices < 1:
-            raise ValueError(f"need at least one vertex, got {num_vertices}")
+        num_vertices = _size(num_vertices, "vertex count")
         preds: dict[int, dict[int, complex | None]] = {}
         for edge in edges:
             if len(edge) == 2:

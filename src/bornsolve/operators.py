@@ -55,6 +55,17 @@ def _label(value) -> int:
     return index(value)
 
 
+def _size(value, name: str) -> int:
+    """A dimension as int; ValueError unless a positive integer (bool is not)."""
+    try:
+        size = _label(value)
+    except TypeError:
+        size = 0
+    if size < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return size
+
+
 def _store(rows: dict[int, dict[int, complex]]) -> dict[int, dict[int, complex]]:
     """The one store rule, applied in place to freshly built rows, which it returns.
 
@@ -87,8 +98,7 @@ class SparseOperator:
     __slots__ = ("dim", "_rows", "_arrays")
 
     def __init__(self, dim: int, entries: Iterable[Entry] = ()):
-        if dim < 1:
-            raise ValueError(f"dimension must be a positive integer, got {dim}")
+        dim = _size(dim, "dimension")
         rows: dict[int, dict[int, complex]] = {}
         for row, col, amp in entries:
             if type(row) is not int or type(col) is not int:
@@ -135,7 +145,7 @@ class SparseOperator:
             cols = {i: value for i, value in enumerate(line, 1) if value}
             if cols:
                 rows[j] = cols
-        return cls._from_rows(a.shape[0], rows)
+        return cls._from_rows(_size(a.shape[0], "dimension"), rows)
 
     @property
     def nnz(self) -> int:

@@ -11,11 +11,9 @@ the power-sum code.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NotNilpotentError, SingularError
 from .graph import TransitionGraph, analyze_acyclicity, extract_graph
@@ -179,32 +177,21 @@ def t_matrix(system: AcyclicSystem, potential: SparseOperator) -> np.ndarray:
     return potential.to_dense() @ finite_neumann_inverse(system)
 
 
-def _lu_factor_checked(a: np.ndarray):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    pivots = np.abs(np.diag(lu))
-    # |det| as a log sum so graded pivot magnitudes cannot overflow
-    if np.any(pivots == 0.0) or float(
-        np.sum(np.log(pivots))
-    ) <= np.log(SINGULAR_DET_THRESHOLD):
-        raise SingularError(
-            f"I - T is numerically singular "
-            f"(smallest pivot {float(np.min(pivots)):.3e}, "
-            f"|det| below {SINGULAR_DET_THRESHOLD:.0e})"
-        )
-    return lu, piv
-
-
 def direct_solve_oracle(operator: SparseOperator, phi) -> np.ndarray:
-    """Solve (I - T) psi = phi by dense partial-pivot LU.
+    """Solve (I - T) psi = phi by dense partial-pivot LU (numpy.linalg).
 
     Independent reference route: it never touches the sparse power
     machinery, so agreement with solve_exact is a genuine cross-check.
-    Raises SingularError when |det(I - T)| falls below
-    SINGULAR_DET_THRESHOLD.
+    Raises SingularError when |det(I - T)| is at or below
+    SINGULAR_DET_THRESHOLD, exactly singular I - T included.
     """
     v = as_state_vector(phi, operator.dim)
     a = np.eye(operator.dim, dtype=complex) - operator.to_dense()
-    lu, piv = _lu_factor_checked(a)
-    return scipy.linalg.lu_solve((lu, piv), v)
+    # log|det| so that graded pivot magnitudes cannot overflow
+    log_det = np.linalg.slogdet(a)[1]
+    if log_det <= np.log(SINGULAR_DET_THRESHOLD):
+        raise SingularError(
+            f"I - T is numerically singular "
+            f"(|det| {np.exp(log_det):.3e}, at or below {SINGULAR_DET_THRESHOLD:.0e})"
+        )
+    return np.linalg.solve(a, v)

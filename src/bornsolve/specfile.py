@@ -21,6 +21,7 @@ tables.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -75,8 +76,11 @@ def _require_int(value: Any, where: str) -> int:
 def _require_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFormatError(f"{where}: expected a number, got {value!r}")
-    out = float(value)
-    if not np.isfinite(out):
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
         raise SpecFormatError(f"{where}: value is not finite")
     return out
 

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import bornsolve
 from bornsolve.cli import EXIT_CYCLIC, EXIT_INPUT, EXIT_OK, main
 from bornsolve.operators import basis_state
 from bornsolve.solver import make_system, solve_exact
@@ -188,6 +193,26 @@ class TestSolve:
         code, _, err = run_cli(["solve", spec, "--phi", str(phi_path)])
         assert code == EXIT_INPUT
         assert "4 components" in err
+
+    def test_phi_file_huge_integer_is_input_error(self, tmp_path):
+        # float() of a 400-digit integer used to escape main() as OverflowError
+        spec = write_spec(tmp_path, diamond_doc())
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps([{"re": 10**400, "im": 0.0}] * 4))
+        code, out, err = run_cli(["solve", spec, "--phi", str(phi_path)])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "phi.json[0].re: value is not finite" in err
+
+    @pytest.mark.parametrize("value", ["0.5", True])
+    def test_phi_file_rejects_non_numbers(self, tmp_path, value):
+        # phi components follow the spec-file rules: no strings, no booleans
+        spec = write_spec(tmp_path, diamond_doc())
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps([{"re": value, "im": 0}] + [{"re": 0, "im": 0}] * 3))
+        code, _, err = run_cli(["solve", spec, "--phi", str(phi_path)])
+        assert code == EXIT_INPUT
+        assert "phi.json[0].re: expected a number" in err
 
     def test_cyclic_without_order_refused(self, tmp_path):
         path = write_spec(tmp_path, TWO_LEVEL_LOOP)
@@ -417,8 +442,58 @@ class TestUsageErrors:
         assert code == EXIT_INPUT
         assert "--phi" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "diamond", "--table"],
+        ["scenario", "diamond", "--norm", "inf"],
+        ["analyze", "--norm", "inf", "SPEC"],
+        ["classify", "--norm", "one", "SPEC"],
+        ["bench", "--dim", "5", "--norm", "inf"],
+    ], ids=["scenario-table", "scenario-norm", "analyze-norm", "classify-norm", "bench-norm"])
+    def test_options_no_command_reads_are_rejected(self, tmp_path, argv):
+        path = write_spec(tmp_path, diamond_doc())
+        code, out, err = run_cli([path if a == "SPEC" else a for a in argv])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "usage error: unrecognized arguments" in err
+
     def test_bad_norm_choice(self, tmp_path):
         path = write_spec(tmp_path, diamond_doc())
         code, _, err = run_cli(["analyze", "--norm", "two", path])
         assert code == EXIT_INPUT
         assert "usage error" in err
+
+
+_NO_SCIPY_RUN = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+sys.modules["scipy"] = None  # every later import of scipy raises ModuleNotFoundError
+from bornsolve.cli import main
+
+spec, diamond = sys.argv[1:]
+out = io.StringIO()
+with redirect_stdout(out):
+    codes = {"scenario": main(["scenario", "diamond"])}
+with open(diamond, "w", encoding="utf-8") as handle:
+    handle.write(out.getvalue())
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    codes["analyze"] = main(["analyze", spec])
+    codes["solve"] = main(["solve", spec, "--phi", "1", "--order", "3"])
+    codes["bench"] = main(["bench", "--dim", "50"])
+    codes["classify"] = main(["classify", diamond])
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency; solve --order runs the dense oracle
+    spec = write_spec(tmp_path, TWO_LEVEL_LOOP)
+    env = dict(os.environ, PYTHONPATH=str(Path(bornsolve.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, spec, str(tmp_path / "diamond.spec")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "scenario": EXIT_OK, "analyze": EXIT_CYCLIC, "solve": EXIT_OK,
+        "bench": EXIT_OK, "classify": EXIT_OK,
+    }

@@ -50,6 +50,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="vertex"):
             TransitionGraph(0)
 
+    def test_rejects_non_integral_vertex_count(self):
+        for bad in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="vertex count must be a positive integer"):
+                TransitionGraph(bad, [(1, 2)])
+        g = TransitionGraph(np.int32(3), [(1, 3)])
+        assert type(g.num_vertices) is int and g.num_vertices == 3
+        assert analyze_acyclicity(g).depth == 1
+
     def test_rejects_out_of_range_edges(self):
         with pytest.raises(ValueError, match="outside"):
             TransitionGraph(2, [(1, 3)])

@@ -37,6 +37,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive"):
             SparseOperator(0)
 
+    def test_rejects_non_integral_dimension(self):
+        # 2.5 used to be built and fail later in unrelated places
+        for bad in (2.5, 3.0, True, "3", None):
+            with pytest.raises(ValueError, match="dimension must be a positive integer"):
+                SparseOperator(bad, [(1, 1, 1.0)])
+        with pytest.raises(ValueError, match="dimension must be a positive integer"):
+            SparseOperator.from_dense(np.zeros((0, 0)))
+        op = SparseOperator(np.int64(2), [(1, 2, 1.0)])
+        assert type(op.dim) is int and op.dim == 2
+        npt.assert_array_equal(matvec(op, [0, 1]), [1, 0])
+
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(ValueError, match="outside"):
             SparseOperator(3, [(1, 4, 1.0)])

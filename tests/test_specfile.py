@@ -219,6 +219,10 @@ class TestFormatErrors:
                      "basis_labels": ["a", 3]}), "basis_labels"),
         ('{"dimension": 2, "transfer_entries": '
          '[{"from": 1, "to": 2, "re": 1e999, "im": 0.0}]}', "finite"),
+        # float() of a 400-digit integer raises OverflowError
+        ('{"dimension": 2, "transfer_entries": '
+         '[{"from": 1, "to": 2, "re": 0.5, "im": -1%s}]}' % ("0" * 400),
+         r"transfer_entries\[0\]\.im: value is not finite"),
     ])
     def test_rejected_documents(self, text, fragment):
         with pytest.raises(SpecFormatError, match=fragment):
