@@ -1,4 +1,4 @@
-"""Benchmark the finite power-sum solve against dense LU on random systems.
+"""Benchmark the certified substitution solve against dense LU on random systems.
 
 Only agreement between the two routes is ever asserted anywhere; the
 wall-clock numbers are reported for inspection because they depend on the

@@ -35,7 +35,7 @@ from .operators import (
 )
 from .report import format_complex, format_scalar, format_table, kv_lines
 from .scenarios import classify_interference
-from .solver import _born_expansion, det_i_minus_t, make_system
+from .solver import _born_terms, det_i_minus_t, make_system, solve_exact
 from .specfile import SystemSpec, _parse_complex, load_spec, spec_to_operator
 from .truncation import remainder_bound
 
@@ -119,9 +119,11 @@ def _cmd_analyze(args) -> int:
         tree["topological_order"] = list(report.topological_order)
         tree["depth"] = report.depth
         tree["term_count"] = report.depth + 1
+        # unit lower triangular in topological order: det(I - T) is exactly 1
+        tree["det"] = 1 + 0j
     else:
         tree["witness_cycle"] = list(report.witness_cycle)
-    tree["det"] = det_i_minus_t(op)
+        tree["det"] = det_i_minus_t(op)
     tree["norm"] = _norm_block(op)
     _emit(tree)
     if args.table:
@@ -154,11 +156,14 @@ def _analysis_table(tree: dict[str, Any]) -> str:
 
 
 def _cmd_solve(args) -> int:
+    if args.norm is not None and args.order is None:
+        print("usage error: --norm needs --order", file=sys.stderr)
+        return EXIT_INPUT
     spec = load_spec(args.spec)
     op = spec_to_operator(spec)
     phi = _parse_phi(args.phi, op.dim)
     try:
-        depth = make_system(op).depth
+        system = make_system(op)
     except NotNilpotentError as exc:
         if args.order is None:
             cycle = exc.witness_cycle
@@ -171,7 +176,8 @@ def _cmd_solve(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_CYCLIC
-        depth = None
+        system = None
+    depth = None if system is None else system.depth
 
     tree: dict[str, Any] = {
         "command": "solve",
@@ -181,6 +187,8 @@ def _cmd_solve(args) -> int:
     if args.order is None:
         tree["mode"] = "exact"
         tree["depth"] = depth
+        expansion = solve_exact(system, phi)
+        terms, total = expansion.terms, expansion.total
     else:
         tree["mode"] = "truncated"
         tree["order"] = args.order
@@ -193,24 +201,24 @@ def _cmd_solve(args) -> int:
                     f"{args.order + 1}",
                     file=sys.stderr,
                 )
-    expansion = _born_expansion(op, phi, depth if args.order is None else args.order)
-    terms = expansion.terms
-    total = expansion.total
+        terms = tuple(_born_terms(op, phi, args.order))
+        total = np.sum(terms, axis=0)
     tree["term_count"] = len(terms)
     tree["phi"] = _vector_tree(phi)
     tree["term"] = {str(k): _vector_tree(t) for k, t in enumerate(terms)}
     tree["total"] = _vector_tree(total)
 
     if args.order is not None:
-        if args.norm not in ("inf", "one"):
+        norm = "inf" if args.norm is None else args.norm
+        if norm not in ("inf", "one"):
             print(
                 f"error: remainder bounds need an induced norm (inf or one), "
-                f"got {args.norm}",
+                f"got {norm}",
                 file=sys.stderr,
             )
             return EXIT_INPUT
         try:
-            trunc = remainder_bound(op, phi, args.order, args.norm)
+            trunc = remainder_bound(op, phi, args.order, norm)
         except SingularError as exc:
             print(f"warning: exact remainder unavailable: {exc}", file=sys.stderr)
             tree["truncation"] = {"available": False, "reason": str(exc)}
@@ -375,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--norm",
         choices=NORM_KINDS,
-        default="inf",
-        help="norm kind for the remainder budget (default: inf)",
+        default=None,
+        help="norm kind for the remainder budget; needs --order (default: inf)",
     )
     p.set_defaults(handler=_cmd_solve)
 

@@ -2,22 +2,25 @@
 
 When the transition graph of T is acyclic, T is nilpotent and the Neumann
 series of (I - T)^(-1) closes after depth + 1 terms, whatever the size of
-||T||.  Scattered states, the full resolvent and the transition matrix
-then come out as exact finite sums, all run by one term loop that applies
-T to a state depth times (the resolvent one column at a time).  A dense LU
-route is kept alongside as an independent cross-check; it shares none of
-the power-sum code.
+||T||.  In the certificate's topological order I - T is also unit lower
+triangular, so scattered states, the full resolvent and the transition
+matrix come from one forward substitution over the stored rows, and
+det(I - T) = 1 exactly.  The term loop, which applies T once per order,
+makes the Born terms on demand and the truncations of any operator.  A
+dense LU route is kept alongside as an independent cross-check; it shares
+none of this code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, NotNilpotentError, SingularError
 from .graph import TransitionGraph, analyze_acyclicity, extract_graph
-from .operators import SparseOperator, _apply, as_state_vector, basis_state
+from .operators import SparseOperator, _apply, as_state_vector
 
 # Smallest |det(I - T)| the dense oracle accepts.  Pivot-versus-scale
 # tests misfire here: graded systems put legitimate pivots many orders
@@ -33,12 +36,15 @@ class AcyclicSystem:
 
     depth is the longest directed-path length of the graph; structurally,
     the (depth + 1)-th power of the operator vanishes, so every expansion
-    below closes after depth + 1 terms.  Instances come from make_system.
+    below closes after depth + 1 terms.  topological_order lists the
+    vertices by level, every edge's source before its target.  Instances
+    come from make_system.
     """
 
     operator: SparseOperator
     graph: TransitionGraph
     depth: int
+    topological_order: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -51,14 +57,23 @@ class AcyclicSystem:
 
 @dataclass(frozen=True)
 class BornExpansion:
-    """Term-by-term scattered state: terms[k] is the k-interaction piece."""
+    """Scattered state of a certified system, with its Born terms on demand.
 
-    terms: tuple[np.ndarray, ...]
+    total is (I - T)^(-1) phi by forward substitution; terms[k] = T^k phi,
+    k = 0..order, come from the term loop the first time they are read.
+    """
+
+    system: AcyclicSystem
+    phi: np.ndarray
     total: np.ndarray
 
     @property
     def order(self) -> int:
-        return len(self.terms) - 1
+        return self.system.depth
+
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, ...]:
+        return tuple(_born_terms(self.system.operator, self.phi, self.order))
 
 
 def make_system(operator: SparseOperator) -> AcyclicSystem:
@@ -72,25 +87,39 @@ def make_system(operator: SparseOperator) -> AcyclicSystem:
     report = analyze_acyclicity(graph)
     if not report.is_acyclic:
         raise NotNilpotentError(report.witness_cycle)
-    assert report.depth is not None
-    return AcyclicSystem(operator=operator, graph=graph, depth=report.depth)
+    assert report.depth is not None and report.topological_order is not None
+    return AcyclicSystem(operator, graph, report.depth, report.topological_order)
 
 
 def solve_exact(system: AcyclicSystem, phi) -> BornExpansion:
-    """Scattered state (I - T)^(-1) phi as an exact finite sum.
+    """Scattered state (I - T)^(-1) phi, exactly, by forward substitution.
 
-    terms[k] is the k-fold application of the transfer operator to phi;
-    the truncation error of the total is exactly zero, not merely small.
+    psi[j] = phi[j] + sum_c T[j, c] psi[c] over the stored row j, taken in
+    topological order, so every psi[c] it reads is already final.  One
+    pass over the stored entries; the result has no truncation error.
     """
     v = as_state_vector(phi, system.dim)
-    return _born_expansion(system.operator, v, system.depth)
+    x = [0j, *v.tolist()]  # x[k]: amplitude of basis state k
+    for j, cols in _rows_in_order(system):
+        s = 0j
+        for c, a in cols.items():
+            s += a * x[c]
+        x[j] += s
+    # phi is copied: the terms are made later, from the state of this call
+    return BornExpansion(system, v.copy(), np.array(x[1:], dtype=complex))
+
+
+def _rows_in_order(system: AcyclicSystem) -> list[tuple[int, dict[int, complex]]]:
+    """The stored rows (j, {c: T[j, c]}) in the certificate's topological order."""
+    rows = system.operator._rows
+    return [(j, rows[j]) for j in system.topological_order if j in rows]
 
 
 def born_approximation(operator: SparseOperator, phi, order: int) -> np.ndarray:
     """Partial Born sum through the given interaction order.
 
     Defined for any operator, nilpotent or not; for a certified system it
-    matches solve_exact once order reaches the depth.
+    matches solve_exact, to rounding, once order reaches the depth.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -108,14 +137,8 @@ def _born_sum(operator: SparseOperator, v: np.ndarray, order: int) -> np.ndarray
     return total
 
 
-def _born_expansion(operator: SparseOperator, v: np.ndarray, order: int) -> BornExpansion:
-    """Terms 0..order of the Born series for a state already checked by as_state_vector."""
-    terms = tuple(_born_terms(operator, v, order))
-    return BornExpansion(terms=terms, total=np.sum(terms, axis=0))
-
-
 def _born_terms(operator: SparseOperator, v: np.ndarray, order: int):
-    """Yield v, T v, ..., T^order v: the one term loop every Born sum runs."""
+    """Yield v, T v, ..., T^order v: the one term loop of every Born term and truncation."""
     yield v
     for _ in range(order):
         v = _apply(operator, v)
@@ -123,16 +146,15 @@ def _born_terms(operator: SparseOperator, v: np.ndarray, order: int):
 
 
 def finite_neumann_inverse(system: AcyclicSystem) -> np.ndarray:
-    """(I - T)^(-1) as the exact finite power sum, returned dense.
+    """(I - T)^(-1), exact and dense, by the substitution of solve_exact.
 
-    Column c is the Born sum of the one term loop on basis state c + 1: at
-    most depth applications of T, added up as they come, so no power of T
-    is formed and no stack of terms is held.
+    Row j of N = (I - T)^(-1) is e_j + sum_c T[j, c] N[c], so the identity
+    block is updated in place one stored row at a time, in topological
+    order: one small vector-matrix product per row, no power of T.
     """
-    n = system.dim
-    out = np.empty((n, n), dtype=complex)
-    for c in range(n):
-        out[:, c] = _born_sum(system.operator, basis_state(n, c + 1), system.depth)
+    out = np.eye(system.dim, dtype=complex)
+    for j, cols in _rows_in_order(system):
+        out[j - 1] += np.array(list(cols.values())) @ out[[c - 1 for c in cols]]
     return out
 
 
@@ -145,16 +167,17 @@ def det_i_minus_t(operator: SparseOperator) -> complex:
 def det_check(system: AcyclicSystem) -> complex:
     """Determinant of I - T for a certified system.
 
-    Mathematically this is exactly 1, independent of the amplitudes, so
-    its distance from 1 measures nothing but accumulated rounding.  The
-    full complex value is returned rather than its real part; hiding the
-    imaginary component would hide half the rounding error.
+    Mathematically this is exactly 1, independent of the amplitudes (I - T
+    is unit triangular in topological order), so the dense factorization
+    here measures nothing but accumulated rounding.  The full complex
+    value is returned rather than its real part; hiding the imaginary
+    component would hide half the rounding error.
     """
     return det_i_minus_t(system.operator)
 
 
 def full_resolvent(system: AcyclicSystem, free_resolvent_diag) -> np.ndarray:
-    """Full resolvent (E - H0 - V)^(-1) = (power sum) diag(G0), dense.
+    """Full resolvent (E - H0 - V)^(-1) = (I - T)^(-1) diag(G0), dense.
 
     free_resolvent_diag must be the diagonal of (E - H0)^(-1) for the
     same Hamiltonian and energy the transfer operator was built from;

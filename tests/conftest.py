@@ -54,3 +54,15 @@ def scaled_to_norm(op: SparseOperator, target: float, kind: str = "inf") -> Spar
 
 def random_state(rng, dim: int) -> np.ndarray:
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+def backward_error(op: SparseOperator, phi, psi) -> float:
+    """max|psi - T psi - phi| / (max|T| max|psi| + max|phi|), T applied densely.
+
+    The normwise backward error of psi as a solution of (I - T) psi = phi;
+    the bare residual when the scale is zero.
+    """
+    t = op.to_dense()
+    residual = float(np.abs(psi - t @ psi - phi).max())
+    scale = float(np.abs(t).max() * np.abs(psi).max() + np.abs(phi).max())
+    return residual / scale if scale > 0.0 else residual

@@ -17,7 +17,7 @@ import pytest
 
 import bornsolve
 from bornsolve.cli import EXIT_CYCLIC, EXIT_INPUT, EXIT_OK, main
-from bornsolve.operators import basis_state
+from bornsolve.operators import SparseOperator, basis_state
 from bornsolve.solver import make_system, solve_exact
 from bornsolve.specfile import load_spec, spec_to_operator
 
@@ -130,6 +130,29 @@ class TestAnalyze:
         assert kv["witness_cycle"] == "1 2"
         assert "depth" not in kv
         assert "topological_order" not in kv
+
+    def test_acyclic_det_is_structural(self, tmp_path, monkeypatch):
+        # I - T is unit triangular in topological order: no dense matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze formed a dense matrix")
+
+        monkeypatch.setattr(SparseOperator, "to_dense", refuse)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        path = write_spec(tmp_path, diamond_doc(3.0, -2.0j, 5.5, 41.0))
+        code, out, _ = run_cli(["analyze", path])
+        assert code == EXIT_OK
+        kv = parse_kv(out)
+        assert kv["det.re"] == "1.0"
+        assert kv["det.im"] == "0.0"
+
+    def test_cyclic_det_is_dense(self, tmp_path):
+        # det [[1, -0.5], [-0.04, 1]] = 1 - 0.02
+        path = write_spec(tmp_path, TWO_LEVEL_LOOP)
+        code, out, _ = run_cli(["analyze", path])
+        assert code == EXIT_CYCLIC
+        kv = parse_kv(out)
+        npt.assert_allclose(float(kv["det.re"]), 0.98, rtol=1e-15)
+        assert float(kv["det.im"]) == 0.0
 
     def test_table_appends_without_touching_kv(self, tmp_path):
         path = write_spec(tmp_path, diamond_doc())
@@ -261,6 +284,14 @@ class TestSolve:
         )
         assert code == EXIT_INPUT
         assert "induced" in err
+
+    @pytest.mark.parametrize("norm", ["inf", "fro"])
+    def test_norm_without_order_is_usage_error(self, tmp_path, norm):
+        path = write_spec(tmp_path, diamond_doc())
+        code, out, err = run_cli(["solve", path, "--phi", "1", "--norm", norm])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "usage error: --norm needs --order" in err
 
     def test_truncation_below_depth_warns(self, tmp_path):
         path = write_spec(tmp_path, diamond_doc())

@@ -225,6 +225,30 @@ class TestClassifier:
         with pytest.raises(TopologyError, match=r"\(1, 4\)"):
             classify_interference(make_system(op))
 
+    def test_rejection_names_every_edge(self):
+        from bornsolve.operators import SparseOperator
+        from bornsolve.solver import make_system
+
+        op = SparseOperator(4, [(4, 1, 1.0), (2, 1, 1.0)])
+        with pytest.raises(TopologyError) as excinfo:
+            classify_interference(make_system(op))
+        assert str(excinfo.value) == (
+            "expected a 4-state system with edges within "
+            "[(1, 2), (1, 3), (2, 4), (3, 4)], got dimension 4 "
+            "with edges [(1, 2), (1, 4)]"
+        )
+
+    def test_pattern_check_reads_the_rows(self, monkeypatch):
+        from bornsolve.graph import TransitionGraph
+
+        def refuse(self):
+            raise AssertionError("classify built the edge set")
+
+        monkeypatch.setattr(TransitionGraph, "edge_set", refuse)
+        report = classify_interference(build_diamond(1.0, 1.0, 1.0, 1.0))
+        assert report.regime == REGIME_CONSTRUCTIVE
+        assert report.a4_born1 == 0
+
     def test_degenerate_single_branch_is_generic(self):
         report = classify_interference(build_diamond(1.0, 0.0, 1.0, 0.0))
         assert report.regime == REGIME_GENERIC

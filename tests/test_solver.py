@@ -29,11 +29,32 @@ from bornsolve.solver import (
     solve_exact,
     t_matrix,
 )
-from conftest import random_dag, random_operator, random_state, scaled_to_norm
+from conftest import (
+    backward_error,
+    random_dag,
+    random_operator,
+    random_state,
+    scaled_to_norm,
+)
+
+EPS = np.finfo(float).eps
 
 
 def diamond_operator(t21=1.0, t31=1.0, t42=1.0, t43=1.0) -> SparseOperator:
     return SparseOperator(4, [(2, 1, t21), (3, 1, t31), (4, 2, t42), (4, 3, t43)])
+
+
+def assert_close_to_termwise(expansion, termwise) -> None:
+    """The substitution total against a termwise Born sum of the same state.
+
+    The two sum in different orders, so they agree to 8 n eps relative to
+    the largest term; the total is also backward stable to 8 n eps.
+    """
+    n = expansion.system.dim
+    scale = max(float(np.abs(term).max()) for term in expansion.terms)
+    assert float(np.abs(expansion.total - termwise).max()) <= 8 * n * EPS * scale
+    assert backward_error(expansion.system.operator, expansion.phi,
+                          expansion.total) <= 8 * n * EPS
 
 
 def relative_gap(a, b) -> float:
@@ -61,6 +82,17 @@ class TestMakeSystem:
         assert system.depth == 0
         assert system.term_count == 1
 
+    def test_keeps_the_topological_order(self):
+        system = make_system(diamond_operator())
+        assert system.topological_order == (1, 2, 3, 4)
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            system = make_system(random_dag(rng, 12))
+            position = {v: k for k, v in enumerate(system.topological_order)}
+            assert sorted(position) == list(range(1, 13))
+            for row, col, _ in system.operator.entries():
+                assert position[col] < position[row]
+
 
 class TestSolveExact:
     def test_cascade3_termwise(self):
@@ -87,7 +119,7 @@ class TestSolveExact:
         rng = np.random.default_rng(71)
         system = make_system(random_dag(rng, 9))
         expansion = solve_exact(system, random_state(rng, 9))
-        npt.assert_array_equal(expansion.total, np.sum(expansion.terms, axis=0))
+        assert_close_to_termwise(expansion, np.sum(expansion.terms, axis=0))
         assert expansion.order == system.depth
 
     def test_term_count_is_depth_plus_one(self):
@@ -139,12 +171,78 @@ class TestSolveExact:
             for k, term in enumerate(expansion.terms):
                 npt.assert_array_equal(term, current, err_msg=f"term {k}")
                 current = matvec(system.operator, current)
-            npt.assert_array_equal(
-                born_approximation(system.operator, phi, system.depth), expansion.total)
+            assert_close_to_termwise(
+                expansion, born_approximation(system.operator, phi, system.depth))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             solve_exact(make_system(diamond_operator()), np.zeros(3))
+
+
+class TestSubstitution:
+    def test_total_applies_nothing_and_terms_come_on_demand(self, monkeypatch):
+        applies = []
+
+        def counting_apply(op, v):
+            applies.append(v)
+            return _apply(op, v)
+
+        monkeypatch.setattr("bornsolve.solver._apply", counting_apply)
+        rng = np.random.default_rng(19)
+        system = make_system(random_dag(rng, 12, density=0.6))
+        assert system.depth >= 2
+        phi = random_state(rng, 12)
+        expansion = solve_exact(system, phi)
+        assert applies == []
+        assert relative_gap(expansion.total,
+                            direct_solve_oracle(system.operator, phi)) <= 1e-12
+        terms = expansion.terms
+        assert len(applies) == system.depth
+        # made once: reading them again applies nothing
+        assert expansion.terms is terms
+        assert len(applies) == system.depth
+        current = phi
+        for k, term in enumerate(terms):
+            npt.assert_array_equal(term, current, err_msg=f"term {k}")
+            current = matvec(system.operator, current)
+
+    def test_terms_follow_the_state_of_the_call(self):
+        system = make_system(diamond_operator(0.5, 2.0, -1.5, 0.25j))
+        phi = basis_state(4, 1)
+        expansion = solve_exact(system, phi)
+        phi[0] = 7.0  # the caller reuses its buffer before reading the terms
+        npt.assert_array_equal(expansion.terms[0], basis_state(4, 1))
+        npt.assert_array_equal(expansion.terms[1], [0, 0.5, 2.0, 0])
+
+    def test_backward_error_no_worse_than_termwise(self):
+        rng = np.random.default_rng(23)
+        worst_substitution = worst_termwise = 0.0
+        for k in range(240):
+            dim = int(rng.integers(2, 25))
+            op = random_dag(rng, dim, density=0.5)
+            if k % 2 and not op.is_zero():
+                op = scaled_to_norm(op, 1e3)
+            system = make_system(op)
+            phi = random_state(rng, dim)
+            total = solve_exact(system, phi).total
+            termwise = born_approximation(op, phi, system.depth)
+            worst_substitution = max(worst_substitution, backward_error(op, phi, total))
+            worst_termwise = max(worst_termwise, backward_error(op, phi, termwise))
+        assert worst_substitution <= worst_termwise
+
+    def test_inverse_matches_lu_within_condition(self):
+        rng = np.random.default_rng(29)
+        for k in range(40):
+            dim = int(rng.integers(1, 30))
+            op = random_dag(rng, dim, density=0.3)
+            if k % 2 and not op.is_zero():
+                op = scaled_to_norm(op, 1e3)
+            a = np.eye(dim, dtype=complex) - op.to_dense()
+            inverse = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a),
+                                            np.eye(dim, dtype=complex))
+            cond = np.linalg.cond(a, 1)
+            assert relative_gap(finite_neumann_inverse(make_system(op)),
+                                inverse) <= 8 * dim * EPS * cond
 
 
 class TestBornApproximation:
@@ -152,11 +250,11 @@ class TestBornApproximation:
         rng = np.random.default_rng(89)
         system = make_system(random_dag(rng, 8))
         phi = random_state(rng, 8)
-        total = solve_exact(system, phi).total
-        npt.assert_array_equal(born_approximation(system.operator, phi,
-                                                  system.depth), total)
-        npt.assert_array_equal(born_approximation(system.operator, phi,
-                                                  system.depth + 3), total)
+        expansion = solve_exact(system, phi)
+        assert_close_to_termwise(
+            expansion, born_approximation(system.operator, phi, system.depth))
+        assert_close_to_termwise(
+            expansion, born_approximation(system.operator, phi, system.depth + 3))
 
     def test_order_zero_is_phi(self):
         phi = basis_state(4, 1)
@@ -235,9 +333,9 @@ class TestEarlyExit:
         assert len(applies) == 2
         npt.assert_array_equal(total, [t21, 1, 0])
         applies.clear()
-        # columns 1, 2, 3 of the inverse take 1, 2 and 2 applies
+        # the inverse is a substitution over the rows: T is never applied
         inverse = finite_neumann_inverse(make_system(op))
-        assert len(applies) == 5
+        assert len(applies) == 0
         npt.assert_array_equal(inverse, [[1, t21, t21 * t32], [0, 1, t32], [0, 0, 1]])
 
 
