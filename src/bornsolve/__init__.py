@@ -17,17 +17,9 @@ from .errors import (
     ResonanceError,
     SingularError,
     SpecFormatError,
-    TooManyPathsError,
     TopologyError,
-    UnboundedEnumerationError,
 )
-from .graph import (
-    AcyclicityReport,
-    TransitionGraph,
-    WeightedPath,
-    analyze_acyclicity,
-    extract_graph,
-)
+from .graph import AcyclicityReport, analyze_acyclicity
 from .operators import (
     NORM_KINDS,
     ZERO_THRESHOLD,
@@ -45,6 +37,7 @@ from .operators import (
 from .scenarios import (
     DARK_THRESHOLD,
     InterferenceReport,
+    WeightedPath,
     build_cascade,
     build_diamond,
     build_double_diamond,
@@ -99,11 +92,8 @@ __all__ = [
     "SparseOperator",
     "SpecFormatError",
     "SystemSpec",
-    "TooManyPathsError",
     "TopologyError",
-    "TransitionGraph",
     "TruncationReport",
-    "UnboundedEnumerationError",
     "WeightedPath",
     "ZERO_THRESHOLD",
     "analyze_acyclicity",
@@ -119,7 +109,6 @@ __all__ = [
     "det_i_minus_t",
     "direct_solve_oracle",
     "exact_remainder",
-    "extract_graph",
     "finite_neumann_inverse",
     "free_resolvent_diagonal",
     "full_resolvent",

@@ -25,7 +25,7 @@ from .errors import (
     SpecFormatError,
     TopologyError,
 )
-from .graph import AcyclicityReport, analyze_acyclicity, extract_graph
+from .graph import analyze_acyclicity
 from .operators import (
     NORM_KINDS,
     SparseOperator,
@@ -33,7 +33,7 @@ from .operators import (
     basis_state,
     operator_norm,
 )
-from .report import format_complex, format_scalar, format_table, kv_lines
+from .report import format_complex, format_table, kv_lines
 from .scenarios import classify_interference
 from .solver import _born_terms, det_i_minus_t, make_system, solve_exact
 from .specfile import SystemSpec, _parse_complex, load_spec, spec_to_operator
@@ -107,7 +107,7 @@ def _norm_block(op: SparseOperator) -> dict[str, float]:
 def _cmd_analyze(args) -> int:
     spec = load_spec(args.spec)
     op = spec_to_operator(spec)
-    report = analyze_acyclicity(extract_graph(op))
+    report = analyze_acyclicity(op)
     tree: dict[str, Any] = {
         "command": "analyze",
         "spec": str(args.spec),

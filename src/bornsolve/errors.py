@@ -39,14 +39,6 @@ class NotNilpotentError(BornsolveError):
         )
 
 
-class UnboundedEnumerationError(BornsolveError):
-    """Walk enumeration on a cyclic graph needs an explicit length bound."""
-
-
-class TooManyPathsError(BornsolveError):
-    """Walk enumeration exceeded the configured budget."""
-
-
 class SingularError(BornsolveError):
     """A dense solve met a pivot too small to trust."""
 

@@ -1,7 +1,7 @@
 """Structured text reports: a flat key = value view plus optional tables.
 
 The machine view prints one `path = value` line per leaf of a report
-tree.  Nested mappings extend the dotted path, complex leaves split into
+tree.  Nested dicts extend the dotted path, complex leaves split into
 .re and .im, sequences of plain integers or strings are emitted inline
 (space separated) and other sequences get numeric path components.
 Floats print with shortest-roundtrip precision; tables reuse the same
@@ -10,7 +10,7 @@ formatting so both views carry identical numbers.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -41,14 +41,14 @@ def _is_inline_sequence(value: Any) -> bool:
     )
 
 
-def kv_lines(tree: Mapping[str, Any], prefix: str = "") -> list[str]:
+def kv_lines(tree: dict[str, Any], prefix: str = "") -> list[str]:
     """Flatten a report tree into `path = value` lines, depth first."""
     lines: list[str] = []
     for key, value in tree.items():
         path = f"{prefix}{key}"
         if value is None:
             continue
-        if isinstance(value, Mapping):
+        if isinstance(value, dict):
             lines.extend(kv_lines(value, f"{path}."))
         elif isinstance(value, (complex, np.complexfloating)):
             z = complex(value)
@@ -61,10 +61,6 @@ def kv_lines(tree: Mapping[str, Any], prefix: str = "") -> list[str]:
         else:
             lines.append(f"{path} = {format_scalar(value)}")
     return lines
-
-
-def render_report(tree: Mapping[str, Any]) -> str:
-    return "\n".join(kv_lines(tree)) + "\n"
 
 
 def format_table(headers: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import TopologyError
-from .graph import WeightedPath
 from .operators import SparseOperator, basis_state
 from .solver import AcyclicSystem, make_system, solve_exact
 
@@ -28,6 +27,18 @@ DIAMOND_EDGES = frozenset({(1, 2), (1, 3), (2, 4), (3, 4)})
 REGIME_CONSTRUCTIVE = "constructive"
 REGIME_DARK = "dark_state"
 REGIME_GENERIC = "generic"
+
+
+@dataclass(frozen=True)
+class WeightedPath:
+    """A directed walk together with the product of its edge amplitudes."""
+
+    vertices: tuple[int, ...]
+    weight: complex
+
+    @property
+    def length(self) -> int:
+        return len(self.vertices) - 1
 
 
 @dataclass(frozen=True)
@@ -89,12 +100,12 @@ def classify_interference(system: AcyclicSystem) -> InterferenceReport:
     structural zero because both routes to the final state take two steps.
     """
     t = system.operator
-    if system.dim != 4 or any((i, j) not in DIAMOND_EDGES
-                              for j, cols in t._rows.items() for i in cols):
+    edges = [(i, j) for j, cols in t._rows.items() for i in cols]
+    if system.dim != 4 or not DIAMOND_EDGES.issuperset(edges):
         raise TopologyError(
             f"expected a 4-state system with edges within "
             f"{sorted(DIAMOND_EDGES)}, got dimension {system.dim} "
-            f"with edges {sorted(system.graph.edge_set())}"
+            f"with edges {sorted(edges)}"
         )
     p_left = t.entry(4, 2) * t.entry(2, 1)
     p_right = t.entry(4, 3) * t.entry(3, 1)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, NotNilpotentError, SingularError
-from .graph import TransitionGraph, analyze_acyclicity, extract_graph
+from .graph import analyze_acyclicity
 from .operators import SparseOperator, _apply, as_state_vector
 
 # Smallest |det(I - T)| the dense oracle accepts.  Pivot-versus-scale
@@ -42,7 +42,6 @@ class AcyclicSystem:
     """
 
     operator: SparseOperator
-    graph: TransitionGraph
     depth: int
     topological_order: tuple[int, ...]
 
@@ -55,12 +54,13 @@ class AcyclicSystem:
         return self.depth + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BornExpansion:
     """Scattered state of a certified system, with its Born terms on demand.
 
     total is (I - T)^(-1) phi by forward substitution; terms[k] = T^k phi,
     k = 0..order, come from the term loop the first time they are read.
+    Equality is identity: the fields are arrays, which compare elementwise.
     """
 
     system: AcyclicSystem
@@ -83,12 +83,11 @@ def make_system(operator: SparseOperator) -> AcyclicSystem:
     cyclic.  The certificate is purely structural: no power of the
     operator is formed and no floating-point comparison is involved.
     """
-    graph = extract_graph(operator)
-    report = analyze_acyclicity(graph)
+    report = analyze_acyclicity(operator)
     if not report.is_acyclic:
         raise NotNilpotentError(report.witness_cycle)
     assert report.depth is not None and report.topological_order is not None
-    return AcyclicSystem(operator, graph, report.depth, report.topological_order)
+    return AcyclicSystem(operator, report.depth, report.topological_order)
 
 
 def solve_exact(system: AcyclicSystem, phi) -> BornExpansion:

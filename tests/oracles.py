@@ -1,0 +1,204 @@
+"""Test oracles for the transition graph: an edge-list graph and weighted walks.
+
+The library certifies an operator straight from its stored rows
+(bornsolve.graph.analyze_acyclicity).  The oracles here reach the same
+quantities another way, from explicit edge lists: walk enumeration with
+weights and the recursive path sum that the matrix powers are checked
+against.  The walks share no machinery with the operator arithmetic, and
+nothing in the library imports this module.
+
+An edge i -> j is the operator entry (row j, col i).  Every graph carries
+.operator, the SparseOperator with its pattern (unannotated edges get
+amplitude 1), so tests certify hand-built graphs with
+analyze_acyclicity(graph.operator).  Amplitudes the store rule drops
+(at or below ZERO_THRESHOLD) would leave their edge out of .operator.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator
+
+from bornsolve.graph import analyze_acyclicity
+from bornsolve.operators import _NO_COLS, SparseOperator, _label, _size
+from bornsolve.scenarios import WeightedPath
+
+DEFAULT_PATH_BUDGET = 10**6
+
+
+class UnboundedEnumerationError(Exception):
+    """Walk enumeration on a cyclic graph needs an explicit length bound."""
+
+
+class TooManyPathsError(Exception):
+    """Walk enumeration exceeded the configured budget."""
+
+
+class TransitionGraph:
+    """Directed graph on vertices 1..num_vertices with optional edge amplitudes.
+
+    Edges are given as (i, j) pairs or (i, j, amplitude) triples with
+    integer labels; parallel edges are rejected.  Successor lists come
+    back sorted so walk enumeration is deterministic.
+    """
+
+    __slots__ = ("num_vertices", "_preds", "operator")
+
+    def __init__(self, num_vertices: int, edges: Iterable = ()):
+        num_vertices = _size(num_vertices, "vertex count")
+        preds: dict[int, dict[int, complex | None]] = {}
+        for edge in edges:
+            if len(edge) == 2:
+                i, j = edge
+                amp: complex | None = None
+            else:
+                i, j, raw = edge
+                amp = complex(raw)
+            try:
+                i, j = _label(i), _label(j)
+            except TypeError:
+                raise ValueError(f"edge ({i}, {j}) has a non-integral vertex") from None
+            if not (1 <= i <= num_vertices and 1 <= j <= num_vertices):
+                raise ValueError(f"edge ({i}, {j}) outside 1..{num_vertices}")
+            sources = preds.setdefault(j, {})
+            if i in sources:
+                raise ValueError(f"duplicate edge ({i}, {j})")
+            sources[i] = amp
+        self.num_vertices = num_vertices
+        self._preds = preds
+        self.operator = SparseOperator(num_vertices, [
+            (j, i, 1.0 if amp is None else amp)
+            for j, sources in preds.items() for i, amp in sources.items()
+        ])
+
+    @property
+    def num_edges(self) -> int:
+        return sum(map(len, self._preds.values()))
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        return iter(sorted(self.edge_set()))
+
+    def edge_set(self) -> set[tuple[int, int]]:
+        return {(i, j) for j, sources in self._preds.items() for i in sources}
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return i in self._preds.get(j, _NO_COLS)
+
+    def amplitude(self, i: int, j: int) -> complex | None:
+        """Amplitude annotation of edge (i, j); None when unannotated or absent."""
+        return self._preds.get(j, _NO_COLS).get(i)
+
+    def successors(self, i: int) -> tuple[int, ...]:
+        """Targets of the edges leaving i, sorted; a scan of every row."""
+        return tuple(sorted(j for j, sources in self._preds.items() if i in sources))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TransitionGraph):
+            return NotImplemented
+        return self.num_vertices == other.num_vertices and self._preds == other._preds
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"TransitionGraph(num_vertices={self.num_vertices}, "
+            f"num_edges={self.num_edges})"
+        )
+
+
+def extract_graph(op: SparseOperator) -> TransitionGraph:
+    """Transition graph of an operator: stored entry (j, i) becomes edge i -> j."""
+    return TransitionGraph(op.dim, [(c, r, a) for r, c, a in op.entries()])
+
+
+def _check_vertex(graph: TransitionGraph, v: int, name: str) -> None:
+    if not 1 <= v <= graph.num_vertices:
+        raise ValueError(f"{name} vertex {v} outside 1..{graph.num_vertices}")
+
+
+def _edge_amplitude(graph: TransitionGraph, i: int, j: int) -> complex:
+    amp = graph.amplitude(i, j)
+    if amp is None:
+        raise ValueError(f"edge ({i}, {j}) has no amplitude annotation")
+    return amp
+
+
+def enumerate_paths(
+    graph: TransitionGraph,
+    start: int,
+    end: int,
+    max_len: int | None = None,
+    max_paths: int = DEFAULT_PATH_BUDGET,
+) -> list[WeightedPath]:
+    """All directed walks from start to end with at most max_len edges.
+
+    On an acyclic graph every walk is a simple path and max_len may be
+    omitted; a cyclic graph without a bound has infinitely many walks, so
+    UnboundedEnumerationError is raised.  Walks come back in lexicographic
+    vertex order; finding more than max_paths raises TooManyPathsError
+    (the budget exists because path counts grow exponentially with size).
+    """
+    _check_vertex(graph, start, "start")
+    _check_vertex(graph, end, "end")
+    if max_len is None:
+        if not analyze_acyclicity(graph.operator).is_acyclic:
+            raise UnboundedEnumerationError(
+                "cyclic graph: walk enumeration needs a finite max_len"
+            )
+    elif max_len < 0:
+        return []
+
+    found: list[WeightedPath] = []
+
+    def record(vertices: list[int], weight: complex) -> None:
+        if len(found) >= max_paths:
+            raise TooManyPathsError(
+                f"more than {max_paths} walks from {start} to {end}; "
+                f"raise max_paths to keep going"
+            )
+        found.append(WeightedPath(tuple(vertices), weight))
+
+    if start == end:
+        record([start], 1.0 + 0j)
+    walk = [start]
+    weights: list[complex] = [1.0 + 0j]
+    frames = [iter(graph.successors(start))]
+    while frames:
+        if max_len is not None and len(walk) - 1 >= max_len:
+            frames.pop()
+            walk.pop()
+            weights.pop()
+            continue
+        succ = next(frames[-1], None)
+        if succ is None:
+            frames.pop()
+            walk.pop()
+            weights.pop()
+            continue
+        weight = weights[-1] * _edge_amplitude(graph, walk[-1], succ)
+        walk.append(succ)
+        weights.append(weight)
+        frames.append(iter(graph.successors(succ)))
+        if succ == end:
+            record(walk, weight)
+    return found
+
+
+def path_sum_entry(graph: TransitionGraph, start: int, end: int, k: int) -> complex:
+    """Total amplitude of all length-k walks from start to end.
+
+    Chain-sum oracle for the (end, start) entry of the k-th operator
+    power, computed recursively from edge amplitudes alone; it shares no
+    machinery with the matrix arithmetic it is used to check.
+    """
+    _check_vertex(graph, start, "start")
+    _check_vertex(graph, end, "end")
+    if k < 0:
+        raise ValueError(f"walk length must be >= 0, got {k}")
+    if k == 0:
+        return 1.0 + 0j if start == end else 0j
+    total = 0j
+    for succ in graph.successors(start):
+        total += _edge_amplitude(graph, start, succ) * path_sum_entry(
+            graph, succ, end, k - 1
+        )
+    return total

@@ -1,4 +1,4 @@
-"""Transition graphs: extraction, acyclicity, depth, weighted walks."""
+"""The acyclicity certificate, and the edge-list graph and walk oracles."""
 
 from __future__ import annotations
 
@@ -6,17 +6,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bornsolve.errors import TooManyPathsError, UnboundedEnumerationError
-from bornsolve.graph import (
+from bornsolve.graph import analyze_acyclicity
+from bornsolve.operators import SparseOperator, power
+from bornsolve.scenarios import WeightedPath
+from conftest import random_dag, random_operator
+from oracles import (
+    TooManyPathsError,
     TransitionGraph,
-    WeightedPath,
-    analyze_acyclicity,
+    UnboundedEnumerationError,
     enumerate_paths,
     extract_graph,
     path_sum_entry,
 )
-from bornsolve.operators import SparseOperator, power
-from conftest import random_dag, random_operator
 
 RTOL = 1e-12
 
@@ -56,7 +57,7 @@ class TestConstruction:
                 TransitionGraph(bad, [(1, 2)])
         g = TransitionGraph(np.int32(3), [(1, 3)])
         assert type(g.num_vertices) is int and g.num_vertices == 3
-        assert analyze_acyclicity(g).depth == 1
+        assert analyze_acyclicity(g.operator).depth == 1
 
     def test_rejects_out_of_range_edges(self):
         with pytest.raises(ValueError, match="outside"):
@@ -105,32 +106,30 @@ class TestExtraction:
         assert g.num_edges == 0
         assert g.num_vertices == 5
 
-    def test_matches_graph_built_from_entries(self):
-        # extract_graph skips the constructor's checks; the result must
-        # still be the graph the checked constructor builds
+    def test_graph_carries_its_operator(self):
+        # hand-built graphs are certified through .operator, so its
+        # pattern must be the edge list: unannotated edges count as 1
+        g = TransitionGraph(3, [(1, 2), (2, 3, 0.5j)])
+        assert g.operator == SparseOperator(3, [(2, 1, 1.0), (3, 2, 0.5j)])
         rng = np.random.default_rng(31)
         for trial in range(40):
             dim = int(rng.integers(1, 12))
             op = random_dag(rng, dim) if trial % 2 else random_operator(rng, dim)
-            got = extract_graph(op)
-            want = TransitionGraph(dim, [(c, r, a) for r, c, a in op.entries()])
-            assert got == want
-            assert got.num_edges == want.num_edges == op.nnz
-            for v in range(1, dim + 1):
-                assert got.successors(v) == want.successors(v)
-            assert analyze_acyclicity(got) == analyze_acyclicity(want)
+            g = extract_graph(op)
+            assert g.operator == op
+            assert g.num_edges == op.nnz
 
 
 class TestAcyclicity:
     def test_diamond(self):
-        report = analyze_acyclicity(diamond_graph())
+        report = analyze_acyclicity(diamond_graph().operator)
         assert report.is_acyclic
         assert report.depth == 2
         assert report.witness_cycle is None
         assert_valid_topological_order(diamond_graph(), report.topological_order)
 
     def test_diamond_order_is_by_level(self):
-        assert analyze_acyclicity(diamond_graph()).topological_order == (1, 2, 3, 4)
+        assert analyze_acyclicity(diamond_graph().operator).topological_order == (1, 2, 3, 4)
 
     def test_order_is_level_then_label(self):
         def level(g, v):
@@ -140,9 +139,10 @@ class TestAcyclicity:
         rng = np.random.default_rng(71)
         for _ in range(40):
             dim = int(rng.integers(1, 9))
-            g = extract_graph(random_dag(rng, dim, density=0.45))
+            op = random_dag(rng, dim, density=0.45)
+            g = extract_graph(op)
             levels = {v: level(g, v) for v in range(1, dim + 1)}
-            report = analyze_acyclicity(g)
+            report = analyze_acyclicity(op)
             assert report.topological_order == tuple(
                 sorted(levels, key=lambda v: (levels[v], v))
             )
@@ -155,37 +155,37 @@ class TestAcyclicity:
             dim = int(rng.integers(1, 10))
             op = random_dag(rng, dim) if trial % 2 else random_operator(rng, dim)
             entries = list(op.entries())
-            want = analyze_acyclicity(extract_graph(op))
+            want = analyze_acyclicity(op)
             seen_cyclic += not want.is_acyclic
             for _ in range(3):
                 shuffled = [entries[k] for k in rng.permutation(len(entries))]
-                got = analyze_acyclicity(extract_graph(SparseOperator(dim, shuffled)))
+                got = analyze_acyclicity(SparseOperator(dim, shuffled))
                 assert got == want
         assert seen_cyclic > 10
 
     @pytest.mark.parametrize("levels", [2, 3, 4, 5, 6, 7, 8])
     def test_cascade_depth_is_level_count_minus_one(self, levels):
         op = chain_operator([1.0] * (levels - 1))
-        report = analyze_acyclicity(extract_graph(op))
+        report = analyze_acyclicity(op)
         assert report.is_acyclic
         assert report.depth == levels - 1
 
     def test_double_diamond_depth_four(self):
         layout = ((1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 7), (6, 7))
         g = TransitionGraph(7, layout)
-        report = analyze_acyclicity(g)
+        report = analyze_acyclicity(g.operator)
         assert report.is_acyclic
         assert report.depth == 4
 
     def test_edgeless_graph_depth_zero(self):
-        report = analyze_acyclicity(TransitionGraph(4))
+        report = analyze_acyclicity(TransitionGraph(4).operator)
         assert report.is_acyclic
         assert report.depth == 0
         assert sorted(report.topological_order) == [1, 2, 3, 4]
 
     def test_two_cycle_witness(self):
         g = TransitionGraph(2, [(1, 2), (2, 1)])
-        report = analyze_acyclicity(g)
+        report = analyze_acyclicity(g.operator)
         assert not report.is_acyclic
         assert report.topological_order is None
         assert report.depth is None
@@ -194,13 +194,13 @@ class TestAcyclicity:
 
     def test_self_loop_witness(self):
         g = TransitionGraph(3, [(1, 2), (3, 3)])
-        report = analyze_acyclicity(g)
+        report = analyze_acyclicity(g.operator)
         assert not report.is_acyclic
         assert report.witness_cycle == (3,)
 
     def test_cycle_behind_dag_prefix(self):
         g = TransitionGraph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 3)])
-        report = analyze_acyclicity(g)
+        report = analyze_acyclicity(g.operator)
         assert not report.is_acyclic
         assert_genuine_cycle(g, report.witness_cycle)
 
@@ -209,8 +209,9 @@ class TestAcyclicity:
         seen_cyclic = 0
         for _ in range(60):
             dim = int(rng.integers(2, 10))
-            g = extract_graph(random_operator(rng, dim, density=0.45))
-            report = analyze_acyclicity(g)
+            op = random_operator(rng, dim, density=0.45)
+            g = extract_graph(op)
+            report = analyze_acyclicity(op)
             if not report.is_acyclic:
                 seen_cyclic += 1
                 assert_genuine_cycle(g, report.witness_cycle)
@@ -220,8 +221,9 @@ class TestAcyclicity:
         rng = np.random.default_rng(47)
         for _ in range(40):
             dim = int(rng.integers(1, 12))
-            g = extract_graph(random_dag(rng, dim))
-            report = analyze_acyclicity(g)
+            op = random_dag(rng, dim)
+            g = extract_graph(op)
+            report = analyze_acyclicity(op)
             assert report.is_acyclic
             assert_valid_topological_order(g, report.topological_order)
 
@@ -235,8 +237,9 @@ class TestAcyclicity:
         rng = np.random.default_rng(53)
         for _ in range(40):
             dim = int(rng.integers(1, 8))
-            g = extract_graph(random_dag(rng, dim, density=0.5))
-            report = analyze_acyclicity(g)
+            op = random_dag(rng, dim, density=0.5)
+            g = extract_graph(op)
+            report = analyze_acyclicity(op)
             brute = max(longest_from(g, v) for v in range(1, dim + 1))
             assert report.depth == brute
 
@@ -250,7 +253,7 @@ class TestAcyclicity:
             g2 = TransitionGraph(
                 dim, [(relabel[i], relabel[j]) for i, j in g.edges()]
             )
-            r1, r2 = analyze_acyclicity(g), analyze_acyclicity(g2)
+            r1, r2 = analyze_acyclicity(g.operator), analyze_acyclicity(g2.operator)
             assert r1.is_acyclic and r2.is_acyclic
             assert r1.depth == r2.depth
             assert_valid_topological_order(g2, r2.topological_order)
@@ -258,7 +261,7 @@ class TestAcyclicity:
     def test_deep_graph_does_not_hit_recursion_limit(self):
         n = 5000
         g = TransitionGraph(n, [(k, k + 1) for k in range(1, n)])
-        report = analyze_acyclicity(g)
+        report = analyze_acyclicity(g.operator)
         assert report.is_acyclic
         assert report.depth == n - 1
 

@@ -10,7 +10,6 @@ from bornsolve.report import (
     format_scalar,
     format_table,
     kv_lines,
-    render_report,
 )
 
 
@@ -118,10 +117,6 @@ class TestKvLines:
             key, sep, value = line.partition(" = ")
             assert sep == " = "
             assert key and value
-
-    def test_render_report_joins_with_newlines(self):
-        text = render_report({"a": 1, "b": 2})
-        assert text == "a = 1\nb = 2\n"
 
 
 class TestFormatTable:

@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from bornsolve.errors import TopologyError
-from bornsolve.graph import enumerate_paths
 from bornsolve.operators import basis_state
 from bornsolve.scenarios import (
     DARK_THRESHOLD,
@@ -21,6 +20,7 @@ from bornsolve.scenarios import (
 )
 from bornsolve.solver import solve_exact
 from conftest import random_phase
+from oracles import enumerate_paths, extract_graph
 
 
 def random_amplitude(rng, lo=0.5, hi=2.0) -> complex:
@@ -82,7 +82,7 @@ class TestDiamond:
 
     def test_zero_couplings_delete_edges(self):
         system = build_diamond(1.0, 0.0, 1.0, 0.0)
-        assert system.graph.edge_set() == {(1, 2), (2, 4)}
+        assert extract_graph(system.operator).edge_set() == {(1, 2), (2, 4)}
         assert system.depth == 2
 
 
@@ -95,7 +95,7 @@ class TestDoubleDiamond:
 
     def test_layout(self):
         system = build_double_diamond([1.0] * 8)
-        assert system.graph.edge_set() == {
+        assert extract_graph(system.operator).edge_set() == {
             (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (4, 6), (5, 7), (6, 7),
         }
 
@@ -207,7 +207,7 @@ class TestClassifier:
         t21, t31, t42, t43 = 0.5, 2.0, -1.5, 0.25j
         system = build_diamond(t21, t31, t42, t43)
         report = classify_interference(system)
-        walks = enumerate_paths(system.graph, 1, 4)
+        walks = enumerate_paths(extract_graph(system.operator), 1, 4)
         assert [p.vertices for p in report.path_contributions] == \
             [w.vertices for w in walks]
         for reported, walked in zip(report.path_contributions, walks):
@@ -239,12 +239,12 @@ class TestClassifier:
         )
 
     def test_pattern_check_reads_the_rows(self, monkeypatch):
-        from bornsolve.graph import TransitionGraph
+        from bornsolve.operators import SparseOperator
 
         def refuse(self):
-            raise AssertionError("classify built the edge set")
+            raise AssertionError("classify enumerated the entries")
 
-        monkeypatch.setattr(TransitionGraph, "edge_set", refuse)
+        monkeypatch.setattr(SparseOperator, "entries", refuse)
         report = classify_interference(build_diamond(1.0, 1.0, 1.0, 1.0))
         assert report.regime == REGIME_CONSTRUCTIVE
         assert report.a4_born1 == 0

@@ -115,6 +115,17 @@ class TestSolveExact:
         total = solve_exact(system, basis_state(4, 1)).total
         npt.assert_allclose(total[3], t42 * t21 + t43 * t31, rtol=1e-15)
 
+    def test_expansions_compare_by_identity(self):
+        # the fields are arrays, so a field-wise == would be ambiguous
+        system = make_system(diamond_operator())
+        first = solve_exact(system, basis_state(4, 1))
+        second = solve_exact(system, basis_state(4, 1))
+        assert (first == second) is False
+        assert (first == first) is True
+        assert first != second
+        assert hash(first) == hash(first)
+        assert len({first, second, first}) == 2
+
     def test_total_is_sum_of_terms(self):
         rng = np.random.default_rng(71)
         system = make_system(random_dag(rng, 9))
