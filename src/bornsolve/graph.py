@@ -1,8 +1,8 @@
 """The acyclicity certificate, read from an operator's stored pattern.
 
 A transfer-operator entry at (row j, col i) is the directed edge i -> j
-of the transition graph, so the operator's rows {j: {i: T[j, i]}} are
-that graph's predecessor lists and no separate graph is built.  An
+of the transition graph, so the operator's stored arrays are that
+graph's edge list, grouped by target, and no separate graph is built.  An
 acyclic transition graph certifies that the operator is nilpotent with
 index depth + 1, where depth is the longest directed-path length; that
 certificate is structural and involves no floating-point test.
@@ -12,8 +12,12 @@ Topological orders are by level, so by the pattern alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
-from .operators import _NO_COLS, SparseOperator
+import numpy as np
+
+from .operators import SparseOperator
 
 
 @dataclass(frozen=True)
@@ -34,44 +38,55 @@ class AcyclicityReport:
 def analyze_acyclicity(op: SparseOperator) -> AcyclicityReport:
     """Classify the operator's transition graph as acyclic or exhibit a directed cycle.
 
-    One depth-first search over the sorted predecessor lists (the stored
-    rows), with an explicit stack (deep graphs would blow the recursion
-    limit).  A vertex finishes at level 1 + its predecessors' largest
-    level (0 for a source); depth is the largest level and the order is
-    by (level, label).  A predecessor still on the trail closes a cycle,
-    returned in edge direction.
+    Kahn's algorithm by levels over a by-source index of the stored
+    entries: level 0 holds the sources, and a vertex joins level k + 1
+    once its last predecessor has joined level k, so its level is
+    1 + its predecessors' largest level.  Depth is the largest level and
+    the order is by (level, label).  Vertices never reached lie on or
+    behind a cycle; walking from the smallest of them to its smallest
+    unreached predecessor, again and again, closes one, which is
+    returned in edge direction from its smallest label.
     """
     n = op.dim
-    preds = op._rows
-    # None: not reached yet; -1: on the trail; otherwise the finished level
-    level: list[int | None] = [None] * (n + 1)
-    for root in range(1, n + 1):
-        if level[root] is not None:
-            continue
-        level[root] = -1
-        trail = [root]
-        frames = [iter(sorted(preds.get(root, _NO_COLS)))]
-        while frames:
-            p = next(frames[-1], None)
-            if p is None:
-                frames.pop()
-                v = trail.pop()
-                sources = preds.get(v)
-                level[v] = 1 + max(map(level.__getitem__, sources)) if sources else 0
-                continue
-            mark = level[p]
-            if mark is None:
-                level[p] = -1
-                trail.append(p)
-                frames.append(iter(sorted(preds.get(p, _NO_COLS))))
-            elif mark < 0:
-                # p -> trail[-1] -> trail[-2] -> ... -> trail[start + 1] -> p
-                start = trail.index(p)
-                return AcyclicityReport(
-                    is_acyclic=False,
-                    witness_cycle=(p, *reversed(trail[start + 1:])),
-                )
-    order = sorted(range(1, n + 1), key=level.__getitem__)
-    return AcyclicityReport(
-        is_acyclic=True, topological_order=tuple(order), depth=max(level[1:])
-    )
+    targets = op._row[op._col.argsort()].tolist()  # grouped by source
+    start = list(accumulate(np.bincount(op._col, minlength=n + 1).tolist()))
+    ptr = op._row_ptr().tolist()
+    waiting = [0, *map(sub, ptr[1:], ptr[:-1])]  # unplaced predecessors of each vertex
+    level = [v for v in range(1, n + 1) if not waiting[v]]
+    order: list[int] = []
+    depth = -1
+    while level:
+        order += level
+        depth += 1
+        reached = []
+        for v in level:
+            for t in targets[start[v - 1]:start[v]]:
+                waiting[t] -= 1
+                if not waiting[t]:
+                    reached.append(t)
+        level = sorted(reached)
+    if len(order) == n:
+        return AcyclicityReport(is_acyclic=True, topological_order=tuple(order), depth=depth)
+    return AcyclicityReport(is_acyclic=False, witness_cycle=_witness_cycle(op, ptr, waiting))
+
+
+def _witness_cycle(op: SparseOperator, ptr: list[int], waiting: list[int]) -> tuple[int, ...]:
+    """A directed cycle among the vertices Kahn's algorithm left with waiting predecessors.
+
+    Each of them has such a predecessor itself, so the walk to the
+    smallest one must come back to a vertex it has seen.
+    """
+    sources = op._col.tolist()
+    v = next(u for u, count in enumerate(waiting) if count)
+    trail = [v]
+    seen = {v: 0}
+    while True:
+        v = min(u for u in sources[ptr[v - 1]:ptr[v]] if waiting[u])
+        if v in seen:
+            break
+        seen[v] = len(trail)
+        trail.append(v)
+    # v -> trail[-1] -> trail[-2] -> ... -> trail[seen[v] + 1] -> v
+    cycle = (v, *reversed(trail[seen[v] + 1:]))
+    first = cycle.index(min(cycle))
+    return cycle[first:] + cycle[:first]

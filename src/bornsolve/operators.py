@@ -7,26 +7,35 @@ target state.  State vectors are plain numpy arrays of complex128 whose
 position k holds the amplitude of basis state k + 1.
 
 Absence of an entry is a structural zero: the transition graph, and with
-it every nilpotency statement, is read off the stored pattern.  One store
-rule, _store, decides what every operator holds, however it was built: a
-non-finite value (NaN included) raises a ValueError naming its entry, and
-values at or below ZERO_THRESHOLD in modulus are dropped.
+it every nilpotency statement, is read off the stored pattern.
 
-The stored rows are the only source of truth.  The first time an
-operator is applied to a state it derives flat arrays from them (for
-every entry, in storage order: its output row, the positions of its
-column's real and imaginary parts in the state, and its amplitude's
-real and imaginary parts) and caches them in the _arrays slot; every
-application is then an O(nnz) gather, product and per-row sum in numpy.
-The cache is derived data: it plays no part in equality, and since the
-rows are never mutated it cannot go stale.
+An operator stores one CSR-style set of numpy arrays: for every entry its
+row, column and amplitude.  Entries are in storage order: grouped by
+row, rows ascending, and each row in the order its entries were declared
+(a stable sort by row).  Every sum over a row runs in storage order.
+One store rule decides what every operator holds, however it was built:
+values become complex, a non-finite one (NaN included) raises a
+ValueError naming its entry, and values at or below ZERO_THRESHOLD in
+modulus are dropped.  _store applies it to arrays; record lists of up to
+_LOOP_RECORDS records, where numpy's fixed cost per call would dominate,
+are checked and stored record by record in _loop_records instead.
+
+Products and norms work on whole arrays with Python's roundings: a
+complex product is formed from four float products as Python forms it,
+moduli come from hypot as Python's abs does, and bincount adds the terms
+of each bin in index order from 0.0, as a left-to-right loop does.  The
+first time they are needed, an operator derives the row pointer (row
+j's entries sit at ptr[j - 1]:ptr[j]) and the kernel arrays of _apply
+from the store and caches them in the _ptr and _arrays slots; the caches
+play no part in equality, and since the stored arrays are never mutated
+they cannot go stale.
 """
 
 from __future__ import annotations
 
 import math
 from cmath import isfinite
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -43,9 +52,12 @@ RESONANCE_MARGIN = 1e-10
 
 NORM_KINDS = ("inf", "one", "fro")
 
-Entry = tuple[int, int, complex]
+# Record lists up to this length are checked and stored record by record:
+# the whole-array checks cost a fixed 40 us or so, the loop about 0.8 us a
+# record, and the two break even near 48 records (2-core Xeon VM).
+_LOOP_RECORDS = 48
 
-_NO_COLS: dict[int, complex] = {}
+Entry = tuple[int, int, complex]
 
 
 def _label(value) -> int:
@@ -66,26 +78,109 @@ def _size(value, name: str) -> int:
     return size
 
 
-def _store(rows: dict[int, dict[int, complex]]) -> dict[int, dict[int, complex]]:
-    """The one store rule, applied in place to freshly built rows, which it returns.
+def _store(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
+    """The one store rule: fill op with the given entries, which are in storage order.
 
-    Values become complex; a non-finite one raises, naming its entry; those
-    at or below ZERO_THRESHOLD go, and so do rows left empty.  Order is kept.
+    row and col are integer arrays of valid labels.  Values become
+    complex; the first non-finite one raises, naming its entry; those at
+    or below ZERO_THRESHOLD in modulus go.  Order is kept.
     """
-    dropped = []
+    amp = np.ascontiguousarray(amp, dtype=complex)
+    finite = np.isfinite(amp)
+    if np.count_nonzero(finite) < amp.size:
+        k = int(finite.argmin())
+        raise ValueError(f"entry ({row[k]}, {col[k]}) is not finite: {complex(amp[k])}")
+    keep = np.hypot(amp.real, amp.imag) > ZERO_THRESHOLD
+    if np.count_nonzero(keep) < amp.size:
+        row, col, amp = row[keep], col[keep], amp[keep]
+    return _fill(op, dim, row, col, amp)
+
+
+def _fill(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
+    """Fill op's slots with arrays that already satisfy the store rule."""
+    op.dim = dim
+    op._row, op._col, op._amp = row, col, amp
+    op._ptr = op._arrays = None
+    return op
+
+
+def _loop_records(dim: int, records: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check and store records one by one; their rows, columns and values as arrays.
+
+    Index faults are found first, in record order: a non-integral label,
+    one outside 1..dim, a repeated position.  Values are then made
+    complex and tested for finiteness row by row, rows in order of first
+    appearance.  The first fault raises a ValueError naming its entry.
+    What is kept follows the store rule, record by record: values at or
+    below ZERO_THRESHOLD in modulus go; storage order is by row, each row
+    in declaration order.
+    """
+    rows: dict[int, dict[int, complex]] = {}
+    for row, col, amp in records:
+        if type(row) is not int or type(col) is not int:
+            try:
+                row, col = _label(row), _label(col)
+            except TypeError:
+                raise ValueError(f"entry ({row}, {col}) has a non-integral index") from None
+        if not (1 <= row <= dim and 1 <= col <= dim):
+            raise ValueError(f"entry ({row}, {col}) outside 1..{dim}")
+        cols = rows.get(row)
+        if cols is None:
+            cols = rows[row] = {}
+        elif col in cols:
+            raise ValueError(f"duplicate entry at ({row}, {col})")
+        cols[col] = amp
     for row, cols in rows.items():
         for col, amp in cols.items():
             value = cols[col] = complex(amp)
             if not isfinite(value):
                 raise ValueError(f"entry ({row}, {col}) is not finite: {value}")
-            if abs(value) <= ZERO_THRESHOLD:
-                dropped.append((row, col))
-    for row, col in dropped:
-        cols = rows[row]
-        del cols[col]
-        if not cols:
-            del rows[row]
-    return rows
+    row_of: list[int] = []
+    col_of: list[int] = []
+    amp_of: list[complex] = []
+    for row in sorted(rows):
+        for col, value in rows[row].items():
+            if abs(value) > ZERO_THRESHOLD:
+                row_of.append(row)
+                col_of.append(col)
+                amp_of.append(value)
+    labels = np.array(row_of + col_of, dtype=np.intp)
+    return labels[:len(row_of)], labels[len(row_of):], np.array(amp_of, dtype=complex)
+
+
+def _array_records(dim: int, records: list):
+    """Rows, columns and values of records, in storage order, if all pass the checks.
+
+    The checks of _loop_records on whole arrays; None on any fault, and
+    also for labels or values of other types than int and complex or
+    float, so that the loop decides those.
+    """
+    try:
+        if set(map(len, records)) != {3}:
+            return None
+    except TypeError:  # a record without a length
+        return None
+    # itemgetter, not zip(*records): that makes an iterator per record,
+    # and so many short-lived containers set off the cyclic collector
+    rows, cols, amps = (list(map(itemgetter(k), records)) for k in range(3))
+    if set(map(type, rows)) | set(map(type, cols)) != {int}:
+        return None
+    if not {complex, float}.issuperset(map(type, amps)):
+        return None
+    try:
+        row = np.array(rows, dtype=np.intp)
+        col = np.array(cols, dtype=np.intp)
+    except OverflowError:
+        return None
+    amp = np.array(amps, dtype=complex)
+    if min(row.min(), col.min()) < 1 or max(row.max(), col.max()) > dim:
+        return None
+    keys = np.sort(row * (dim + 1) + col)
+    if np.count_nonzero(keys[1:] == keys[:-1]) or np.count_nonzero(np.isfinite(amp)) < amp.size:
+        return None
+    # a stable sort by row: the keys row * n + position are distinct
+    order = np.argsort(row * row.size + np.arange(row.size))
+    return row[order], col[order], amp[order]
 
 
 class SparseOperator:
@@ -95,37 +190,21 @@ class SparseOperator:
     method mutates an instance; arithmetic returns new operators.
     """
 
-    __slots__ = ("dim", "_rows", "_arrays")
+    __slots__ = ("dim", "_ptr", "_row", "_col", "_amp", "_arrays")
 
     def __init__(self, dim: int, entries: Iterable[Entry] = ()):
         dim = _size(dim, "dimension")
-        rows: dict[int, dict[int, complex]] = {}
-        for row, col, amp in entries:
-            if type(row) is not int or type(col) is not int:
-                try:
-                    row, col = _label(row), _label(col)
-                except TypeError:
-                    raise ValueError(f"entry ({row}, {col}) has a non-integral index") from None
-            if not (1 <= row <= dim and 1 <= col <= dim):
-                raise ValueError(f"entry ({row}, {col}) outside 1..{dim}")
-            cols = rows.get(row)
-            if cols is None:
-                cols = rows[row] = {}
-            elif col in cols:
-                raise ValueError(f"duplicate entry at ({row}, {col})")
-            cols[col] = amp
-        self.dim = dim
-        self._rows = _store(rows)
-        self._arrays = None
+        records = entries if isinstance(entries, list) else list(entries)
+        checked = _array_records(dim, records) if len(records) > _LOOP_RECORDS else None
+        if checked is None:
+            _fill(self, dim, *_loop_records(dim, records))
+        else:
+            _store(self, dim, *checked)
 
     @classmethod
-    def _from_rows(cls, dim: int, rows: dict[int, dict[int, complex]]) -> "SparseOperator":
-        """Operator taking over fresh, non-empty rows with valid indices; see _store."""
-        op = cls.__new__(cls)
-        op.dim = dim
-        op._rows = _store(rows)
-        op._arrays = None
-        return op
+    def _from_arrays(cls, dim: int, row, col, amp) -> "SparseOperator":
+        """Operator holding entries with valid labels, given in storage order; see _store."""
+        return _store(cls.__new__(cls), dim, row, col, amp)
 
     @classmethod
     def zero(cls, dim: int) -> "SparseOperator":
@@ -133,55 +212,70 @@ class SparseOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "SparseOperator":
-        return cls(dim, [(k, k, 1.0 + 0j) for k in range(1, dim + 1)])
+        dim = _size(dim, "dimension")
+        labels = np.arange(1, dim + 1)
+        return cls._from_arrays(dim, labels, labels, np.ones(dim, dtype=complex))
 
     @classmethod
     def from_dense(cls, matrix) -> "SparseOperator":
         a = np.asarray(matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        rows: dict[int, dict[int, complex]] = {}
-        for j, line in enumerate(a.tolist(), 1):
-            cols = {i: value for i, value in enumerate(line, 1) if value}
-            if cols:
-                rows[j] = cols
-        return cls._from_rows(_size(a.shape[0], "dimension"), rows)
+        row, col = np.nonzero(a)
+        return cls._from_arrays(_size(a.shape[0], "dimension"), row + 1, col + 1, a[row, col])
 
     @property
     def nnz(self) -> int:
-        return sum(len(cols) for cols in self._rows.values())
+        return self._amp.size
 
     def entry(self, row: int, col: int) -> complex:
         """Stored amplitude at (row, col); structural zeros come back as 0."""
-        return self._rows.get(row, _NO_COLS).get(col, 0j)
+        if 1 <= row <= self.dim:
+            ptr = self._row_ptr()
+            lo, hi = ptr[row - 1], ptr[row]
+            hit = np.flatnonzero(self._col[lo:hi] == col)
+            if hit.size:
+                return complex(self._amp[lo + hit[0]])
+        return 0j
 
     def entries(self) -> Iterator[Entry]:
         """Stored entries as (row, col, amplitude), sorted by (row, col)."""
-        for row in sorted(self._rows):
-            cols = self._rows[row]
-            for col in sorted(cols):
-                yield row, col, cols[col]
+        order = self._sorted()
+        return zip(self._row[order].tolist(), self._col[order].tolist(),
+                   self._amp[order].tolist())
+
+    def _row_ptr(self) -> np.ndarray:
+        """Row pointer, derived on first use: row j's entries sit at ptr[j - 1]:ptr[j]."""
+        if self._ptr is None:
+            self._ptr = np.add.accumulate(np.bincount(self._row, minlength=self.dim + 1))
+        return self._ptr
+
+    def _sorted(self) -> np.ndarray:
+        """Positions of the stored entries in (row, col) order."""
+        return np.lexsort((self._col, self._row))
 
     def index_set(self) -> set[tuple[int, int]]:
-        return {(row, col) for row, cols in self._rows.items() for col in cols}
+        return set(zip(self._row.tolist(), self._col.tolist()))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for row, cols in self._rows.items():
-            for col, amp in cols.items():
-                out[row - 1, col - 1] = amp
+        out[self._row - 1, self._col - 1] = self._amp
         return out
 
     def scaled(self, factor: complex) -> "SparseOperator":
-        return _row_scaled(self, [factor] * self.dim)
+        return _row_scaled(self, np.full(self.dim, factor, dtype=complex))
 
     def is_zero(self) -> bool:
-        return not self._rows
+        return not self._amp.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        return self.dim == other.dim and self._rows == other._rows
+        if self.dim != other.dim or not np.array_equal(self._row, other._row):
+            return False
+        mine, theirs = self._sorted(), other._sorted()
+        return (np.array_equal(self._col[mine], other._col[theirs])
+                and np.array_equal(self._amp[mine], other._amp[theirs]))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -203,7 +297,7 @@ def as_state_vector(values, dim: int) -> np.ndarray:
     v = np.asarray(values, dtype=complex, order="C")
     if v.shape != (dim,):
         raise DimensionError(f"state vector has shape {v.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(v)):
+    if np.count_nonzero(np.isfinite(v)) < v.size:
         raise ValueError("state vector has non-finite components")
     return v
 
@@ -244,6 +338,7 @@ def _apply(op: SparseOperator, v: np.ndarray) -> np.ndarray:
 # Gather offsets from 2 * col of the two product blocks: real parts, then
 # imaginary parts, of v at the entry's 1-based column col.
 _GATHER_OFFSETS = np.array([[[-2, -2]], [[-1, -1]]], dtype=np.intp)
+_PAIR_OFFSETS = np.array([-2, -1], dtype=np.intp)
 
 
 def _index_arrays(op: SparseOperator):
@@ -253,36 +348,56 @@ def _index_arrays(op: SparseOperator):
     positions in the interleaved state; amps: (ar, ai) pairs, then
     (-ai, ar) pairs.
     """
-    rows: list[int] = []
-    cols: list[int] = []
-    amps: list[complex] = []
-    for row, entries in op._rows.items():
-        rows += [2 * row - 2, 2 * row - 1] * len(entries)
-        cols += entries
-        amps += entries.values()
-    c = np.array(cols, dtype=np.intp)
-    a = np.array(amps, dtype=complex)
+    r, c, a = op._row, op._col, op._amp
     swapped = np.conj(a).view(float).reshape(-1, 2)[:, ::-1]
     return (
-        np.array(rows, dtype=np.intp),
+        ((r + r)[:, None] + _PAIR_OFFSETS).ravel(),
         ((c + c)[None, :, None] + _GATHER_OFFSETS).ravel(),
         np.concatenate((a.view(float), swapped.ravel())),
     )
 
 
 def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """Sparse operator product a b; each row is accumulated, then stored by _store."""
+    """Sparse operator product a b, row by row (Gustavson), stored by _store.
+
+    Every term a[row, mid] b[mid, col] is formed, a's entries in storage
+    order and each followed through b's row mid in storage order, from
+    four float products as Python's complex product forms it (numpy's
+    complex multiply may fuse one into the sum).  An output entry sums
+    its terms in that order from 0, and each output row keeps its columns
+    in the order its terms first reach them.
+    """
     if a.dim != b.dim:
         raise DimensionError(f"cannot multiply dimension {a.dim} by {b.dim}")
-    rows: dict[int, dict[int, complex]] = {}
-    for row, cols in a._rows.items():
-        acc: dict[int, complex] = {}
-        for mid, left in cols.items():
-            for col, right in b._rows.get(mid, _NO_COLS).items():
-                acc[col] = acc.get(col, 0j) + left * right
-        if acc:
-            rows[row] = acc
-    return SparseOperator._from_rows(a.dim, rows)
+    ptr = b._row_ptr()
+    start = ptr[a._col - 1]
+    count = ptr[a._col] - start
+    left = np.repeat(np.arange(a.nnz), count)
+    right = np.arange(left.size) + np.repeat(start - (np.cumsum(count) - count), count)
+    if not left.size:
+        return SparseOperator(a.dim)
+    width = a.dim + 1
+    keys = a._row[left] * width + b._col[right]
+    # group the terms by key; each group's first term is its smallest index
+    order = keys.argsort()
+    keys = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(new) - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # _store rejects what overflowed
+        xr, xi = a._amp.real[left], a._amp.imag[left]
+        yr, yi = b._amp.real[right], b._amp.imag[right]
+        re = xr * yr - xi * yi
+        im = xr * yi + xi * yr
+    out = np.empty(starts.size, dtype=complex)
+    out.real = np.bincount(slot, re, starts.size)
+    out.imag = np.bincount(slot, im, starts.size)
+    placed = np.argsort(np.minimum.reduceat(order, starts))
+    keys = keys[starts[placed]]
+    return SparseOperator._from_arrays(a.dim, keys // width, keys % width, out[placed])
 
 
 def power(op: SparseOperator, k: int) -> SparseOperator:
@@ -308,17 +423,21 @@ def operator_norm(op: SparseOperator, kind: str = "inf") -> float:
     "inf" is the maximum absolute row sum, "one" the maximum absolute
     column sum, "fro" the root of the total squared modulus.  The two
     induced kinds are submultiplicative, which the truncation bound
-    relies on; "fro" is offered for reporting only.
+    relies on; "fro" is offered for reporting only.  Every sum runs over
+    the entries in (row, col) order.
     """
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+    if op.is_zero():
+        return 0.0
+    order = op._sorted()
+    amp = op._amp[order]
+    modulus = np.hypot(amp.real, amp.imag)
     if kind == "fro":
-        return math.sqrt(sum(abs(amp) ** 2 for _, _, amp in op.entries()))
-    sums: dict[int, float] = {}
-    for row, col, amp in op.entries():
-        key = row if kind == "inf" else col
-        sums[key] = sums.get(key, 0.0) + abs(amp)
-    return max(sums.values(), default=0.0)
+        # float_power is libm's pow, as Python's ** is; cumsum adds in order
+        return math.sqrt(np.cumsum(np.float_power(modulus, 2.0))[-1])
+    key = op._row if kind == "inf" else op._col
+    return float(np.bincount(key[order], modulus).max())
 
 
 def vector_norm(vec, kind: str = "inf") -> float:
@@ -340,20 +459,25 @@ def free_resolvent_diagonal(h0_diagonal, energy: complex) -> np.ndarray:
     RESONANCE_MARGIN * (1 + |E|) of any level; a complex energy keeps a
     probe near a level well posed.
     """
-    h0 = np.asarray(h0_diagonal, dtype=float)
+    return _free_resolvent(np.asarray(h0_diagonal, dtype=float), energy)
+
+
+def _free_resolvent(h0: np.ndarray, energy: complex) -> np.ndarray:
+    """free_resolvent_diagonal of levels already converted to a float array."""
     if h0.ndim != 1 or h0.size == 0:
         raise ValueError("free Hamiltonian must be a non-empty 1-d real array")
-    if not np.all(np.isfinite(h0)):
+    if np.count_nonzero(np.isfinite(h0)) < h0.size:
         raise ValueError("free Hamiltonian has non-finite levels")
     e = complex(energy)
     threshold = RESONANCE_MARGIN * (1.0 + abs(e))
-    gaps = np.abs(e - h0)
-    worst = int(np.argmin(gaps))
-    if gaps[worst] <= threshold:
+    gaps = e - h0
+    distance = np.abs(gaps)
+    if distance.min() <= threshold:
+        worst = int(distance.argmin())
         raise ResonanceError(
-            level=worst + 1, energy=e, gap=float(gaps[worst]), threshold=threshold
+            level=worst + 1, energy=e, gap=float(distance[worst]), threshold=threshold
         )
-    return 1.0 / (e - h0)
+    return 1.0 / gaps
 
 
 def build_transfer_operator(
@@ -369,17 +493,13 @@ def build_transfer_operator(
         raise DimensionError(
             f"free Hamiltonian has shape {h0.shape}, potential has dimension {potential.dim}"
         )
-    g0 = free_resolvent_diagonal(h0, energy)
-    return _row_scaled(potential, g0.tolist())
+    return _row_scaled(potential, _free_resolvent(h0, energy))
 
 
-def _row_scaled(op: SparseOperator, factors) -> SparseOperator:
+def _row_scaled(op: SparseOperator, factors: np.ndarray) -> SparseOperator:
     """Operator with entries factors[row - 1] * T[row, col], in (row, col) order."""
-    rows: dict[int, dict[int, complex]] = {}
-    for row in sorted(op._rows):
-        factor = factors[row - 1]
-        cols = op._rows[row]
-        rows[row] = out = {}
-        for col, amp in sorted(cols.items()):
-            out[col] = factor * amp
-    return SparseOperator._from_rows(op.dim, rows)
+    order = op._sorted()
+    row = op._row[order]
+    factor = factors.tolist()
+    amp = [factor[r - 1] * a for r, a in zip(row.tolist(), op._amp[order].tolist())]
+    return SparseOperator._from_arrays(op.dim, row, op._col[order], amp)

@@ -100,18 +100,19 @@ def classify_interference(system: AcyclicSystem) -> InterferenceReport:
     structural zero because both routes to the final state take two steps.
     """
     t = system.operator
-    edges = [(i, j) for j, cols in t._rows.items() for i in cols]
+    edges = list(zip(t._col.tolist(), t._row.tolist()))
     if system.dim != 4 or not DIAMOND_EDGES.issuperset(edges):
         raise TopologyError(
             f"expected a 4-state system with edges within "
             f"{sorted(DIAMOND_EDGES)}, got dimension {system.dim} "
             f"with edges {sorted(edges)}"
         )
-    p_left = t.entry(4, 2) * t.entry(2, 1)
-    p_right = t.entry(4, 3) * t.entry(3, 1)
+    amp = dict(zip(edges, t._amp.tolist()))  # edge i -> j: T[j, i]
+    p_left = amp.get((2, 4), 0j) * amp.get((1, 2), 0j)
+    p_right = amp.get((3, 4), 0j) * amp.get((1, 3), 0j)
     a4 = complex(solve_exact(system, basis_state(4, 1)).total[3])
     # orders 0 and 1 at state 4 from state 1: 0 + T[4, 1]
-    a4_born1 = t.entry(4, 1)
+    a4_born1 = amp.get((1, 4), 0j)
     scale = abs(p_left) + abs(p_right)
     if abs(a4) <= DARK_THRESHOLD * scale:
         regime = REGIME_DARK

@@ -38,12 +38,16 @@ class AcyclicSystem:
     the (depth + 1)-th power of the operator vanishes, so every expansion
     below closes after depth + 1 terms.  topological_order lists the
     vertices by level, every edge's source before its target.  Instances
-    come from make_system.
+    come from make_system.  Equality compares the operators' contents;
+    the hash reads only depth and order, which equal systems share.
     """
 
     operator: SparseOperator
     depth: int
     topological_order: tuple[int, ...]
+
+    def __hash__(self) -> int:
+        return hash((self.depth, self.topological_order))
 
     @property
     def dim(self) -> int:
@@ -93,25 +97,24 @@ def make_system(operator: SparseOperator) -> AcyclicSystem:
 def solve_exact(system: AcyclicSystem, phi) -> BornExpansion:
     """Scattered state (I - T)^(-1) phi, exactly, by forward substitution.
 
-    psi[j] = phi[j] + sum_c T[j, c] psi[c] over the stored row j, taken in
-    topological order, so every psi[c] it reads is already final.  One
-    pass over the stored entries; the result has no truncation error.
+    psi[j] = phi[j] + sum_c T[j, c] psi[c] over the stored row j, in
+    storage order, rows taken in topological order, so every psi[c] it
+    reads is already final.  One pass over the stored entries; the result
+    has no truncation error.
     """
     v = as_state_vector(phi, system.dim)
+    op = system.operator
+    ptr, cols, amps = op._row_ptr().tolist(), op._col.tolist(), op._amp.tolist()
     x = [0j, *v.tolist()]  # x[k]: amplitude of basis state k
-    for j, cols in _rows_in_order(system):
-        s = 0j
-        for c, a in cols.items():
-            s += a * x[c]
-        x[j] += s
+    for j in system.topological_order:
+        lo, hi = ptr[j - 1], ptr[j]
+        if lo < hi:
+            s = 0j
+            for c, a in zip(cols[lo:hi], amps[lo:hi]):
+                s += a * x[c]
+            x[j] += s
     # phi is copied: the terms are made later, from the state of this call
     return BornExpansion(system, v.copy(), np.array(x[1:], dtype=complex))
-
-
-def _rows_in_order(system: AcyclicSystem) -> list[tuple[int, dict[int, complex]]]:
-    """The stored rows (j, {c: T[j, c]}) in the certificate's topological order."""
-    rows = system.operator._rows
-    return [(j, rows[j]) for j in system.topological_order if j in rows]
 
 
 def born_approximation(operator: SparseOperator, phi, order: int) -> np.ndarray:
@@ -151,9 +154,13 @@ def finite_neumann_inverse(system: AcyclicSystem) -> np.ndarray:
     block is updated in place one stored row at a time, in topological
     order: one small vector-matrix product per row, no power of T.
     """
+    op = system.operator
+    ptr = op._row_ptr().tolist()
     out = np.eye(system.dim, dtype=complex)
-    for j, cols in _rows_in_order(system):
-        out[j - 1] += np.array(list(cols.values())) @ out[[c - 1 for c in cols]]
+    for j in system.topological_order:
+        lo, hi = ptr[j - 1], ptr[j]
+        if lo < hi:
+            out[j - 1] += op._amp[lo:hi] @ out[op._col[lo:hi] - 1]
     return out
 
 

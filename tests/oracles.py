@@ -19,10 +19,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from bornsolve.graph import analyze_acyclicity
-from bornsolve.operators import _NO_COLS, SparseOperator, _label, _size
+from bornsolve.operators import SparseOperator, _label, _size
 from bornsolve.scenarios import WeightedPath
 
 DEFAULT_PATH_BUDGET = 10**6
+
+_NO_SOURCES: dict[int, complex | None] = {}
 
 
 class UnboundedEnumerationError(Exception):
@@ -81,11 +83,11 @@ class TransitionGraph:
         return {(i, j) for j, sources in self._preds.items() for i in sources}
 
     def has_edge(self, i: int, j: int) -> bool:
-        return i in self._preds.get(j, _NO_COLS)
+        return i in self._preds.get(j, _NO_SOURCES)
 
     def amplitude(self, i: int, j: int) -> complex | None:
         """Amplitude annotation of edge (i, j); None when unannotated or absent."""
-        return self._preds.get(j, _NO_COLS).get(i)
+        return self._preds.get(j, _NO_SOURCES).get(i)
 
     def successors(self, i: int) -> tuple[int, ...]:
         """Targets of the edges leaving i, sorted; a scan of every row."""
@@ -103,6 +105,20 @@ class TransitionGraph:
             f"TransitionGraph(num_vertices={self.num_vertices}, "
             f"num_edges={self.num_edges})"
         )
+
+
+def longest_path_levels(graph: TransitionGraph) -> dict[int, int]:
+    """Each vertex's level: edges on a longest directed path ending there.
+
+    Brute force for acyclic graphs: every edge relaxed once per vertex,
+    level[j] = max(level[j], level[i] + 1), which settles every path of
+    up to num_vertices - 1 edges.
+    """
+    level = dict.fromkeys(range(1, graph.num_vertices + 1), 0)
+    for _ in range(graph.num_vertices):
+        for i, j in graph.edges():
+            level[j] = max(level[j], level[i] + 1)
+    return level
 
 
 def extract_graph(op: SparseOperator) -> TransitionGraph:

@@ -16,6 +16,7 @@ from oracles import (
     UnboundedEnumerationError,
     enumerate_paths,
     extract_graph,
+    longest_path_levels,
     path_sum_entry,
 )
 
@@ -132,16 +133,11 @@ class TestAcyclicity:
         assert analyze_acyclicity(diamond_graph().operator).topological_order == (1, 2, 3, 4)
 
     def test_order_is_level_then_label(self):
-        def level(g, v):
-            return max((1 + level(g, u) for u in range(1, g.num_vertices + 1)
-                        if g.has_edge(u, v)), default=0)
-
         rng = np.random.default_rng(71)
-        for _ in range(40):
-            dim = int(rng.integers(1, 9))
-            op = random_dag(rng, dim, density=0.45)
-            g = extract_graph(op)
-            levels = {v: level(g, v) for v in range(1, dim + 1)}
+        for trial in range(80):
+            dim = int(rng.integers(1, 9 if trial < 40 else 40))
+            op = random_dag(rng, dim, density=float(rng.uniform(0.05, 0.6)))
+            levels = longest_path_levels(extract_graph(op))
             report = analyze_acyclicity(op)
             assert report.topological_order == tuple(
                 sorted(levels, key=lambda v: (levels[v], v))
@@ -216,6 +212,27 @@ class TestAcyclicity:
                 seen_cyclic += 1
                 assert_genuine_cycle(g, report.witness_cycle)
         assert seen_cyclic > 10
+
+    def test_witness_is_a_simple_cycle_from_its_smallest_label(self):
+        # a DAG plus one edge back to a source: cycles of many lengths,
+        # with acyclic parts before and behind them
+        rng = np.random.default_rng(45)
+        seen_cyclic = 0
+        for _ in range(80):
+            dim = int(rng.integers(2, 30))
+            dag = random_dag(rng, dim, density=0.3)
+            order = analyze_acyclicity(dag).topological_order
+            back = order[-int(rng.integers(1, dim))]
+            op = SparseOperator(dim, [*dag.entries(), (order[0], back, 1.0)])
+            report = analyze_acyclicity(op)
+            if report.is_acyclic:
+                continue
+            seen_cyclic += 1
+            cycle = report.witness_cycle
+            assert_genuine_cycle(extract_graph(op), cycle)
+            assert len(set(cycle)) == len(cycle)
+            assert cycle[0] == min(cycle)
+        assert seen_cyclic > 40
 
     def test_random_dag_topological_orders_valid(self):
         rng = np.random.default_rng(47)

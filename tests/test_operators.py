@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornsolve.errors import DimensionError, ResonanceError
 from bornsolve.graph import analyze_acyclicity
@@ -21,6 +25,7 @@ from bornsolve.operators import (
     operator_norm,
     power,
     vector_norm,
+    _LOOP_RECORDS,
 )
 from conftest import random_dag, random_operator, random_state
 
@@ -520,6 +525,14 @@ class TestDirectBuilds:
             build_transfer_operator(np.array([0.0, 0.0]), potential, 1e-9)
 
 
+def stored_rows(op: SparseOperator) -> dict:
+    """The operator's stored arrays as rows {row: {col: amp}}, all in storage order."""
+    rows: dict = {}
+    for row, col, amp in zip(op._row.tolist(), op._col.tolist(), op._amp.tolist()):
+        rows.setdefault(row, {})[col] = amp
+    return rows
+
+
 def storage(rows: dict) -> list:
     """Rows with their entries, in storage order: the order _apply sums in."""
     return [(row, list(cols.items())) for row, cols in rows.items()]
@@ -569,7 +582,7 @@ class TestStoreRule:
 
     def test_from_dense_drops_small_values_and_empty_rows(self):
         op = SparseOperator.from_dense([[0, 1e-15], [2, 0]])
-        assert storage(op._rows) == [(2, [(1, 2 + 0j)])]
+        assert storage(stored_rows(op)) == [(2, [(1, 2 + 0j)])]
 
     def test_matmul_overflow_raises(self):
         # the two products overflow to +inf and -inf; their sum is NaN,
@@ -585,12 +598,12 @@ class TestStoreRule:
             dim = int(rng.integers(1, 10))
             a = shuffled_operator(rng, dim, 0.5)
             b = shuffled_operator(rng, dim, 0.5)
-            assert storage(matmul(a, b)._rows) == storage(python_product(a._rows, b._rows))
+            assert storage(stored_rows(matmul(a, b))) == storage(python_product(stored_rows(a), stored_rows(b)))
 
     def test_matmul_reference_with_cancellation(self):
         op = diamond_operator(2.0, 4.0, 3.0, -1.5)
-        assert python_product(op._rows, op._rows) == {}
-        assert storage(matmul(op, op)._rows) == []
+        assert python_product(stored_rows(op), stored_rows(op)) == {}
+        assert storage(stored_rows(matmul(op, op))) == []
 
     def test_power_equals_python_reference(self):
         rng = np.random.default_rng(29)
@@ -599,5 +612,166 @@ class TestStoreRule:
             op = shuffled_operator(rng, dim, 0.4)
             want = {k: {k: 1 + 0j} for k in range(1, dim + 1)}
             for k in range(6):
-                assert storage(power(op, k)._rows) == storage(want)
-                want = python_product(want, op._rows)
+                assert storage(stored_rows(power(op, k))) == storage(want)
+                want = python_product(want, stored_rows(op))
+
+
+def python_norm(op: SparseOperator, kind: str) -> float:
+    """Reference norm: a left-to-right sum over the stored entries in (row, col) order."""
+    entries = sorted(zip(op._row.tolist(), op._col.tolist(), op._amp.tolist()))
+    if kind == "fro":
+        total = 0.0
+        for _, _, amp in entries:
+            total += abs(amp) ** 2
+        return math.sqrt(total)
+    sums: dict[int, float] = {}
+    for row, col, amp in entries:
+        key = row if kind == "inf" else col
+        sums[key] = sums.get(key, 0.0) + abs(amp)
+    return max(sums.values(), default=0.0)
+
+
+class TestNormReference:
+    """operator_norm sums in (row, col) order, whatever the storage order."""
+
+    def test_bitwise_equal_on_shuffled_declarations(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            dim = int(rng.integers(1, 25))
+            op = SparseOperator(dim, wide_entries(rng, dim, 0.6))
+            for kind in NORM_KINDS:
+                assert operator_norm(op, kind) == python_norm(op, kind)
+
+    def test_bitwise_equal_on_products(self):
+        # a product stores each row's columns in first-reached order
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            dim = int(rng.integers(2, 20))
+            a = SparseOperator(dim, wide_entries(rng, dim, 0.4))
+            b = SparseOperator(dim, wide_entries(rng, dim, 0.4))
+            product = matmul(a, b)
+            for kind in NORM_KINDS:
+                assert operator_norm(product, kind) == python_norm(product, kind)
+
+
+def padded_records(n: int, seed: int) -> list:
+    """n valid records on rows 2..DIM-1 (rows 1 and DIM stay free for faults)."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice((RECORD_DIM - 2) * RECORD_DIM, size=n, replace=False)
+    return [(int(c // RECORD_DIM) + 2, int(c % RECORD_DIM) + 1,
+             complex(*rng.uniform(0.5, 1.5, 2))) for c in cells.tolist()]
+
+
+RECORD_DIM = 40
+INF, NAN = float("inf"), float("nan")
+
+
+def with_fault(kind: str, records: list) -> tuple[list, str]:
+    """records with one fault (or several) put in; the exact message it raises."""
+    out = list(records)
+    k = len(out) // 2
+    row, col, _ = out[k]
+    if kind == "non_integral":
+        out[k] = (1.5, col, 1.0)
+        return out, f"entry (1.5, {col}) has a non-integral index"
+    if kind == "bool":
+        out[k] = (row, True, 1.0)
+        return out, f"entry ({row}, True) has a non-integral index"
+    if kind == "out_of_range":
+        out[k] = (RECORD_DIM + 1, col, 1.0)
+        return out, f"entry ({RECORD_DIM + 1}, {col}) outside 1..{RECORD_DIM}"
+    if kind == "zero_label":
+        out[k] = (row, 0, 1.0)
+        return out, f"entry ({row}, 0) outside 1..{RECORD_DIM}"
+    if kind == "duplicate":
+        out.append((row, col, 2.0))
+        return out, f"duplicate entry at ({row}, {col})"
+    if kind == "non_finite":
+        out[k] = (row, col, complex(INF, 1.0))
+        return out, f"entry ({row}, {col}) is not finite: {complex(INF, 1.0)}"
+    if kind == "nan":
+        out[k] = (row, col, complex(1.0, NAN))
+        return out, f"entry ({row}, {col}) is not finite: {complex(1.0, NAN)}"
+    if kind == "index_before_value":
+        # a NaN early, then a label out of range: every index is checked first
+        out[1] = (out[1][0], out[1][1], NAN)
+        out[k] = (row, RECORD_DIM + 5, 1.0)
+        out.append((out[0][0], out[0][1], 1.0))
+        return out, f"entry ({row}, {RECORD_DIM + 5}) outside 1..{RECORD_DIM}"
+    if kind == "first_row_first":
+        # values are tested row by row, rows in order of first appearance:
+        # row RECORD_DIM appears first, so its entry is named, not row 1's
+        out.insert(0, (RECORD_DIM, 1, complex(INF, 0.0)))
+        out.append((1, 1, complex(NAN, 0.0)))
+        return out, f"entry ({RECORD_DIM}, 1) is not finite: {complex(INF, 0.0)}"
+    raise AssertionError(kind)
+
+
+FAULT_KINDS = ("non_integral", "bool", "out_of_range", "zero_label", "duplicate",
+               "non_finite", "nan", "index_before_value", "first_row_first")
+# record counts on both sides of the cutoff between the loop and the array checks
+RECORD_COUNTS = (5, _LOOP_RECORDS - 1, _LOOP_RECORDS + 1, 300)
+
+
+class TestRecordChecks:
+    """Short and long record lists raise the same messages, in the same precedence."""
+
+    @pytest.mark.parametrize("count", RECORD_COUNTS)
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_fault_message(self, kind, count):
+        records, message = with_fault(kind, padded_records(count, seed=count))
+        with pytest.raises(ValueError) as excinfo:
+            SparseOperator(RECORD_DIM, records)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("count", RECORD_COUNTS)
+    def test_other_label_and_value_types(self, count):
+        # numpy labels and int amplitudes take the loop; they store alike
+        records = padded_records(count, seed=count)
+        want = SparseOperator(RECORD_DIM, records)
+        converted = [(np.int64(r), np.int32(c), np.complex128(a)) for r, c, a in records]
+        assert SparseOperator(RECORD_DIM, converted) == want
+        assert SparseOperator(RECORD_DIM, iter(records)) == want
+        ints = [(r, c, 1) for r, c, _ in records]
+        assert SparseOperator(RECORD_DIM, ints) == SparseOperator(
+            RECORD_DIM, [(r, c, 1.0 + 0j) for r, c, _ in records])
+
+    def test_records_that_are_not_triples(self):
+        for count in RECORD_COUNTS:
+            records = padded_records(count, seed=count)
+            with pytest.raises(ValueError, match="not enough values"):
+                SparseOperator(RECORD_DIM, records + [(1, 2)])
+            with pytest.raises(TypeError):
+                SparseOperator(RECORD_DIM, records + [7])
+
+
+record_lists = st.integers(1, 2 * _LOOP_RECORDS + 20).flatmap(
+    lambda n: st.tuples(
+        st.integers(1, 30),
+        st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)),
+                 min_size=n, max_size=n, unique=True),
+        st.lists(st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0),
+                 min_size=n, max_size=n),
+        st.randoms(use_true_random=False),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(record_lists)
+def test_shuffled_records_store_alike(case):
+    """Any declaration order gives an equal operator; each row keeps its own order."""
+    dim, cells, values, random = case
+    dim = max(dim, max(max(cell) for cell in cells))
+    records = [(row, col, amp) for (row, col), amp in zip(cells, values)]
+    shuffled = random.sample(records, len(records))
+    op, other = SparseOperator(dim, records), SparseOperator(dim, shuffled)
+    assert op == other
+    assert list(op.entries()) == list(other.entries())
+    for declared, built in ((records, op), (shuffled, other)):
+        assert stored_rows(built) == {
+            row: {col: complex(amp) for r, col, amp in declared if r == row}
+            for row in sorted({r for r, _, _ in declared})
+        }
+        for row, cols in stored_rows(built).items():
+            assert list(cols) == [col for r, col, _ in declared if r == row]

@@ -29,6 +29,7 @@ from bornsolve.solver import (
     solve_exact,
     t_matrix,
 )
+from bornsolve.scenarios import build_diamond
 from conftest import (
     backward_error,
     random_dag,
@@ -92,6 +93,22 @@ class TestMakeSystem:
             assert sorted(position) == list(range(1, 13))
             for row, col, _ in system.operator.entries():
                 assert position[col] < position[row]
+
+    def test_systems_hash_by_certificate(self):
+        # the operator is unhashable, so the generated field hash raised
+        a = build_diamond(0.5, 2.0, -1.0, 3.0)
+        b = build_diamond(0.5, 2.0, -1.0, 3.0)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        rng = np.random.default_rng(71)
+        for _ in range(10):
+            entries = list(random_dag(rng, 9).entries())
+            shuffled = [entries[k] for k in rng.permutation(len(entries))]
+            first = make_system(SparseOperator(9, entries))
+            second = make_system(SparseOperator(9, shuffled))
+            assert first == second
+            assert hash(first) == hash(second)
 
 
 class TestSolveExact:
