@@ -43,15 +43,12 @@ def random_dag_operator(dim: int, density: float, rng) -> SparseOperator:
     order = rng.permutation(dim)
     pos_a, pos_b = np.triu_indices(dim, k=1)
     keep = rng.random(pos_a.shape[0]) < density
-    pos_a = pos_a[keep]
-    pos_b = pos_b[keep]
-    radii = np.sqrt(rng.random(pos_a.shape[0]))
-    angles = 2.0 * np.pi * rng.random(pos_a.shape[0])
+    sources = order[pos_a[keep]] + 1
+    targets = order[pos_b[keep]] + 1
+    radii = np.sqrt(rng.random(sources.shape[0]))
+    angles = 2.0 * np.pi * rng.random(sources.shape[0])
     amplitudes = radii * np.exp(1j * angles)
-    entries = [
-        (int(order[b]) + 1, int(order[a]) + 1, complex(amp))
-        for a, b, amp in zip(pos_a, pos_b, amplitudes)
-    ]
+    entries = list(zip(targets.tolist(), sources.tolist(), amplitudes.tolist()))
     return SparseOperator(dim, entries)
 
 

@@ -459,11 +459,7 @@ def free_resolvent_diagonal(h0_diagonal, energy: complex) -> np.ndarray:
     RESONANCE_MARGIN * (1 + |E|) of any level; a complex energy keeps a
     probe near a level well posed.
     """
-    return _free_resolvent(np.asarray(h0_diagonal, dtype=float), energy)
-
-
-def _free_resolvent(h0: np.ndarray, energy: complex) -> np.ndarray:
-    """free_resolvent_diagonal of levels already converted to a float array."""
+    h0 = np.asarray(h0_diagonal, dtype=float)
     if h0.ndim != 1 or h0.size == 0:
         raise ValueError("free Hamiltonian must be a non-empty 1-d real array")
     if np.count_nonzero(np.isfinite(h0)) < h0.size:
@@ -493,7 +489,7 @@ def build_transfer_operator(
         raise DimensionError(
             f"free Hamiltonian has shape {h0.shape}, potential has dimension {potential.dim}"
         )
-    return _row_scaled(potential, _free_resolvent(h0, energy))
+    return _row_scaled(potential, free_resolvent_diagonal(h0, energy))
 
 
 def _row_scaled(op: SparseOperator, factors: np.ndarray) -> SparseOperator:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import TopologyError
-from .operators import SparseOperator, basis_state
-from .solver import AcyclicSystem, make_system, solve_exact
+from .operators import SparseOperator
+from .solver import AcyclicSystem, make_system
 
 # Relative scale below which the branch products count as cancelling
 # (dark state) or as equal (constructive).  Measured against the
@@ -110,9 +110,11 @@ def classify_interference(system: AcyclicSystem) -> InterferenceReport:
     amp = dict(zip(edges, t._amp.tolist()))  # edge i -> j: T[j, i]
     p_left = amp.get((2, 4), 0j) * amp.get((1, 2), 0j)
     p_right = amp.get((3, 4), 0j) * amp.get((1, 3), 0j)
-    a4 = complex(solve_exact(system, basis_state(4, 1)).total[3])
-    # orders 0 and 1 at state 4 from state 1: 0 + T[4, 1]
-    a4_born1 = amp.get((1, 4), 0j)
+    # every walk 1 -> 4 is one of the two branches; a sum started at +0j,
+    # as a substitution's is, keeps a cut branch's zeros positive
+    a4 = 0j + (p_left + p_right)
+    # orders 0 and 1 at state 4 from state 1: 0 + T[4, 1], and 1 -> 4 is no edge
+    a4_born1 = 0j
     scale = abs(p_left) + abs(p_right)
     if abs(a4) <= DARK_THRESHOLD * scale:
         regime = REGIME_DARK

@@ -4,11 +4,11 @@ When the transition graph of T is acyclic, T is nilpotent and the Neumann
 series of (I - T)^(-1) closes after depth + 1 terms, whatever the size of
 ||T||.  In the certificate's topological order I - T is also unit lower
 triangular, so scattered states, the full resolvent and the transition
-matrix come from one forward substitution over the stored rows, and
-det(I - T) = 1 exactly.  The term loop, which applies T once per order,
-makes the Born terms on demand and the truncations of any operator.  A
-dense LU route is kept alongside as an independent cross-check; it shares
-none of this code.
+matrix come from one forward substitution, one numpy dot per stored row,
+for a state and a block of columns alike, and det(I - T) = 1 exactly.
+The term loop, which applies T once per order, makes the Born terms on
+demand and the truncations of any operator.  A dense LU route is kept
+alongside as an independent cross-check; it shares none of this code.
 """
 
 from __future__ import annotations
@@ -97,24 +97,14 @@ def make_system(operator: SparseOperator) -> AcyclicSystem:
 def solve_exact(system: AcyclicSystem, phi) -> BornExpansion:
     """Scattered state (I - T)^(-1) phi, exactly, by forward substitution.
 
-    psi[j] = phi[j] + sum_c T[j, c] psi[c] over the stored row j, in
-    storage order, rows taken in topological order, so every psi[c] it
-    reads is already final.  One pass over the stored entries; the result
+    psi[j] = phi[j] + sum_c T[j, c] psi[c], one numpy dot over the stored
+    row j, rows taken in topological order, so every psi[c] it reads is
+    already final.  One pass over the stored entries; the result
     has no truncation error.
     """
     v = as_state_vector(phi, system.dim)
-    op = system.operator
-    ptr, cols, amps = op._row_ptr().tolist(), op._col.tolist(), op._amp.tolist()
-    x = [0j, *v.tolist()]  # x[k]: amplitude of basis state k
-    for j in system.topological_order:
-        lo, hi = ptr[j - 1], ptr[j]
-        if lo < hi:
-            s = 0j
-            for c, a in zip(cols[lo:hi], amps[lo:hi]):
-                s += a * x[c]
-            x[j] += s
-    # phi is copied: the terms are made later, from the state of this call
-    return BornExpansion(system, v.copy(), np.array(x[1:], dtype=complex))
+    # phi is copied too: the terms are made later, from the state of this call
+    return BornExpansion(system, v.copy(), _substitute(system, v.copy()))
 
 
 def born_approximation(operator: SparseOperator, phi, order: int) -> np.ndarray:
@@ -151,17 +141,28 @@ def finite_neumann_inverse(system: AcyclicSystem) -> np.ndarray:
     """(I - T)^(-1), exact and dense, by the substitution of solve_exact.
 
     Row j of N = (I - T)^(-1) is e_j + sum_c T[j, c] N[c], so the identity
-    block is updated in place one stored row at a time, in topological
-    order: one small vector-matrix product per row, no power of T.
+    block goes through the same substitution as a state: one numpy dot
+    per stored row, a vector-matrix product here, no power of T.
+    """
+    return _substitute(system, np.eye(system.dim, dtype=complex))
+
+
+def _substitute(system: AcyclicSystem, x: np.ndarray) -> np.ndarray:
+    """Overwrite x, a state (n,) or a block (n, m), with (I - T)^(-1) x.
+
+    Rows are taken in topological order, so each row's dot reads rows of
+    x that are already final; (I - T) is unit lower triangular in that
+    order, and this is its forward substitution.
     """
     op = system.operator
     ptr = op._row_ptr().tolist()
-    out = np.eye(system.dim, dtype=complex)
+    col = op._col - 1
+    amp = op._amp
     for j in system.topological_order:
         lo, hi = ptr[j - 1], ptr[j]
         if lo < hi:
-            out[j - 1] += op._amp[lo:hi] @ out[op._col[lo:hi] - 1]
-    return out
+            x[j - 1] += amp[lo:hi] @ x[col[lo:hi]]
+    return x
 
 
 def det_i_minus_t(operator: SparseOperator) -> complex:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -76,6 +78,7 @@ class TestDiamond:
             system = build_diamond(t21, t31, t42, t43)
             a4 = solve_exact(system, basis_state(4, 1)).total[3]
             npt.assert_allclose(a4, t42 * t21 + t43 * t31, rtol=1e-14)
+            npt.assert_allclose(classify_interference(system).a4, a4, rtol=1e-14)
 
     def test_depth_two_with_all_couplings(self):
         assert build_diamond(1.0, 2.0, 3.0, 4.0).depth == 2
@@ -202,6 +205,12 @@ class TestClassifier:
         assert report.regime == REGIME_DARK
         assert report.a4 == 0.0
         assert report.relative_error_born1 is None
+
+    def test_cut_branches_give_positive_zero(self):
+        # both branch products are -0.0 + 0j; the amplitude prints 0.0, not -0.0
+        a4 = classify_interference(build_diamond(-1.0, -1.0, 0.0, 0.0)).a4
+        assert math.copysign(1.0, a4.real) == 1.0
+        assert math.copysign(1.0, a4.imag) == 1.0
 
     def test_path_contributions_match_walk_enumeration(self):
         t21, t31, t42, t43 = 0.5, 2.0, -1.5, 0.25j
