@@ -62,12 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(tree: dict[str, Any]) -> None:
-    for line in kv_lines(tree):
-        print(line)
-
-
-def _vector_tree(vec) -> dict[str, complex]:
-    return {str(k + 1): complex(z) for k, z in enumerate(vec)}
+    sys.stdout.write("\n".join(kv_lines(tree)) + "\n")
 
 
 def _state_names(labels, dim: int) -> list[str]:
@@ -204,9 +199,10 @@ def _cmd_solve(args) -> int:
         terms = tuple(_born_terms(op, phi, args.order))
         total = np.sum(terms, axis=0)
     tree["term_count"] = len(terms)
-    tree["phi"] = _vector_tree(phi)
-    tree["term"] = {str(k): _vector_tree(t) for k, t in enumerate(terms)}
-    tree["total"] = _vector_tree(total)
+    # complex state vectors: kv_lines prints each as path.k.re/im lines
+    tree["phi"] = phi
+    tree["term"] = {str(k): t for k, t in enumerate(terms)}
+    tree["total"] = total
 
     if args.order is not None:
         norm = "inf" if args.norm is None else args.norm

@@ -4,12 +4,16 @@ The machine view prints one `path = value` line per leaf of a report
 tree.  Nested dicts extend the dotted path, complex leaves split into
 .re and .im, sequences of plain integers or strings are emitted inline
 (space separated) and other sequences get numeric path components.
+A 1-d complex ndarray leaf is a state vector: component k (1-based)
+prints as `path.k.re` and `path.k.im`, the lines a dict {"1": z1, ...}
+of complex leaves would give, rendered from the array's columns.
 Floats print with shortest-roundtrip precision; tables reuse the same
 formatting so both views carry identical numbers.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Any, Iterable
 
 import numpy as np
@@ -41,6 +45,21 @@ def _is_inline_sequence(value: Any) -> bool:
     )
 
 
+def _is_state_vector(value: Any) -> bool:
+    return (isinstance(value, np.ndarray) and value.ndim == 1
+            and value.dtype.kind == "c")
+
+
+def _vector_lines(path: str, vec: np.ndarray) -> list[str]:
+    # repr of a Python float is what format_scalar prints for it
+    lines: list[str] = []
+    for k, re, im in zip(count(1), map(repr, vec.real.tolist()),
+                         map(repr, vec.imag.tolist())):
+        lines.append(f"{path}.{k}.re = {re}")
+        lines.append(f"{path}.{k}.im = {im}")
+    return lines
+
+
 def kv_lines(tree: dict[str, Any], prefix: str = "") -> list[str]:
     """Flatten a report tree into `path = value` lines, depth first."""
     lines: list[str] = []
@@ -50,6 +69,8 @@ def kv_lines(tree: dict[str, Any], prefix: str = "") -> list[str]:
             continue
         if isinstance(value, dict):
             lines.extend(kv_lines(value, f"{path}."))
+        elif _is_state_vector(value):
+            lines.extend(_vector_lines(path, value))
         elif isinstance(value, (complex, np.complexfloating)):
             z = complex(value)
             lines.append(f"{path}.re = {format_scalar(z.real)}")

@@ -16,6 +16,13 @@ Exactly one of two forms must be present on top of "dimension":
 
 "basis_labels" (n strings) is optional and only affects human-readable
 tables.
+
+A record list is checked by column first: every item a dict with exactly
+the four record keys, labels of type int, values of type int or float,
+then range, duplicates and finiteness on numpy arrays.  Any fault sends
+the list to the per-record loop instead, which is the only code that
+names a fault, so every SpecFormatError names the first faulty record
+in list order.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -39,7 +47,8 @@ _TOP_LEVEL_KEYS = {
     "energy",
 }
 
-_RECORD_KEYS = {"from", "to", "re", "im"}
+# checked in this order, so a record missing several keys names the first
+_RECORD_KEYS = ("from", "to", "re", "im")
 
 
 @dataclass(frozen=True)
@@ -98,16 +107,46 @@ def _parse_complex(obj: Any, where: str) -> complex:
                    _require_number(obj["im"], f"{where}.im"))
 
 
-def _parse_records(raw: Any, field: str, dimension: int) -> tuple[CouplingRecord, ...]:
-    if not isinstance(raw, list):
-        raise SpecFormatError(f"{field}: expected a list of coupling records")
+def _column_records(raw: list, dimension: int) -> tuple[CouplingRecord, ...] | None:
+    """The records of raw if every one passes the checks of _loop_records, else None."""
+    # four keys each, and itemgetter finds all four: exactly the record keys
+    if set(map(type, raw)) != {dict} or set(map(len, raw)) != {len(_RECORD_KEYS)}:
+        return None
+    try:
+        sources, targets, reals, imags = (list(map(itemgetter(key), raw))
+                                          for key in _RECORD_KEYS)
+    except KeyError:
+        return None
+    if set(map(type, sources)) | set(map(type, targets)) != {int}:
+        return None
+    if not {int, float}.issuperset(set(map(type, reals)) | set(map(type, imags))):
+        return None
+    try:
+        source = np.array(sources, dtype=np.intp)
+        target = np.array(targets, dtype=np.intp)
+        amplitude = np.empty(len(raw), dtype=complex)
+        amplitude.real = reals
+        amplitude.imag = imags
+        # equal pairs give equal keys even where the product wraps, so a
+        # wrap can only send the list to the loop, never hide a duplicate
+        keys = np.sort(source * (dimension + 1) + target)
+    except OverflowError:  # a number beyond intp or the float range
+        return None
+    if min(source.min(), target.min()) < 1 or max(source.max(), target.max()) > dimension:
+        return None
+    if (keys[1:] == keys[:-1]).any() or not np.isfinite(amplitude).all():
+        return None
+    return tuple(map(CouplingRecord, sources, targets, amplitude.tolist()))
+
+
+def _loop_records(raw: list, field: str, dimension: int) -> tuple[CouplingRecord, ...]:
     records = []
     seen: set[tuple[int, int]] = set()
     for pos, item in enumerate(raw):
         where = f"{field}[{pos}]"
         if not isinstance(item, dict):
             raise SpecFormatError(f"{where}: expected an object")
-        extra = set(item) - _RECORD_KEYS
+        extra = item.keys() - _RECORD_KEYS
         if extra:
             raise SpecFormatError(f"{where}: unknown keys {sorted(extra)}")
         for key in _RECORD_KEYS:
@@ -129,6 +168,13 @@ def _parse_records(raw: Any, field: str, dimension: int) -> tuple[CouplingRecord
                             _require_number(item["im"], f"{where}.im"))
         records.append(CouplingRecord(source=source, target=target, amplitude=amplitude))
     return tuple(records)
+
+
+def _parse_records(raw: Any, field: str, dimension: int) -> tuple[CouplingRecord, ...]:
+    if not isinstance(raw, list):
+        raise SpecFormatError(f"{field}: expected a list of coupling records")
+    records = _column_records(raw, dimension)
+    return _loop_records(raw, field, dimension) if records is None else records
 
 
 def parse_spec(text: str) -> SystemSpec:

@@ -41,6 +41,13 @@ SPECS["two-level-loop"] = json.dumps(TWO_LEVEL_LOOP)
 
 CASES = [(spec, command) for spec in SPECS for command in COMMANDS]
 
+# above the bundled specs' size, so the spec loader's column check and
+# state vectors of 200 components are pinned too: a seeded cascade of 4
+# bands of 50 states, each state feeding 3 states of the next band,
+# labels shuffled, every seventh record with integer parts
+SPECS["layered200"] = (GOLDEN / "layered200.spec").read_text(encoding="utf-8")
+CASES += [("layered200", command) for command in ("analyze", "solve")]
+
 
 def run_case(directory: Path, spec: str, command: str) -> dict:
     path = directory / "system.spec"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,23 @@ class TestKvLines:
             "psi.1.re = 0.0",
             "psi.1.im = -1.0",
         ]
+
+    def test_vector_leaf_matches_dict_of_complex(self):
+        parts = [0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
+        values = [complex(a, b) for a in parts for b in parts]
+        vec = np.array(values)
+        as_dict = {str(k): z for k, z in enumerate(values, start=1)}
+        assert kv_lines({"phi": vec, "term": {"0": vec}, "n": 1}) == kv_lines(
+            {"phi": as_dict, "term": {"0": as_dict}, "n": 1})
+        assert kv_lines({"v": vec[:1]}) == ["v.1.re = 0.0", "v.1.im = 0.0"]
+
+    @pytest.mark.parametrize("array", [
+        np.array([1.0, 2.0]),
+        np.zeros((2, 2), dtype=complex),
+    ])
+    def test_other_arrays_are_not_vector_leaves(self, array):
+        with pytest.raises(TypeError):
+            kv_lines({"a": array})
 
     def test_none_values_skipped(self):
         lines = kv_lines({"kept": 1, "dropped": None, "also": 2})

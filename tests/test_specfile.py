@@ -3,17 +3,27 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bornsolve
 from bornsolve.errors import BornsolveError, ResonanceError, SpecFormatError
 from bornsolve.operators import SparseOperator, build_transfer_operator
 from bornsolve.specfile import (
     CouplingRecord,
     SystemSpec,
+    _column_records,
+    _loop_records,
+    _parse_records,
     load_spec,
     parse_spec,
     serialize_spec,
@@ -228,6 +238,21 @@ class TestFormatErrors:
         with pytest.raises(SpecFormatError, match=fragment):
             parse_spec(text)
 
+    def test_missing_keys_named_in_fixed_order(self, tmp_path):
+        # the first missing key in from, to, re, im order, whatever the
+        # hash seed; iterating over a set of keys made it vary
+        path = tmp_path / "system.spec"
+        path.write_text(direct_spec(2, [{"from": 1}]), encoding="utf-8")
+        package = str(Path(bornsolve.__file__).parents[1])
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONPATH=package, PYTHONHASHSEED=str(seed))
+            done = subprocess.run(
+                [sys.executable, "-m", "bornsolve", "analyze", str(path)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (done.returncode, done.stderr) == (
+                1, 'error: transfer_entries[0]: missing "to"\n'), seed
+
     def test_error_type_is_package_error(self):
         # the CLI maps the whole family to a single input-error exit code
         assert issubclass(SpecFormatError, BornsolveError)
@@ -253,3 +278,109 @@ class TestSystemSpecType:
         ]))
         assert a == b
         assert isinstance(a, SystemSpec)
+
+
+# ------------------------------------------- column check against the loop
+
+FAULTS = (
+    "bool label", "float label", "huge label", "huge value", "nan", "infinity",
+    "duplicate", "out of range", "missing key", "extra key", "not a dict",
+)
+# values the loop accepts, which the column check must read the same way
+EDGES = ("int value", "big int value", "negative zero", "tiny value")
+
+
+def clean_records(seed: int, dim: int, count: int) -> list[dict]:
+    """`count` records with distinct (from, to) pairs in 1..dim."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.choice(dim * dim, size=count, replace=False)
+    return [
+        {"from": int(k // dim) + 1, "to": int(k % dim) + 1,
+         "re": float(re), "im": float(im)}
+        for k, re, im in zip(pairs, rng.normal(size=count), rng.normal(size=count))
+    ]
+
+
+def inject(raw: list, kind: str, pos: int, dim: int) -> None:
+    item = raw[pos]
+    if not isinstance(item, dict):  # an earlier change replaced it
+        return
+    label = "from" if pos % 2 else "to"
+    part = "im" if pos % 2 else "re"
+    if kind == "bool label":
+        item[label] = pos % 3 == 0
+    elif kind == "float label":
+        item[label] = float(item[label])
+    elif kind == "huge label":
+        item[label] = 2**70
+    elif kind == "huge value":
+        item[part] = 10**400
+    elif kind == "nan":
+        item[part] = float("nan")
+    elif kind == "infinity":
+        item[part] = float("inf") if pos % 3 else float("-inf")
+    elif kind == "duplicate":
+        twin = raw[(pos + 1) % len(raw)]
+        if isinstance(twin, dict):
+            item.update((key, twin[key]) for key in ("from", "to") if key in twin)
+    elif kind == "out of range":
+        item[label] = (0, dim + 1, -1)[pos % 3]
+    elif kind == "missing key":
+        item.pop(("from", "to", "re", "im")[pos % 4], None)
+    elif kind == "extra key":
+        item["phase"] = 0.0
+    elif kind == "not a dict":
+        raw[pos] = (list(item.values()), None, "record")[pos % 3]
+    elif kind == "int value":
+        item[part] = pos - 3
+    elif kind == "big int value":
+        item[part] = 2**64 + 1
+    elif kind == "negative zero":
+        item[part] = -0.0
+    elif kind == "tiny value":
+        item[part] = 5e-324
+
+
+def outcome(parse, raw: list, dim: int):
+    try:
+        records = parse(raw, "transfer_entries", dim)
+    except SpecFormatError as exc:
+        return "error", str(exc)
+    return "records", [
+        (type(r.source), r.source, type(r.target), r.target,
+         type(r.amplitude), repr(r.amplitude))
+        for r in records
+    ]
+
+
+class TestColumnCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.sampled_from([0, 1, 2, 9, 1000]),
+        dim=st.integers(1, 40),
+        changes=st.lists(
+            st.tuples(st.sampled_from(FAULTS + EDGES), st.floats(0, 1, exclude_max=True)),
+            max_size=3,
+        ),
+    )
+    def test_same_outcome_as_the_loop(self, seed, count, dim, changes):
+        if count > dim * dim:
+            dim = 40
+        raw = clean_records(seed, dim, count)
+        for kind, where in changes if raw else ():
+            inject(raw, kind, int(where * len(raw)), dim)
+        raw = json.loads(json.dumps(raw))  # as a spec file gives it: NaN, Infinity
+        expected = outcome(_loop_records, raw, dim)
+        assert outcome(_parse_records, raw, dim) == expected
+        if raw and not any(kind in FAULTS for kind, _ in changes):
+            assert expected[0] == "records"
+            assert _column_records(raw, dim) is not None
+
+    def test_wrapping_keys_fall_back_to_the_loop(self):
+        # from * (dim + 1) + to wraps in int64 here; the loop decides
+        dim = 2**40
+        raw = [{"from": dim, "to": 1, "re": 1.0, "im": 0.0},
+               {"from": 1, "to": dim, "re": 1.0, "im": 0.0}]
+        assert outcome(_parse_records, raw, dim) == outcome(_loop_records, raw, dim)
+        assert outcome(_loop_records, raw, dim)[0] == "records"
