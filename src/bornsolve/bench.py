@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SparseOperator, vector_norm
+from .operators import SparseOperator, _checked_columns, vector_norm
 from .solver import direct_solve_oracle, make_system, solve_exact
 
 
@@ -48,8 +48,8 @@ def random_dag_operator(dim: int, density: float, rng) -> SparseOperator:
     radii = np.sqrt(rng.random(sources.shape[0]))
     angles = 2.0 * np.pi * rng.random(sources.shape[0])
     amplitudes = radii * np.exp(1j * angles)
-    entries = list(zip(targets.tolist(), sources.tolist(), amplitudes.tolist()))
-    return SparseOperator(dim, entries)
+    # distinct forward edges within 1..dim: the check passes, and sorts them by row
+    return SparseOperator._from_arrays(dim, *_checked_columns(dim, targets, sources, amplitudes))
 
 
 def run_benchmark(dim: int, density: float, seed: int) -> BenchResult:

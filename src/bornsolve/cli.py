@@ -436,7 +436,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.handler(args)
-    except (BornsolveError, OSError, ValueError) as exc:
+    # OverflowError, MemoryError: a dimension too large to index or allocate
+    except (BornsolveError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -16,9 +16,14 @@ row, rows ascending, and each row in the order its entries were declared
 One store rule decides what every operator holds, however it was built:
 values become complex, a non-finite one (NaN included) raises a
 ValueError naming its entry, and values at or below ZERO_THRESHOLD in
-modulus are dropped.  _store applies it to arrays; record lists of up to
-_LOOP_RECORDS records, where numpy's fixed cost per call would dominate,
-are checked and stored record by record in _loop_records instead.
+modulus are dropped.  _store applies it to arrays.  Record columns are
+checked on whole arrays in one place, _checked_columns, which gives None
+on any fault; its callers keep only their own gates: _array_records
+those of a long record list (triples, int labels, complex or float
+values), the spec loader those of its JSON records, and the benchmark
+generator none.  Lists of up to _LOOP_RECORDS records, where numpy's
+fixed cost per call would dominate, and any that fail are checked and
+stored record by record in _loop_records, the only code that names a fault.
 
 Products and norms work on whole arrays with Python's roundings: a
 complex product is formed from four float products as Python forms it,
@@ -149,11 +154,10 @@ def _loop_records(dim: int, records: list) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _array_records(dim: int, records: list):
-    """Rows, columns and values of records, in storage order, if all pass the checks.
+    """Rows, columns and values of records, in storage order, if all pass _checked_columns.
 
-    The checks of _loop_records on whole arrays; None on any fault, and
-    also for labels or values of other types than int and complex or
-    float, so that the loop decides those.
+    None also for records that are not triples and for labels or values
+    of other types than int and complex or float; the loop decides those.
     """
     try:
         if set(map(len, records)) != {3}:
@@ -167,13 +171,25 @@ def _array_records(dim: int, records: list):
         return None
     if not {complex, float}.issuperset(map(type, amps)):
         return None
+    return _checked_columns(dim, rows, cols, np.array(amps, dtype=complex))
+
+
+def _checked_columns(dim: int, rows, cols, amp: np.ndarray):
+    """Record columns stably sorted by row, into storage order, if they pass; else None.
+
+    rows and cols hold int labels, amp complex values, in declaration
+    order.  Faults: a label outside 1..dim, a repeated (row, col), a
+    non-finite value, a label or sort key beyond intp.  Zero entries pass.
+    """
+    # every sort key below is less than this bound, so none wraps
+    if (dim + 1) * max(dim + 1, amp.size) > np.iinfo(np.intp).max:
+        return None
     try:
-        row = np.array(rows, dtype=np.intp)
-        col = np.array(cols, dtype=np.intp)
+        row = np.asarray(rows, dtype=np.intp)
+        col = np.asarray(cols, dtype=np.intp)
     except OverflowError:
         return None
-    amp = np.array(amps, dtype=complex)
-    if min(row.min(), col.min()) < 1 or max(row.max(), col.max()) > dim:
+    if row.size and (min(row.min(), col.min()) < 1 or max(row.max(), col.max()) > dim):
         return None
     keys = np.sort(row * (dim + 1) + col)
     if np.count_nonzero(keys[1:] == keys[:-1]) or np.count_nonzero(np.isfinite(amp)) < amp.size:

@@ -17,9 +17,11 @@ Exactly one of two forms must be present on top of "dimension":
 "basis_labels" (n strings) is optional and only affects human-readable
 tables.
 
-A record list is checked by column first: every item a dict with exactly
-the four record keys, labels of type int, values of type int or float,
-then range, duplicates and finiteness on numpy arrays.  Any fault sends
+A record list is checked by column first.  The loader's own gates ask
+for every item a dict with exactly the four record keys, labels of type
+int and values of type int or float within the float range; range,
+duplicates and finiteness are then left to the operators module's one
+check of record columns, whose verdict alone is used.  Any fault sends
 the list to the per-record loop instead, which is the only code that
 names a fault, so every SpecFormatError names the first faulty record
 in list order.
@@ -36,7 +38,7 @@ from typing import Any
 import numpy as np
 
 from .errors import SpecFormatError
-from .operators import SparseOperator, build_transfer_operator
+from .operators import SparseOperator, _checked_columns, build_transfer_operator
 
 _TOP_LEVEL_KEYS = {
     "dimension",
@@ -122,19 +124,12 @@ def _column_records(raw: list, dimension: int) -> tuple[CouplingRecord, ...] | N
     if not {int, float}.issuperset(set(map(type, reals)) | set(map(type, imags))):
         return None
     try:
-        source = np.array(sources, dtype=np.intp)
-        target = np.array(targets, dtype=np.intp)
         amplitude = np.empty(len(raw), dtype=complex)
         amplitude.real = reals
         amplitude.imag = imags
-        # equal pairs give equal keys even where the product wraps, so a
-        # wrap can only send the list to the loop, never hide a duplicate
-        keys = np.sort(source * (dimension + 1) + target)
-    except OverflowError:  # a number beyond intp or the float range
+    except OverflowError:  # an integer beyond the float range
         return None
-    if min(source.min(), target.min()) < 1 or max(source.max(), target.max()) > dimension:
-        return None
-    if (keys[1:] == keys[:-1]).any() or not np.isfinite(amplitude).all():
+    if _checked_columns(dimension, targets, sources, amplitude) is None:
         return None
     return tuple(map(CouplingRecord, sources, targets, amplitude.tolist()))
 
@@ -256,13 +251,12 @@ def load_spec(path) -> SystemSpec:
         return parse_spec(handle.read())
 
 
-def _record_obj(record: CouplingRecord) -> dict:
-    return {
-        "from": record.source,
-        "to": record.target,
-        "re": record.amplitude.real,
-        "im": record.amplitude.imag,
-    }
+def _record_objs(records: tuple[CouplingRecord, ...]) -> list[dict]:
+    """Records as JSON objects, sorted by (from, to)."""
+    return [
+        {"from": r.source, "to": r.target, "re": r.amplitude.real, "im": r.amplitude.imag}
+        for r in sorted(records, key=lambda r: (r.source, r.target))
+    ]
 
 
 def serialize_spec(spec: SystemSpec) -> str:
@@ -272,19 +266,13 @@ def serialize_spec(spec: SystemSpec) -> str:
         out["basis_labels"] = list(spec.basis_labels)
     if spec.is_direct:
         assert spec.transfer_entries is not None
-        out["transfer_entries"] = [
-            _record_obj(r)
-            for r in sorted(spec.transfer_entries, key=lambda r: (r.source, r.target))
-        ]
+        out["transfer_entries"] = _record_objs(spec.transfer_entries)
     else:
         assert spec.free_hamiltonian is not None
         assert spec.potential_entries is not None
         assert spec.energy is not None
         out["free_hamiltonian"] = list(spec.free_hamiltonian)
-        out["potential_entries"] = [
-            _record_obj(r)
-            for r in sorted(spec.potential_entries, key=lambda r: (r.source, r.target))
-        ]
+        out["potential_entries"] = _record_objs(spec.potential_entries)
         out["energy"] = {"re": spec.energy.real, "im": spec.energy.imag}
     return json.dumps(out, indent=2) + "\n"
 
@@ -296,17 +284,11 @@ def spec_to_operator(spec: SystemSpec) -> SparseOperator:
     The Hamiltonian form runs through the free resolvent and can raise
     ResonanceError for an energy too close to a level.
     """
+    records = spec.transfer_entries if spec.is_direct else spec.potential_entries
+    assert records is not None
+    op = SparseOperator(spec.dimension, [(r.target, r.source, r.amplitude) for r in records])
     if spec.is_direct:
-        assert spec.transfer_entries is not None
-        return SparseOperator(
-            spec.dimension,
-            [(r.target, r.source, r.amplitude) for r in spec.transfer_entries],
-        )
-    assert spec.potential_entries is not None
-    potential = SparseOperator(
-        spec.dimension,
-        [(r.target, r.source, r.amplitude) for r in spec.potential_entries],
-    )
+        return op
     return build_transfer_operator(
-        np.asarray(spec.free_hamiltonian, dtype=float), potential, spec.energy
+        np.asarray(spec.free_hamiltonian, dtype=float), op, spec.energy
     )

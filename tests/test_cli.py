@@ -16,6 +16,7 @@ import numpy.testing as npt
 import pytest
 
 import bornsolve
+from bornsolve import cli
 from bornsolve.cli import EXIT_CYCLIC, EXIT_INPUT, EXIT_OK, main
 from bornsolve.operators import SparseOperator, basis_state
 from bornsolve.solver import make_system, solve_exact
@@ -412,6 +413,13 @@ class TestBench:
         assert float(kv["born_seconds"]) > 0.0
         assert float(kv["dense_seconds"]) > 0.0
 
+    def test_no_kept_edges(self):
+        code, out, err = run_cli(["bench", "--dim", "2", "--density", "0"])
+        assert code == EXIT_OK
+        assert err == ""
+        kv = parse_kv(out)
+        assert (kv["nnz"], kv["depth"], kv["agreement"]) == ("0", "0", "0.0")
+
     def test_dim_below_two_is_input_error(self):
         code, _, err = run_cli(["bench", "--dim", "1"])
         assert code == EXIT_INPUT
@@ -448,6 +456,31 @@ class TestInputFailures:
         code, _, err = run_cli(["analyze", path])
         assert code == EXIT_INPUT
         assert "level 2" in err
+
+
+class TestDimensionTooLarge:
+    """A dimension that cannot be indexed or allocated is an input error."""
+
+    def test_dimension_beyond_intp(self, tmp_path):
+        path = write_spec(tmp_path, {
+            "dimension": 2**63,
+            "transfer_entries": [
+                {"from": k, "to": k + 1, "re": 1.0, "im": 0.0} for k in range(1, 61)
+            ],
+        })
+        for argv in (["analyze", path], ["solve", path, "--phi", "1"]):
+            code, out, err = run_cli(argv)
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_memory_error(self, tmp_path, monkeypatch):
+        def handler(args):
+            raise MemoryError("Unable to allocate 8.00 PiB")
+
+        monkeypatch.setattr(cli, "_cmd_analyze", handler)
+        code, out, err = run_cli(["analyze", write_spec(tmp_path, diamond_doc())])
+        assert (code, out, err) == (EXIT_INPUT, "", "error: Unable to allocate 8.00 PiB\n")
 
 
 class TestUsageErrors:

@@ -26,6 +26,7 @@ from bornsolve.operators import (
     power,
     vector_norm,
     _LOOP_RECORDS,
+    _loop_records,
 )
 from conftest import random_dag, random_operator, random_state
 
@@ -533,6 +534,13 @@ def stored_rows(op: SparseOperator) -> dict:
     return rows
 
 
+def stored_arrays(stored) -> list:
+    """An operator's stored arrays, or a (row, col, amp) triple of arrays, as lists."""
+    if isinstance(stored, SparseOperator):
+        stored = stored._row, stored._col, stored._amp
+    return [array.tolist() for array in stored]
+
+
 def storage(rows: dict) -> list:
     """Rows with their entries, in storage order: the order _apply sums in."""
     return [(row, list(cols.items())) for row, cols in rows.items()]
@@ -735,6 +743,24 @@ class TestRecordChecks:
         ints = [(r, c, 1) for r, c, _ in records]
         assert SparseOperator(RECORD_DIM, ints) == SparseOperator(
             RECORD_DIM, [(r, c, 1.0 + 0j) for r, c, _ in records])
+
+    @pytest.mark.parametrize("count", RECORD_COUNTS)
+    def test_largest_dimension_stores_as_the_loop(self, count):
+        # dim + 1 is beyond intp, so no sort key fits: the loop decides
+        dim = 2**63 - 1
+        records = padded_records(count, seed=count)
+        assert stored_arrays(SparseOperator(dim, records)) == stored_arrays(
+            _loop_records(dim, records))
+
+    @pytest.mark.parametrize("dim", [2**40, 2**62])
+    def test_wrapping_keys_fall_back_to_the_loop(self, dim):
+        # the sort keys row * (dim + 1) + col and row * n + position would
+        # wrap in intp; wrapped, they once stored row dim first at 2**62
+        records = [(dim, 1, 1.0), (1, 2, 2.0), (dim, 4, 3.0), (1, dim, 4.0)]
+        records += [(2, col, 1.0) for col in range(1, _LOOP_RECORDS)]
+        want = stored_arrays(_loop_records(dim, records))
+        assert stored_arrays(SparseOperator(dim, records)) == want
+        assert want[0][:3] == [1, 1, 2]
 
     def test_records_that_are_not_triples(self):
         for count in RECORD_COUNTS:
