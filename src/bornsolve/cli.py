@@ -205,16 +205,8 @@ def _cmd_solve(args) -> int:
     tree["total"] = total
 
     if args.order is not None:
-        norm = "inf" if args.norm is None else args.norm
-        if norm not in ("inf", "one"):
-            print(
-                f"error: remainder bounds need an induced norm (inf or one), "
-                f"got {norm}",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT
         try:
-            trunc = remainder_bound(op, phi, args.order, norm)
+            trunc = remainder_bound(op, phi, args.order, args.norm or "inf")
         except SingularError as exc:
             print(f"warning: exact remainder unavailable: {exc}", file=sys.stderr)
             tree["truncation"] = {"available": False, "reason": str(exc)}

@@ -26,14 +26,14 @@ fixed cost per call would dominate, and any that fail are checked and
 stored record by record in _loop_records, the only code that names a fault.
 
 Products and norms work on whole arrays with Python's roundings: a
-complex product is formed from four float products as Python forms it,
-moduli come from hypot as Python's abs does, and bincount adds the terms
-of each bin in index order from 0.0, as a left-to-right loop does.  The
-first time they are needed, an operator derives the row pointer (row
-j's entries sit at ptr[j - 1]:ptr[j]) and the kernel arrays of _apply
-from the store and caches them in the _ptr and _arrays slots; the caches
-play no part in equality, and since the stored arrays are never mutated
-they cannot go stale.
+complex product is formed from four float products as Python forms it
+(_products), moduli come from hypot as Python's abs does, and bincount
+adds the terms of each bin in index order from 0.0, as a left-to-right
+loop does (_bin_sums); _apply and matmul share both.  The first time it
+is needed, an operator derives its row pointer (row j's entries sit at
+ptr[j - 1]:ptr[j]) from the store and caches it in the _ptr slot, its
+only derived array; the cache plays no part in equality, and since the
+stored arrays are never mutated it cannot go stale.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def _store(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
 
 
 def _fill(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
-    """Fill op's slots with arrays that already satisfy the store rule."""
+    """Fill op's slots with arrays that satisfy the store rule; _ptr is derived on first use."""
     op.dim = dim
     op._row, op._col, op._amp = row, col, amp
-    op._ptr = op._arrays = None
+    op._ptr = None
     return op
 
 
@@ -206,7 +206,7 @@ class SparseOperator:
     method mutates an instance; arithmetic returns new operators.
     """
 
-    __slots__ = ("dim", "_ptr", "_row", "_col", "_amp", "_arrays")
+    __slots__ = ("dim", "_ptr", "_row", "_col", "_amp")
 
     def __init__(self, dim: int, entries: Iterable[Entry] = ()):
         dim = _size(dim, "dimension")
@@ -321,67 +321,43 @@ def as_state_vector(values, dim: int) -> np.ndarray:
 def matvec(op: SparseOperator, vec) -> np.ndarray:
     """Apply the operator to a state: out[j] = sum_i T[j, i] vec[i].
 
-    Validates the state, then runs the cached index-array kernel (see
-    the module docstring); the operator is never densified and nothing
-    is dropped from the result.
+    Validates the state, then sums each row's products in storage order
+    with Python's roundings (see the module docstring); the operator is
+    never densified and nothing is dropped from the result.
     """
     return _apply(op, as_state_vector(vec, op.dim))
 
 
 def _apply(op: SparseOperator, v: np.ndarray) -> np.ndarray:
-    """matvec for a state already checked by as_state_vector.
+    """matvec for a state already checked by as_state_vector; a new array."""
+    return _bin_sums(op._row - 1, *_products(op._amp, v[op._col - 1]), op.dim)
 
-    Works on v, which as_state_vector leaves complex and contiguous,
-    viewed as interleaved real and imaginary parts.  For an entry
-    a = ar + i ai in column c the first product block holds (ar xr, ai xr)
-    and the second (-ai xi, ar xi), where xr + i xi is v[c]; their sum is
-    the complex product a * v[c] with Python's roundings.  bincount then
-    adds each row's products in storage order, starting from 0.0,
-    exactly like a left-to-right multiply-add loop.
+
+def _products(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of x * y, from four float products as Python forms them.
+
+    numpy's complex multiply may fuse one product into the sum.
     """
-    arrays = op._arrays
-    if arrays is None:
-        arrays = op._arrays = _index_arrays(op)
-    rows, gather, amps = arrays
-    products = v.view(float).take(gather)
-    products *= amps
-    half = rows.size
-    return np.bincount(
-        rows, products[:half] + products[half:], 2 * op.dim
-    ).view(complex)
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-# Gather offsets from 2 * col of the two product blocks: real parts, then
-# imaginary parts, of v at the entry's 1-based column col.
-_GATHER_OFFSETS = np.array([[[-2, -2]], [[-1, -1]]], dtype=np.intp)
-_PAIR_OFFSETS = np.array([-2, -1], dtype=np.intp)
-
-
-def _index_arrays(op: SparseOperator):
-    """_apply's cached arrays, entries in storage order.
-
-    rows: the interleaved output position of each product pair; gather:
-    positions in the interleaved state; amps: (ar, ai) pairs, then
-    (-ai, ar) pairs.
-    """
-    r, c, a = op._row, op._col, op._amp
-    swapped = np.conj(a).view(float).reshape(-1, 2)[:, ::-1]
-    return (
-        ((r + r)[:, None] + _PAIR_OFFSETS).ravel(),
-        ((c + c)[None, :, None] + _GATHER_OFFSETS).ravel(),
-        np.concatenate((a.view(float), swapped.ravel())),
-    )
+def _bin_sums(bins: np.ndarray, re: np.ndarray, im: np.ndarray, size: int) -> np.ndarray:
+    """Complex sums of re + i im over each of size bins, in index order from 0.0."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(bins, re, size)
+    out.imag = np.bincount(bins, im, size)
+    return out
 
 
 def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """Sparse operator product a b, row by row (Gustavson), stored by _store.
 
-    Every term a[row, mid] b[mid, col] is formed, a's entries in storage
-    order and each followed through b's row mid in storage order, from
-    four float products as Python's complex product forms it (numpy's
-    complex multiply may fuse one into the sum).  An output entry sums
-    its terms in that order from 0, and each output row keeps its columns
-    in the order its terms first reach them.
+    Every term a[row, mid] b[mid, col] is formed by _products, a's
+    entries in storage order and each followed through b's row mid in
+    storage order.  An output entry sums its terms in that order from 0,
+    and each output row keeps its columns in the order its terms first
+    reach them.
     """
     if a.dim != b.dim:
         raise DimensionError(f"cannot multiply dimension {a.dim} by {b.dim}")
@@ -404,13 +380,8 @@ def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     slot = np.empty_like(order)
     slot[order] = np.cumsum(new) - 1
     with np.errstate(over="ignore", invalid="ignore"):  # _store rejects what overflowed
-        xr, xi = a._amp.real[left], a._amp.imag[left]
-        yr, yi = b._amp.real[right], b._amp.imag[right]
-        re = xr * yr - xi * yi
-        im = xr * yi + xi * yr
-    out = np.empty(starts.size, dtype=complex)
-    out.real = np.bincount(slot, re, starts.size)
-    out.imag = np.bincount(slot, im, starts.size)
+        products = _products(a._amp[left], b._amp[right])
+    out = _bin_sums(slot, *products, starts.size)
     placed = np.argsort(np.minimum.reduceat(order, starts))
     keys = keys[starts[placed]]
     return SparseOperator._from_arrays(a.dim, keys // width, keys % width, out[placed])

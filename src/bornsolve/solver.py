@@ -115,12 +115,8 @@ def born_approximation(operator: SparseOperator, phi, order: int) -> np.ndarray:
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    return _born_sum(operator, as_state_vector(phi, operator.dim), order)
-
-
-def _born_sum(operator: SparseOperator, v: np.ndarray, order: int) -> np.ndarray:
-    """Running sum of terms 0..order, stopped at the first all-zero term (T 0 = 0)."""
-    terms = _born_terms(operator, v, order)
+    terms = _born_terms(operator, as_state_vector(phi, operator.dim), order)
+    # a running sum, stopped at the first all-zero term (T 0 = 0)
     total = next(terms).copy()
     for term in terms:
         total += term

@@ -286,6 +286,13 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert "induced" in err
 
+    def test_fro_norm_error_comes_from_the_library(self, tmp_path):
+        path = write_spec(tmp_path, diamond_doc())
+        code, out, err = run_cli(["solve", path, "--phi", "1", "--order", "1", "--norm", "fro"])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.endswith("error: remainder bounds need an induced norm kind "
+                            "('inf', 'one'), got 'fro'\n")
+
     @pytest.mark.parametrize("norm", ["inf", "fro"])
     def test_norm_without_order_is_usage_error(self, tmp_path, norm):
         path = write_spec(tmp_path, diamond_doc())

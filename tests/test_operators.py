@@ -475,15 +475,27 @@ class TestKernel:
         rng = np.random.default_rng(9)
         op = random_operator(rng, 11, 0.8)
         v = random_state(rng, 11)
-        before = matvec(op, v)  # fills op's cache before anything is derived
+        before = matvec(op, v)  # applied before anything is derived from it
         scaled = op.scaled(0.5 - 2.0j)
         # scaled stores its entries in (row, col) order
         assert_same_bits(matvec(scaled, v), python_matvec(11, list(scaled.entries()), v))
-        for derived in (matmul(op, op), power(op, 3)):
-            npt.assert_allclose(matvec(derived, v), derived.to_dense() @ v,
-                                rtol=RTOL, atol=ATOL)
+        h0 = rng.uniform(-2.0, 2.0, size=11)
+        # products keep each row in the order its terms first reach a column
+        for derived in (matmul(op, op), power(op, 3), SparseOperator.from_dense(op.to_dense()),
+                        build_transfer_operator(h0, op, 0.3 + 0.7j)):
+            out = matvec(derived, v)
+            npt.assert_allclose(out, derived.to_dense() @ v, rtol=RTOL, atol=ATOL)
+            assert_same_bits(out, python_matvec(11, stored_entries(derived), v))
         npt.assert_array_equal(matvec(power(op, 0), v), v)
         npt.assert_array_equal(matvec(op, v), before)
+
+    def test_overflow_warns_and_gives_inf(self):
+        # a product that overflows is reported, not hidden as in matmul,
+        # whose _store rejects what overflowed
+        op = SparseOperator(2, [(1, 2, 1e200), (2, 1, 1.0)])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = matvec(op, [0, 1e200])
+        npt.assert_array_equal(out, [math.inf, 0])
 
 
 class TestDirectBuilds:
@@ -539,6 +551,11 @@ def stored_arrays(stored) -> list:
     if isinstance(stored, SparseOperator):
         stored = stored._row, stored._col, stored._amp
     return [array.tolist() for array in stored]
+
+
+def stored_entries(op: SparseOperator) -> list:
+    """The operator's entries as (row, col, amp), in storage order."""
+    return list(zip(*stored_arrays(op)))
 
 
 def storage(rows: dict) -> list:
