@@ -22,7 +22,6 @@ from .errors import (
 from .graph import AcyclicityReport, analyze_acyclicity
 from .operators import (
     NORM_KINDS,
-    ZERO_THRESHOLD,
     SparseOperator,
     as_state_vector,
     basis_state,
@@ -95,7 +94,6 @@ __all__ = [
     "TopologyError",
     "TruncationReport",
     "WeightedPath",
-    "ZERO_THRESHOLD",
     "analyze_acyclicity",
     "as_state_vector",
     "basis_state",

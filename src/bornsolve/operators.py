@@ -15,8 +15,8 @@ row, rows ascending, and each row in the order its entries were declared
 (a stable sort by row).  Every sum over a row runs in storage order.
 One store rule decides what every operator holds, however it was built:
 values become complex, a non-finite one (NaN included) raises a
-ValueError naming its entry, and values at or below ZERO_THRESHOLD in
-modulus are dropped.  _store applies it to arrays.  Record columns are
+ValueError naming its entry, and only exact zeros are dropped: no unit
+makes a structural zero.  _store applies it to arrays.  Record columns are
 checked on whole arrays in one place, _checked_columns, which gives None
 on any fault; its callers keep only their own gates: _array_records
 those of a long record list (triples, int labels, complex or float
@@ -47,12 +47,7 @@ import numpy as np
 
 from .errors import DimensionError, ResonanceError
 
-# Dropped-entry modulus: anything at or below this after arithmetic is
-# treated as a structural zero.
-ZERO_THRESHOLD = 1e-14
-
-# Minimum allowed distance between the energy and a free level, relative
-# to 1 + |E|.
+# Least gap between the energy and a free level, over max(|E|, max|H0|).
 RESONANCE_MARGIN = 1e-10
 
 NORM_KINDS = ("inf", "one", "fro")
@@ -87,15 +82,15 @@ def _store(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
     """The one store rule: fill op with the given entries, which are in storage order.
 
     row and col are integer arrays of valid labels.  Values become
-    complex; the first non-finite one raises, naming its entry; those at
-    or below ZERO_THRESHOLD in modulus go.  Order is kept.
+    complex; the first non-finite one raises, naming its entry; exact
+    zeros go.  Order is kept.
     """
     amp = np.ascontiguousarray(amp, dtype=complex)
     finite = np.isfinite(amp)
     if np.count_nonzero(finite) < amp.size:
         k = int(finite.argmin())
         raise ValueError(f"entry ({row[k]}, {col[k]}) is not finite: {complex(amp[k])}")
-    keep = np.hypot(amp.real, amp.imag) > ZERO_THRESHOLD
+    keep = amp != 0
     if np.count_nonzero(keep) < amp.size:
         row, col, amp = row[keep], col[keep], amp[keep]
     return _fill(op, dim, row, col, amp)
@@ -116,9 +111,8 @@ def _loop_records(dim: int, records: list) -> tuple[np.ndarray, np.ndarray, np.n
     one outside 1..dim, a repeated position.  Values are then made
     complex and tested for finiteness row by row, rows in order of first
     appearance.  The first fault raises a ValueError naming its entry.
-    What is kept follows the store rule, record by record: values at or
-    below ZERO_THRESHOLD in modulus go; storage order is by row, each row
-    in declaration order.
+    What is kept follows the store rule, record by record: exact zeros
+    go; storage order is by row, each row in declaration order.
     """
     rows: dict[int, dict[int, complex]] = {}
     for row, col, amp in records:
@@ -145,7 +139,7 @@ def _loop_records(dim: int, records: list) -> tuple[np.ndarray, np.ndarray, np.n
     amp_of: list[complex] = []
     for row in sorted(rows):
         for col, value in rows[row].items():
-            if abs(value) > ZERO_THRESHOLD:
+            if value:
                 row_of.append(row)
                 col_of.append(col)
                 amp_of.append(value)
@@ -421,8 +415,13 @@ def operator_norm(op: SparseOperator, kind: str = "inf") -> float:
     amp = op._amp[order]
     modulus = np.hypot(amp.real, amp.imag)
     if kind == "fro":
-        # float_power is libm's pow, as Python's ** is; cumsum adds in order
-        return math.sqrt(np.cumsum(np.float_power(modulus, 2.0))[-1])
+        # pow and cumsum round as Python's ** and += do; rescaled only out of range
+        for top in (1.0, modulus.max()):
+            with np.errstate(over="ignore"):
+                total = np.cumsum(np.float_power(modulus / top, 2.0))[-1]
+            if np.finfo(float).tiny <= total < math.inf:
+                break
+        return float(top * math.sqrt(total))
     key = op._row if kind == "inf" else op._col
     return float(np.bincount(key[order], modulus).max())
 
@@ -443,16 +442,17 @@ def free_resolvent_diagonal(h0_diagonal, energy: complex) -> np.ndarray:
     """Diagonal of (E - H0)^(-1) for a diagonal free Hamiltonian.
 
     Raises ResonanceError when the energy comes within
-    RESONANCE_MARGIN * (1 + |E|) of any level; a complex energy keeps a
-    probe near a level well posed.
+    RESONANCE_MARGIN * max(|E|, max|H0|) of any level, a margin on the
+    Hamiltonian's own scale; a complex energy keeps a probe near a level
+    well posed.
     """
     h0 = np.asarray(h0_diagonal, dtype=float)
     if h0.ndim != 1 or h0.size == 0:
         raise ValueError("free Hamiltonian must be a non-empty 1-d real array")
-    if np.count_nonzero(np.isfinite(h0)) < h0.size:
+    if not math.isfinite(top := np.abs(h0).max()):  # NaN or inf for any non-finite level
         raise ValueError("free Hamiltonian has non-finite levels")
     e = complex(energy)
-    threshold = RESONANCE_MARGIN * (1.0 + abs(e))
+    threshold = RESONANCE_MARGIN * max(abs(e), top)
     gaps = e - h0
     distance = np.abs(gaps)
     if distance.min() <= threshold:
@@ -480,9 +480,7 @@ def build_transfer_operator(
 
 
 def _row_scaled(op: SparseOperator, factors: np.ndarray) -> SparseOperator:
-    """Operator with entries factors[row - 1] * T[row, col], in (row, col) order."""
-    order = op._sorted()
-    row = op._row[order]
+    """Operator with entries factors[row - 1] * T[row, col], in op's storage order."""
     factor = factors.tolist()
-    amp = [factor[r - 1] * a for r, a in zip(row.tolist(), op._amp[order].tolist())]
-    return SparseOperator._from_arrays(op.dim, row, op._col[order], amp)
+    amp = [factor[r - 1] * a for r, a in zip(op._row.tolist(), op._amp.tolist())]
+    return SparseOperator._from_arrays(op.dim, op._row, op._col, amp)

@@ -20,8 +20,9 @@ def random_dag(rng, dim: int, density: float = 0.35,
     """Random acyclic operator with edge moduli bounded away from zero.
 
     With the default floor of 0.5 even an 11-edge path product stays near
-    5e-4, far above the structural-zero drop threshold, so the sparse
-    power pattern is exactly the walk pattern of the graph.
+    5e-4, far from underflow, and random phases make an exact cancellation
+    vanishingly unlikely, so the sparse power pattern is exactly the walk
+    pattern of the graph.
     """
     order = rng.permutation(dim)
     entries = []

@@ -10,8 +10,8 @@ nothing in the library imports this module.
 An edge i -> j is the operator entry (row j, col i).  Every graph carries
 .operator, the SparseOperator with its pattern (unannotated edges get
 amplitude 1), so tests certify hand-built graphs with
-analyze_acyclicity(graph.operator).  Amplitudes the store rule drops
-(at or below ZERO_THRESHOLD) would leave their edge out of .operator.
+analyze_acyclicity(graph.operator).  An amplitude the store rule drops
+(an exact zero) would leave its edge out of .operator.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -68,6 +69,60 @@ TWO_LEVEL_LOOP = {
         {"from": 1, "to": 2, "re": 0.04, "im": 0.0},
     ],
 }
+
+
+def hamiltonian_doc(levels, couplings, energy):
+    """Hamiltonian-form spec: couplings are (from, to, real amplitude)."""
+    return {
+        "dimension": len(levels),
+        "free_hamiltonian": levels,
+        "potential_entries": [
+            {"from": i, "to": j, "re": amp, "im": 0.0} for i, j, amp in couplings
+        ],
+        "energy": {"re": energy, "im": 0.0},
+    }
+
+
+class TestScaleFree:
+    """Verdicts depend on the input's structure and its own scale, not on units."""
+
+    def test_tiny_cyclic_coupling_is_not_certified(self, tmp_path):
+        # |T| is about 2e-6: a cycle, however small V is in absolute terms
+        path = write_spec(tmp_path, hamiltonian_doc(
+            [0.0, 1e-9], [(1, 2, 1e-15), (2, 1, 1e-15)], 5e-10))
+        code, out, err = run_cli(["analyze", path])
+        assert code == EXIT_CYCLIC
+        assert "cyclic" in err
+        kv = parse_kv(out)
+        assert (kv["nnz"], kv["is_acyclic"], kv["witness_cycle"]) == ("2", "false", "1 2")
+
+    @pytest.mark.parametrize("command", [["analyze"], ["solve", "--phi", "1"]])
+    def test_tiny_level_spacing_is_no_resonance(self, tmp_path, command):
+        # levels 1e-19 apart: the energy sits halfway, far off resonance
+        path = write_spec(tmp_path, hamiltonian_doc([0.0, 1e-19], [(1, 2, 1e-21)], 5e-20))
+        code, out, err = run_cli([command[0], path, *command[1:]])
+        assert (code, err) == (EXIT_OK, "")
+        kv = parse_kv(out)
+        assert kv["depth"] == "1"
+        if command[0] == "analyze":
+            assert kv["nnz"] == "1"
+        else:
+            # T[2, 1] = 1e-21 / (5e-20 - 1e-19) = -0.02
+            npt.assert_allclose(float(kv["total.2.re"]), -0.02, rtol=1e-15)
+
+    @pytest.mark.parametrize("amp", [1e200, 1e-170])
+    def test_frobenius_norm_out_of_range(self, tmp_path, amp):
+        # the squared modulus overflows or underflows; the norm does not
+        path = write_spec(tmp_path, {
+            "dimension": 2,
+            "transfer_entries": [{"from": 1, "to": 2, "re": amp, "im": 0.0}],
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["analyze", path])
+        assert (code, err) == (EXIT_OK, "")
+        kv = parse_kv(out)
+        assert [float(kv[f"norm.{kind}"]) for kind in ("inf", "one", "fro")] == [amp] * 3
 
 
 class TestScenario:
@@ -506,6 +561,15 @@ class TestUsageErrors:
         code, _, err = run_cli(["solve", path, "--phi", "1", "--order", "-1"])
         assert code == EXIT_INPUT
         assert ">= 0" in err
+
+    @pytest.mark.parametrize("order", ["abc", "1.5"])
+    def test_non_integer_order(self, tmp_path, order):
+        # the message names the option, not the parsing function
+        path = write_spec(tmp_path, diamond_doc())
+        code, out, err = run_cli(["solve", path, "--phi", "1", "--order", order])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"usage error: argument --order: must be an integer, got {order!r}\n"
+        assert "_nonnegative_int" not in err
 
     def test_missing_phi(self, tmp_path):
         path = write_spec(tmp_path, diamond_doc())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -14,7 +15,6 @@ from bornsolve.errors import DimensionError, ResonanceError
 from bornsolve.graph import analyze_acyclicity
 from bornsolve.operators import (
     NORM_KINDS,
-    ZERO_THRESHOLD,
     SparseOperator,
     as_state_vector,
     basis_state,
@@ -106,10 +106,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             SparseOperator(2, [(1, 2, complex(0.0, np.nan))])
 
-    def test_drops_subthreshold_amplitudes(self):
-        op = SparseOperator(2, [(1, 2, 1e-15), (2, 1, 1e-13)])
-        assert op.index_set() == {(2, 1)}
-        assert op.entry(1, 2) == 0
+    def test_keeps_tiny_amplitudes_and_drops_exact_zeros(self):
+        # no magnitude makes a structural zero; only an exact zero does
+        op = SparseOperator(3, [(1, 2, 1e-15), (2, 1, 1e-300), (2, 3, 0.0), (3, 1, -0.0j)])
+        assert op.index_set() == {(1, 2), (2, 1)}
+        assert op.entry(1, 2) == 1e-15 and op.entry(2, 1) == 1e-300
+        assert op.entry(2, 3) == 0 and op.entry(3, 1) == 0
 
     def test_zero_and_identity(self):
         assert SparseOperator.zero(3).is_zero()
@@ -266,6 +268,17 @@ class TestNorms:
         for kind in NORM_KINDS:
             assert operator_norm(SparseOperator.zero(3), kind) == 0.0
 
+    def test_fro_norm_out_of_range(self):
+        # squared moduli that overflow or underflow are summed over the
+        # largest modulus instead, quietly
+        for scale in (1e200, 1e-170):
+            op = SparseOperator(2, [(1, 2, 3.0 * scale), (2, 1, 4.0j * scale)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fro = operator_norm(op, "fro")
+            npt.assert_allclose(fro, 5.0 * scale, rtol=4 * np.finfo(float).eps)
+            assert operator_norm(SparseOperator(1, [(1, 1, scale)]), "fro") == scale
+
     def test_hand_computed_values(self):
         op = SparseOperator(2, [(1, 1, 3.0), (1, 2, -4.0j), (2, 1, 1.0j)])
         assert operator_norm(op, "inf") == 7.0
@@ -349,12 +362,35 @@ class TestTransferOperator:
             build_transfer_operator(h0, SparseOperator(2, [(1, 2, 1.0)]), 1.0)
 
     def test_resonance_threshold_boundary(self):
-        # threshold is 1e-10 * (1 + |E|); a gap of 5e-10 clears it at
-        # |E| near 1, a gap of 1e-10 does not
-        h0 = np.array([1.0])
-        assert free_resolvent_diagonal(h0, 1.0 + 5e-10).shape == (1,)
-        with pytest.raises(ResonanceError):
-            free_resolvent_diagonal(h0, 1.0 + 1e-10)
+        # threshold is 1e-10 * max(|E|, max|H0|): at |E| near the top level
+        # a relative gap of 2e-10 clears it and one of 5e-11 does not, at
+        # any scale
+        for scale in (1.0, 1e-19, 1e-30, 1e30):
+            h0 = np.array([0.0, scale])
+            assert free_resolvent_diagonal(h0, scale * (1.0 + 2e-10)).shape == (2,)
+            energy = scale * (1.0 + 5e-11)
+            with pytest.raises(ResonanceError) as excinfo:
+                free_resolvent_diagonal(h0, energy)
+            assert excinfo.value.level == 2
+            assert excinfo.value.threshold == 1e-10 * energy
+
+    def test_resonance_margin_follows_the_levels(self):
+        # the largest level sets the scale when it exceeds |E|
+        h0 = np.array([0.0, 10.0])
+        with pytest.raises(ResonanceError, match="level 1"):
+            free_resolvent_diagonal(h0, 5e-10)
+        assert free_resolvent_diagonal(h0, 2e-9)[0] == 1 / 2e-9
+
+    def test_joule_scale_hamiltonian(self):
+        # atomic levels in joules: a margin of 1e-10 * (1 + |E|) was wider
+        # than the whole spectrum, so every energy was a resonance
+        ev = 1.602176634e-19  # one electronvolt in joules
+        h0 = np.array([0.0, 1.0, 2.5]) * ev
+        potential = SparseOperator(3, [(2, 1, 1e-21), (3, 2, 2e-21)])
+        t = build_transfer_operator(h0, potential, 1.7 * ev)
+        npt.assert_allclose(t.to_dense(), potential.to_dense() / (1.7 * ev - h0)[:, None],
+                            rtol=1e-15)
+        assert analyze_acyclicity(t).depth == 2
 
     def test_complex_energy_unlocks_near_level_probe(self):
         h0 = np.array([1.0])
@@ -370,10 +406,6 @@ class TestTransferOperator:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             build_transfer_operator(np.zeros(2), SparseOperator.identity(3), 5.0)
-
-    def test_zero_threshold_constant(self):
-        # the drop threshold is part of the structural-zero contract
-        assert ZERO_THRESHOLD == 1e-14
 
 
 def python_matvec(dim, entries, v) -> np.ndarray:
@@ -527,10 +559,28 @@ class TestDirectBuilds:
             assert got == want
             assert list(got.entries()) == list(want.entries())
 
-    def test_transfer_drops_entries_that_vanish_after_scaling(self):
-        potential = SparseOperator(2, [(1, 2, 1e-10), (2, 1, 1.0)])
-        t = build_transfer_operator(np.zeros(2), potential, 1e5)
-        assert t.index_set() == {(2, 1)}
+    def test_transfer_keeps_tiny_entries_and_drops_exact_zeros(self):
+        # 1e-10 / 1e100 is kept however small; 1e-300 / 1e100 underflows to
+        # an exact zero and goes
+        potential = SparseOperator(3, [(1, 2, 1e-10), (2, 1, 1.0), (3, 1, 1e-300)])
+        t = build_transfer_operator(np.zeros(3), potential, 1e100)
+        assert t.index_set() == {(1, 2), (2, 1)}
+        npt.assert_allclose(t.entry(1, 2), 1e-110, rtol=1e-15)
+        assert t.scaled(0.0).is_zero()
+
+    def test_transfer_keeps_storage_order(self):
+        # T keeps V's storage order: by row, each row as declared
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            potential = shuffled_operator(rng, 9, 0.6)
+            h0 = rng.uniform(-2.0, 2.0, size=9)
+            g0 = free_resolvent_diagonal(h0, 3.0 + 0.5j)
+            t = build_transfer_operator(h0, potential, 3.0 + 0.5j)
+            npt.assert_array_equal(t._row, potential._row)
+            npt.assert_array_equal(t._col, potential._col)
+            want = [complex(g0[r - 1]) * a
+                    for r, a in zip(potential._row.tolist(), potential._amp.tolist())]
+            assert_same_bits(t._amp, np.array(want, dtype=complex))
 
     def test_transfer_rejects_overflow(self):
         potential = SparseOperator(2, [(1, 2, 1e300)])
@@ -568,8 +618,8 @@ def python_product(a_rows: dict, b_rows: dict) -> dict:
 
     Rows come in a's storage order and, within a row, columns in the order
     a's row first reaches them through b's rows.  Each value is summed
-    left to right from 0j over a's row in storage order; values at or
-    below ZERO_THRESHOLD and rows left empty are dropped.
+    left to right from 0j over a's row in storage order; exact zeros
+    and rows left empty are dropped.
     """
     out = {}
     for row, mids in a_rows.items():
@@ -585,7 +635,7 @@ def python_product(a_rows: dict, b_rows: dict) -> dict:
                 right = b_rows.get(mid, {}).get(col)
                 if right is not None:
                     value += left * right
-            if abs(value) > ZERO_THRESHOLD:
+            if value:
                 cols[col] = value
         if cols:
             out[row] = cols
@@ -605,9 +655,9 @@ class TestStoreRule:
         with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
             SparseOperator.from_dense([[0, np.nan], [1, 0]])
 
-    def test_from_dense_drops_small_values_and_empty_rows(self):
-        op = SparseOperator.from_dense([[0, 1e-15], [2, 0]])
-        assert storage(stored_rows(op)) == [(2, [(1, 2 + 0j)])]
+    def test_from_dense_keeps_small_values_and_drops_zeros(self):
+        op = SparseOperator.from_dense([[0, 1e-15, 0], [2, 0, -0.0], [0, 0, 0]])
+        assert storage(stored_rows(op)) == [(1, [(2, 1e-15 + 0j)]), (2, [(1, 2 + 0j)])]
 
     def test_matmul_overflow_raises(self):
         # the two products overflow to +inf and -inf; their sum is NaN,

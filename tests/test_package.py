@@ -35,7 +35,6 @@ EXPORTED = [
     "TopologyError",
     "TruncationReport",
     "WeightedPath",
-    "ZERO_THRESHOLD",
     "analyze_acyclicity",
     "as_state_vector",
     "basis_state",
