@@ -11,8 +11,9 @@ it every nilpotency statement, is read off the stored pattern.
 
 An operator stores one CSR-style set of numpy arrays: for every entry its
 row, column and amplitude.  Entries are in storage order: grouped by
-row, rows ascending, and each row in the order its entries were declared
-(a stable sort by row).  Every sum over a row runs in storage order.
+row, rows ascending.  Within a row, declared operators and their row
+scalings keep declaration order (a stable sort by row); products are
+stored by (row, col).  Every sum over a row runs in storage order.
 One store rule decides what every operator holds, however it was built:
 values become complex, a non-finite one (NaN included) raises a
 ValueError naming its entry, and only exact zeros are dropped: no unit
@@ -345,13 +346,11 @@ def _bin_sums(bins: np.ndarray, re: np.ndarray, im: np.ndarray, size: int) -> np
 
 
 def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    """Sparse operator product a b, row by row (Gustavson), stored by _store.
+    """Sparse operator product a b, row by row (Gustavson), stored by (row, col).
 
     Every term a[row, mid] b[mid, col] is formed by _products, a's
     entries in storage order and each followed through b's row mid in
-    storage order.  An output entry sums its terms in that order from 0,
-    and each output row keeps its columns in the order its terms first
-    reach them.
+    storage order.  An output entry sums its terms in that order from 0.
     """
     if a.dim != b.dim:
         raise DimensionError(f"cannot multiply dimension {a.dim} by {b.dim}")
@@ -360,25 +359,12 @@ def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     count = ptr[a._col] - start
     left = np.repeat(np.arange(a.nnz), count)
     right = np.arange(left.size) + np.repeat(start - (np.cumsum(count) - count), count)
-    if not left.size:
-        return SparseOperator(a.dim)
     width = a.dim + 1
-    keys = a._row[left] * width + b._col[right]
-    # group the terms by key; each group's first term is its smallest index
-    order = keys.argsort()
-    keys = keys[order]
-    new = np.empty(keys.size, dtype=bool)
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(new) - 1
+    keys, slot = np.unique(a._row[left] * width + b._col[right], return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):  # _store rejects what overflowed
         products = _products(a._amp[left], b._amp[right])
-    out = _bin_sums(slot, *products, starts.size)
-    placed = np.argsort(np.minimum.reduceat(order, starts))
-    keys = keys[starts[placed]]
-    return SparseOperator._from_arrays(a.dim, keys // width, keys % width, out[placed])
+    out = _bin_sums(slot, *products, keys.size)
+    return SparseOperator._from_arrays(a.dim, keys // width, keys % width, out)
 
 
 def power(op: SparseOperator, k: int) -> SparseOperator:
@@ -441,10 +427,10 @@ def vector_norm(vec, kind: str = "inf") -> float:
 def free_resolvent_diagonal(h0_diagonal, energy: complex) -> np.ndarray:
     """Diagonal of (E - H0)^(-1) for a diagonal free Hamiltonian.
 
-    Raises ResonanceError when the energy comes within
-    RESONANCE_MARGIN * max(|E|, max|H0|) of any level, a margin on the
-    Hamiltonian's own scale; a complex energy keeps a probe near a level
-    well posed.
+    Raises ValueError for a non-finite energy, and ResonanceError when
+    the energy comes within RESONANCE_MARGIN * max(|E|, max|H0|) of any
+    level, a margin on the Hamiltonian's own scale; a complex energy keeps
+    a probe near a level well posed.
     """
     h0 = np.asarray(h0_diagonal, dtype=float)
     if h0.ndim != 1 or h0.size == 0:
@@ -452,6 +438,8 @@ def free_resolvent_diagonal(h0_diagonal, energy: complex) -> np.ndarray:
     if not math.isfinite(top := np.abs(h0).max()):  # NaN or inf for any non-finite level
         raise ValueError("free Hamiltonian has non-finite levels")
     e = complex(energy)
+    if not isfinite(e):
+        raise ValueError(f"energy is not finite: {e}")
     threshold = RESONANCE_MARGIN * max(abs(e), top)
     gaps = e - h0
     distance = np.abs(gaps)

@@ -46,7 +46,7 @@ CASES = [(spec, command) for spec in SPECS for command in COMMANDS]
 # bands of 50 states, each state feeding 3 states of the next band,
 # labels shuffled, every seventh record with integer parts
 SPECS["layered200"] = (GOLDEN / "layered200.spec").read_text(encoding="utf-8")
-CASES += [("layered200", command) for command in ("analyze", "solve")]
+CASES += [("layered200", command) for command in ("analyze", "solve", "solve-order1")]
 
 
 def run_case(directory: Path, spec: str, command: str) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -392,6 +393,20 @@ class TestTransferOperator:
                             rtol=1e-15)
         assert analyze_acyclicity(t).depth == 2
 
+    @pytest.mark.parametrize("energy", [complex(math.nan, 0.0), complex(1.0, math.nan),
+                                        math.inf, -math.inf], ids=["nan-re", "nan-im", "inf", "-inf"])
+    def test_non_finite_energy_rejected(self, energy):
+        # checked before the resonance test, which would pass NaN on to a
+        # division and take inf for a resonance
+        h0 = np.array([0.0, 1.0])
+        message = re.escape(f"energy is not finite: {complex(energy)}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                free_resolvent_diagonal(h0, energy)
+            with pytest.raises(ValueError, match=message):
+                build_transfer_operator(h0, SparseOperator(2, [(1, 2, 1.0)]), energy)
+
     def test_complex_energy_unlocks_near_level_probe(self):
         h0 = np.array([1.0])
         g0 = free_resolvent_diagonal(h0, 1.0 + 1e-3j)
@@ -512,7 +527,7 @@ class TestKernel:
         # scaled stores its entries in (row, col) order
         assert_same_bits(matvec(scaled, v), python_matvec(11, list(scaled.entries()), v))
         h0 = rng.uniform(-2.0, 2.0, size=11)
-        # products keep each row in the order its terms first reach a column
+        # products store each row by column
         for derived in (matmul(op, op), power(op, 3), SparseOperator.from_dense(op.to_dense()),
                         build_transfer_operator(h0, op, 0.3 + 0.7j)):
             out = matvec(derived, v)
@@ -616,20 +631,17 @@ def storage(rows: dict) -> list:
 def python_product(a_rows: dict, b_rows: dict) -> dict:
     """Reference product of row dicts, a triple loop column by column.
 
-    Rows come in a's storage order and, within a row, columns in the order
-    a's row first reaches them through b's rows.  Each value is summed
-    left to right from 0j over a's row in storage order; exact zeros
-    and rows left empty are dropped.
+    Rows come in a's storage order and, within a row, columns in ascending
+    order.  Each value is summed left to right from 0j over a's row in
+    storage order; exact zeros and rows left empty are dropped.
     """
     out = {}
     for row, mids in a_rows.items():
-        reached = []
+        reached = set()
         for mid in mids:
-            for col in b_rows.get(mid, {}):
-                if col not in reached:
-                    reached.append(col)
+            reached.update(b_rows.get(mid, {}))
         cols = {}
-        for col in reached:
+        for col in sorted(reached):
             value = 0j
             for mid, left in mids.items():
                 right = b_rows.get(mid, {}).get(col)
@@ -675,6 +687,31 @@ class TestStoreRule:
             b = shuffled_operator(rng, dim, 0.5)
             assert storage(stored_rows(matmul(a, b))) == storage(python_product(stored_rows(a), stored_rows(b)))
 
+    def test_products_stored_by_row_and_column(self):
+        # the same product, whatever order its operands were declared in
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            dim = int(rng.integers(2, 12))
+            entries = [list(random_operator(rng, dim, 0.5).entries()) for _ in range(2)]
+            runs = []
+            for _ in range(3):
+                a, b = (SparseOperator(dim, [e[k] for k in rng.permutation(len(e))])
+                        for e in entries)
+                runs.append((matmul(a, b), power(a, 2)))
+            for run in runs:
+                for got, want in zip(run, runs[0]):
+                    npt.assert_array_equal(got._row, want._row)
+                    npt.assert_array_equal(got._col, want._col)
+                    keys = got._row * (dim + 1) + got._col
+                    assert np.all(keys[1:] > keys[:-1])
+
+    def test_product_without_terms_is_zero(self):
+        edge = SparseOperator(3, [(2, 1, 1.0)])
+        product = matmul(edge, edge)
+        assert product == SparseOperator(3)
+        assert product._row.dtype == product._col.dtype == np.intp
+        assert product._row.size == product._col.size == product.nnz == 0
+
     def test_matmul_reference_with_cancellation(self):
         op = diamond_operator(2.0, 4.0, 3.0, -1.5)
         assert python_product(stored_rows(op), stored_rows(op)) == {}
@@ -718,7 +755,7 @@ class TestNormReference:
                 assert operator_norm(op, kind) == python_norm(op, kind)
 
     def test_bitwise_equal_on_products(self):
-        # a product stores each row's columns in first-reached order
+        # a product stores each row by column, a declared operator as declared
         rng = np.random.default_rng(43)
         for _ in range(20):
             dim = int(rng.integers(2, 20))
