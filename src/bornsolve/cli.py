@@ -34,7 +34,7 @@ from .operators import (
     operator_norm,
 )
 from .report import format_complex, format_table, kv_lines
-from .scenarios import classify_interference
+from .scenarios import InterferenceReport, classify_interference
 from .solver import _born_terms, det_i_minus_t, make_system, solve_exact
 from .specfile import SystemSpec, _parse_complex, load_spec, spec_to_operator
 from .truncation import remainder_bound
@@ -61,8 +61,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(tree: dict[str, Any]) -> None:
-    sys.stdout.write("\n".join(kv_lines(tree)) + "\n")
+def _emit(tree: dict[str, Any], table: str = "") -> None:
+    """Write the report, and the --table block after a blank line, in one write."""
+    sys.stdout.write("\n".join(kv_lines(tree)) + "\n" + (table and "\n" + table))
 
 
 def _state_names(labels, dim: int) -> list[str]:
@@ -120,10 +121,7 @@ def _cmd_analyze(args) -> int:
         tree["witness_cycle"] = list(report.witness_cycle)
         tree["det"] = det_i_minus_t(op)
     tree["norm"] = _norm_block(op)
-    _emit(tree)
-    if args.table:
-        print()
-        print(_analysis_table(tree), end="")
+    _emit(tree, _analysis_table(tree) if args.table else "")
     if report.is_acyclic:
         return EXIT_OK
     print(
@@ -227,10 +225,7 @@ def _cmd_solve(args) -> int:
             block["quasi_nilpotent"] = trunc.quasi_nilpotent
             tree["truncation"] = block
 
-    _emit(tree)
-    if args.table:
-        print()
-        print(_solve_table(spec, terms, total), end="")
+    _emit(tree, _solve_table(spec, terms, total) if args.table else "")
     return EXIT_OK
 
 
@@ -270,18 +265,19 @@ def _cmd_classify(args) -> int:
         tree["relative_error_born1"] = "undefined (A4 = 0)"
     else:
         tree["relative_error_born1"] = result.relative_error_born1
-    _emit(tree)
-    if args.table:
-        print()
-        rows = [
-            [" -> ".join(str(v) for v in p.vertices), format_complex(p.weight)]
-            for p in result.path_contributions
-        ]
-        rows.append(["coherent sum (exact A4)", format_complex(result.a4)])
-        rows.append(["first-order prediction", format_complex(result.a4_born1)])
-        rows.append(["regime", result.regime])
-        print(format_table(["route", "amplitude"], rows), end="")
+    _emit(tree, _classify_table(result) if args.table else "")
     return EXIT_OK
+
+
+def _classify_table(result: InterferenceReport) -> str:
+    rows = [
+        [" -> ".join(str(v) for v in p.vertices), format_complex(p.weight)]
+        for p in result.path_contributions
+    ]
+    rows.append(["coherent sum (exact A4)", format_complex(result.a4)])
+    rows.append(["first-order prediction", format_complex(result.a4_born1)])
+    rows.append(["regime", result.regime])
+    return format_table(["route", "amplitude"], rows)
 
 
 def _cmd_bench(args) -> int:
@@ -299,10 +295,7 @@ def _cmd_bench(args) -> int:
         "speedup": result.speedup,
         "agreement": result.agreement,
     }
-    _emit(tree)
-    if args.table:
-        print()
-        print(_bench_table(result), end="")
+    _emit(tree, _bench_table(result) if args.table else "")
     return EXIT_OK
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
 
 import numpy as np
 
@@ -39,19 +38,19 @@ def analyze_acyclicity(op: SparseOperator) -> AcyclicityReport:
     """Classify the operator's transition graph as acyclic or exhibit a directed cycle.
 
     Kahn's algorithm by levels over a by-source index of the stored
-    entries: level 0 holds the sources, and a vertex joins level k + 1
-    once its last predecessor has joined level k, so its level is
-    1 + its predecessors' largest level.  Depth is the largest level and
-    the order is by (level, label).  Vertices never reached lie on or
-    behind a cycle; walking from the smallest of them to its smallest
-    unreached predecessor, again and again, closes one, which is
-    returned in edge direction from its smallest label.
+    entries.  Each vertex first waits for its in-degree, the count of
+    its stored row, in predecessors.  Level 0 holds the sources, and a
+    vertex joins level k + 1 once its last predecessor has joined level
+    k, so its level is 1 + its predecessors' largest level.  Depth is
+    the largest level and the order is by (level, label).  Vertices
+    never reached lie on or behind a cycle; walking from the smallest of
+    them to its smallest unreached predecessor, again and again, closes
+    one, which is returned in edge direction from its smallest label.
     """
     n = op.dim
     targets = op._row[op._col.argsort()].tolist()  # grouped by source
     start = list(accumulate(np.bincount(op._col, minlength=n + 1).tolist()))
-    ptr = op._row_ptr().tolist()
-    waiting = [0, *map(sub, ptr[1:], ptr[:-1])]  # unplaced predecessors of each vertex
+    waiting = np.bincount(op._row, minlength=n + 1).tolist()  # unplaced predecessors
     level = [v for v in range(1, n + 1) if not waiting[v]]
     order: list[int] = []
     depth = -1
@@ -67,15 +66,16 @@ def analyze_acyclicity(op: SparseOperator) -> AcyclicityReport:
         level = sorted(reached)
     if len(order) == n:
         return AcyclicityReport(is_acyclic=True, topological_order=tuple(order), depth=depth)
-    return AcyclicityReport(is_acyclic=False, witness_cycle=_witness_cycle(op, ptr, waiting))
+    return AcyclicityReport(is_acyclic=False, witness_cycle=_witness_cycle(op, waiting))
 
 
-def _witness_cycle(op: SparseOperator, ptr: list[int], waiting: list[int]) -> tuple[int, ...]:
+def _witness_cycle(op: SparseOperator, waiting: list[int]) -> tuple[int, ...]:
     """A directed cycle among the vertices Kahn's algorithm left with waiting predecessors.
 
     Each of them has such a predecessor itself, so the walk to the
     smallest one must come back to a vertex it has seen.
     """
+    ptr = op._row_ptr().tolist()
     sources = op._col.tolist()
     v = next(u for u, count in enumerate(waiting) if count)
     trail = [v]

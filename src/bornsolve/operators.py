@@ -30,11 +30,9 @@ Products and norms work on whole arrays with Python's roundings: a
 complex product is formed from four float products as Python forms it
 (_products), moduli come from hypot as Python's abs does, and bincount
 adds the terms of each bin in index order from 0.0, as a left-to-right
-loop does (_bin_sums); _apply and matmul share both.  The first time it
-is needed, an operator derives its row pointer (row j's entries sit at
-ptr[j - 1]:ptr[j]) from the store and caches it in the _ptr slot, its
-only derived array; the cache plays no part in equality, and since the
-stored arrays are never mutated it cannot go stale.
+loop does (_bin_sums); _apply and matmul share both.  An operator
+holds its three stored arrays and nothing derived from them; a caller
+that walks rows derives the row pointer once per call (_row_ptr).
 """
 
 from __future__ import annotations
@@ -98,10 +96,9 @@ def _store(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
 
 
 def _fill(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
-    """Fill op's slots with arrays that satisfy the store rule; _ptr is derived on first use."""
+    """Fill op's slots with arrays that satisfy the store rule."""
     op.dim = dim
     op._row, op._col, op._amp = row, col, amp
-    op._ptr = None
     return op
 
 
@@ -201,7 +198,7 @@ class SparseOperator:
     method mutates an instance; arithmetic returns new operators.
     """
 
-    __slots__ = ("dim", "_ptr", "_row", "_col", "_amp")
+    __slots__ = ("dim", "_row", "_col", "_amp")
 
     def __init__(self, dim: int, entries: Iterable[Entry] = ()):
         dim = _size(dim, "dimension")
@@ -241,9 +238,9 @@ class SparseOperator:
 
     def entry(self, row: int, col: int) -> complex:
         """Stored amplitude at (row, col); structural zeros come back as 0."""
+        row = index(row)  # searchsorted would place 1.5 in row 2
         if 1 <= row <= self.dim:
-            ptr = self._row_ptr()
-            lo, hi = ptr[row - 1], ptr[row]
+            lo, hi = np.searchsorted(self._row, (row, row + 1))
             hit = np.flatnonzero(self._col[lo:hi] == col)
             if hit.size:
                 return complex(self._amp[lo + hit[0]])
@@ -256,10 +253,8 @@ class SparseOperator:
                    self._amp[order].tolist())
 
     def _row_ptr(self) -> np.ndarray:
-        """Row pointer, derived on first use: row j's entries sit at ptr[j - 1]:ptr[j]."""
-        if self._ptr is None:
-            self._ptr = np.add.accumulate(np.bincount(self._row, minlength=self.dim + 1))
-        return self._ptr
+        """Row pointer, derived anew on each call: row j's entries sit at ptr[j - 1]:ptr[j]."""
+        return np.add.accumulate(np.bincount(self._row, minlength=self.dim + 1))
 
     def _sorted(self) -> np.ndarray:
         """Positions of the stored entries in (row, col) order."""
@@ -370,14 +365,15 @@ def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
 def power(op: SparseOperator, k: int) -> SparseOperator:
     """k-th operator power, k >= 0.
 
-    Multiplies sequentially, reusing the previous power each step; once a
-    power comes out structurally zero all higher ones are too, so the
-    loop stops early.
+    The identity for k = 0; otherwise op, multiplied by op k - 1 times,
+    so power(op, 1) is op and power(op, 2) is matmul(op, op), bit for
+    bit.  Each step reuses the previous power; once a power comes out
+    structurally zero all higher ones are too, so the loop stops early.
     """
     if k < 0:
         raise ValueError(f"power needs k >= 0, got {k}")
-    out = SparseOperator.identity(op.dim)
-    for _ in range(k):
+    out = op if k else SparseOperator.identity(op.dim)
+    for _ in range(k - 1):
         if out.is_zero():
             break
         out = matmul(out, op)

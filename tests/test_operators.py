@@ -186,6 +186,33 @@ class TestMatvec:
             matvec(SparseOperator.identity(3), np.zeros(4))
 
 
+class TestEntry:
+    def test_matches_dense_on_and_beyond_the_basis(self):
+        # rows and columns 0 and dim + 1 lie outside 1..dim and read as 0
+        rng = np.random.default_rng(41)
+        ops = [SparseOperator(1), SparseOperator.identity(3)]
+        for dim in range(1, 12):
+            middle = (dim + 1) // 2
+            declared = SparseOperator(dim, wide_entries(rng, dim, 0.6, empty_rows=(1, middle, dim)))
+            full = SparseOperator(dim, wide_entries(rng, dim, 0.6))
+            ops += [declared, full, matmul(full, declared), power(full, 3)]
+        for op in ops:
+            n = op.dim
+            want = np.zeros((n + 2, n + 2), dtype=complex)
+            want[1:-1, 1:-1] = op.to_dense()
+            labels = range(n + 2)
+            got = np.array([[op.entry(row, col) for col in labels] for row in labels])
+            assert_same_bits(got, want)
+            got = np.array([[op.entry(np.intp(row), col) for col in labels] for row in labels])
+            assert_same_bits(got, want)
+
+    def test_rejects_a_non_integral_row(self):
+        op = SparseOperator(2, [(2, 1, 1.0)])
+        for row in (1.5, 2.0, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                op.entry(row, 1)
+
+
 class TestMatmul:
     def test_cascade_second_power(self):
         # squaring the 3-level chain leaves a single two-step amplitude
@@ -722,10 +749,24 @@ class TestStoreRule:
         for _ in range(15):
             dim = int(rng.integers(1, 9))
             op = shuffled_operator(rng, dim, 0.4)
-            want = {k: {k: 1 + 0j} for k in range(1, dim + 1)}
-            for k in range(6):
+            identity = {k: {k: 1 + 0j} for k in range(1, dim + 1)}
+            assert storage(stored_rows(power(op, 0))) == storage(identity)
+            want = stored_rows(op)
+            for k in range(1, 6):
                 assert storage(stored_rows(power(op, k))) == storage(want)
                 want = python_product(want, stored_rows(op))
+
+    def test_power_multiplies_from_the_operand(self):
+        # power(T, 1) is T as declared and power(T, 2) is matmul(T, T), bit
+        # for bit: no identity product re-sorts T's rows or re-rounds a term
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            dim = int(rng.integers(1, 30))
+            op = shuffled_operator(rng, dim, float(rng.uniform(0.1, 0.7)))
+            for got, want in ((power(op, 1), op), (power(op, 2), matmul(op, op))):
+                npt.assert_array_equal(got._row, want._row)
+                npt.assert_array_equal(got._col, want._col)
+                assert_same_bits(got._amp, want._amp)
 
 
 def python_norm(op: SparseOperator, kind: str) -> float:
