@@ -6,7 +6,9 @@ graph's edge list, grouped by target, and no separate graph is built.  An
 acyclic transition graph certifies that the operator is nilpotent with
 index depth + 1, where depth is the longest directed-path length; that
 certificate is structural and involves no floating-point test.
-Topological orders are by level, so by the pattern alone.
+Topological orders are by level, so by the pattern alone.  On a cyclic
+graph, the strongly connected components in sources-first order
+(_strong_components) order the truncation remainder's block solve.
 """
 
 from __future__ import annotations
@@ -90,3 +92,60 @@ def _witness_cycle(op: SparseOperator, waiting: list[int]) -> tuple[int, ...]:
     cycle = (v, *reversed(trail[seen[v] + 1:]))
     first = cycle.index(min(cycle))
     return cycle[first:] + cycle[:first]
+
+
+def _strong_components(op: SparseOperator) -> list[list[int]]:
+    """The strongly connected components of the transition graph, sources first.
+
+    Tarjan's algorithm (1972), iterative.  It walks each vertex's stored
+    row, so from a state to its predecessors, and completes a component
+    only after every component upstream of it: the list comes out in
+    topological order of the components, every edge between two of them
+    from an earlier one to a later one.  Each component lists its states
+    ascending.
+    """
+    ptr = op._row_ptr().tolist()
+    sources = op._col.tolist()
+    found = [0] * (op.dim + 1)  # discovery number, 0 for a vertex not yet reached
+    low = [0] * (op.dim + 1)
+    on_stack = [False] * (op.dim + 1)  # in a component not yet complete
+    stack: list[int] = []
+    components: list[list[int]] = []
+    count = 0
+    for root in range(1, op.dim + 1):
+        if found[root]:
+            continue
+        count += 1
+        found[root] = low[root] = count
+        stack.append(root)
+        on_stack[root] = True
+        walk = [(root, ptr[root - 1])]
+        while walk:
+            v, k = walk[-1]
+            while k < ptr[v]:
+                u = sources[k]
+                k += 1
+                if not found[u]:
+                    walk[-1] = (v, k)
+                    count += 1
+                    found[u] = low[u] = count
+                    stack.append(u)
+                    on_stack[u] = True
+                    walk.append((u, ptr[u - 1]))
+                    break
+                if on_stack[u] and found[u] < low[v]:
+                    low[v] = found[u]
+            else:
+                walk.pop()
+                if walk and low[v] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[v]
+                if low[v] == found[v]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    component = stack[at:]
+                    del stack[at:]
+                    for u in component:
+                        on_stack[u] = False
+                    components.append(sorted(component))
+    return components

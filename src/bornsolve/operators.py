@@ -30,9 +30,13 @@ Products and norms work on whole arrays with Python's roundings: a
 complex product is formed from four float products as Python forms it
 (_products), moduli come from hypot as Python's abs does, and bincount
 adds the terms of each bin in index order from 0.0, as a left-to-right
-loop does (_bin_sums); _apply and matmul share both.  An operator
-holds its three stored arrays and nothing derived from them; a caller
-that walks rows derives the row pointer once per call (_row_ptr).
+loop does (_bin_sums); _apply and matmul share both.  matmul's bins are
+all (dim + 1)^2 flat keys of a dense enough product, else the distinct
+keys; each bin adds the same terms in the same order either way.  Sums
+in (row, col) order (_sorted) skip the lexsort when the entries are
+stored so, as products are.  An operator holds its three stored arrays
+and nothing derived from them; a caller that walks rows derives the
+row pointer once per call (_row_ptr).
 """
 
 from __future__ import annotations
@@ -55,6 +59,13 @@ NORM_KINDS = ("inf", "one", "fro")
 # the whole-array checks cost a fixed 40 us or so, the loop about 0.8 us a
 # record, and the two break even near 48 records (2-core Xeon VM).
 _LOOP_RECORDS = 48
+
+# matmul sums its terms in one bin per flat key row * (dim + 1) + col,
+# with no sort, when there are at most this many keys a term; else in one
+# bin per distinct key, which np.unique sorts out.  The flat bins won at up
+# to 3.7 keys a term and lost from 4.2 on (random products, dim 10-600,
+# 2-core Xeon VM; BENCH_truncation_floor.json).
+_FLAT_BINS = 3
 
 Entry = tuple[int, int, complex]
 
@@ -237,9 +248,13 @@ class SparseOperator:
         return self._amp.size
 
     def entry(self, row: int, col: int) -> complex:
-        """Stored amplitude at (row, col); structural zeros come back as 0."""
-        row = index(row)  # searchsorted would place 1.5 in row 2
-        if 1 <= row <= self.dim:
+        """Stored amplitude at (row, col); structural zeros come back as 0.
+
+        TypeError for a non-integral label; a label outside 1..dim reads 0.
+        """
+        # searchsorted would place row 1.5 in row 2, and == would match column 1.0
+        row, col = index(row), index(col)
+        if 1 <= row <= self.dim and 1 <= col <= self.dim:
             lo, hi = np.searchsorted(self._row, (row, row + 1))
             hit = np.flatnonzero(self._col[lo:hi] == col)
             if hit.size:
@@ -256,9 +271,17 @@ class SparseOperator:
         """Row pointer, derived anew on each call: row j's entries sit at ptr[j - 1]:ptr[j]."""
         return np.add.accumulate(np.bincount(self._row, minlength=self.dim + 1))
 
-    def _sorted(self) -> np.ndarray:
-        """Positions of the stored entries in (row, col) order."""
-        return np.lexsort((self._col, self._row))
+    def _sorted(self) -> np.ndarray | slice:
+        """Index of the stored entries in (row, col) order; all of them as stored if already so.
+
+        Rows never descend in storage order, so the entries are sorted
+        when each one starts a new row or has a larger column than the one
+        before; products are stored so, and skip the lexsort.
+        """
+        row, col = self._row, self._col
+        if np.all((row[1:] > row[:-1]) | (col[1:] > col[:-1])):
+            return slice(None)
+        return np.lexsort((col, row))
 
     def index_set(self) -> set[tuple[int, int]]:
         return set(zip(self._row.tolist(), self._col.tolist()))
@@ -345,7 +368,11 @@ def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
 
     Every term a[row, mid] b[mid, col] is formed by _products, a's
     entries in storage order and each followed through b's row mid in
-    storage order.  An output entry sums its terms in that order from 0.
+    storage order.  An output entry sums its terms in that order from 0,
+    in a bin of its own: one of all (dim + 1)^2 flat keys, whose hit
+    counts give the stored keys in order, when that is at most _FLAT_BINS
+    keys a term; else one of the distinct keys, from np.unique.  The two
+    give the same bits.
     """
     if a.dim != b.dim:
         raise DimensionError(f"cannot multiply dimension {a.dim} by {b.dim}")
@@ -355,10 +382,15 @@ def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     left = np.repeat(np.arange(a.nnz), count)
     right = np.arange(left.size) + np.repeat(start - (np.cumsum(count) - count), count)
     width = a.dim + 1
-    keys, slot = np.unique(a._row[left] * width + b._col[right], return_inverse=True)
+    flat = a._row[left] * width + b._col[right]
     with np.errstate(over="ignore", invalid="ignore"):  # _store rejects what overflowed
         products = _products(a._amp[left], b._amp[right])
-    out = _bin_sums(slot, *products, keys.size)
+    if width * width <= _FLAT_BINS * flat.size:
+        keys = np.flatnonzero(np.bincount(flat, minlength=width * width) != 0)
+        out = _bin_sums(flat, *products, width * width)[keys]
+    else:
+        keys, slot = np.unique(flat, return_inverse=True)
+        out = _bin_sums(slot, *products, keys.size)
     return SparseOperator._from_arrays(a.dim, keys // width, keys % width, out)
 
 

@@ -2,25 +2,34 @@
 
 A cyclic transition graph leaves a residual beyond every finite
 truncation order.  The residual after order m is (I - T)^(-1) T^(m+1) phi
-whenever I - T is invertible; it is reported exactly through the dense LU
-route and bounded in norm by the geometric estimate when ||T|| < 1.
+whenever I - T is invertible; it is bounded in norm by the geometric
+estimate when ||T|| < 1, and reported exactly by a forward substitution
+over the strongly connected components of T: single states take a row
+dot, and only a block of several states takes a dense solve.  An
+acyclic T, every component a single state with no loop, keeps the dense
+LU route, so the remainders printed for it keep their bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
+from .errors import SingularError
+from .graph import _strong_components
 from .operators import (
     SparseOperator,
+    _bin_sums,
+    _products,
     as_state_vector,
     matvec,
     operator_norm,
     power,
     vector_norm,
 )
-from .solver import direct_solve_oracle
+from .solver import SINGULAR_DET_THRESHOLD, direct_solve_oracle
 
 # Reporting convention only, nothing derived: a defect at or below this
 # counts as "quasi-nilpotent" in reports.
@@ -60,8 +69,8 @@ def exact_remainder(operator: SparseOperator, phi, m: int) -> np.ndarray:
     """Exact residual (I - T)^(-1) T^(m+1) phi of the order-m truncation.
 
     The power is formed sparsely first, so a structurally vanishing
-    power gives an exactly zero remainder with no solve involved; the
-    general case goes through the dense LU route.
+    power gives an exactly zero remainder with no solve involved; see
+    _remainder for the general case.
     """
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
@@ -69,10 +78,83 @@ def exact_remainder(operator: SparseOperator, phi, m: int) -> np.ndarray:
 
 
 def _remainder(operator: SparseOperator, v: np.ndarray, tail: SparseOperator) -> np.ndarray:
-    """(I - T)^(-1) tail v for an already formed tail = T^(m+1); zero if the tail is."""
+    """(I - T)^(-1) tail v for an already formed tail = T^(m+1); zero if the tail is.
+
+    A cyclic T takes _block_solve.  An acyclic T (its tail is not zero
+    below its depth) keeps direct_solve_oracle, whose last bits its
+    printed remainders record.
+    """
     if tail.is_zero():
         return np.zeros(operator.dim, dtype=complex)
-    return direct_solve_oracle(operator, matvec(tail, v))
+    components = _strong_components(operator)
+    if len(components) == operator.dim and not np.count_nonzero(operator._row == operator._col):
+        return direct_solve_oracle(operator, matvec(tail, v))
+    return _block_solve(operator, components, matvec(tail, v))
+
+
+def _block_solve(op: SparseOperator, components: list[list[int]], x: np.ndarray) -> np.ndarray:
+    """Overwrite x with (I - T)^(-1) x, by forward substitution over T's components.
+
+    With its strongly connected components in sources-first order,
+    I - T is block lower triangular (Duff & Reid 1978).  A single state
+    takes its row's dot with finished states, divided by 1 - T[j, j] if
+    it has a self-loop; a block of several states adds its inflow from
+    finished states, then takes one dense solve of its own rows, in
+    label order.  det(I - T) is the product of the blocks' determinants;
+    before any division, SingularError is raised as direct_solve_oracle
+    raises it, when |det| is at or below SINGULAR_DET_THRESHOLD.
+    components are T's, sources first (graph._strong_components).
+    """
+    row, col, amp = op._row, op._col, op._amp
+    sizes = np.array([len(states) for states in components])
+    labels = np.fromiter(chain.from_iterable(components), dtype=np.intp, count=op.dim)
+    of = np.empty(op.dim + 1, dtype=np.intp)  # each state's component ...
+    of[labels] = np.repeat(np.arange(sizes.size), sizes)
+    at = np.empty(op.dim + 1, dtype=np.intp)  # ... and its place in it
+    at[labels] = np.arange(op.dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    inner = of[row] == of[col]
+    # entries grouped by their row's component, in storage order within it
+    grouped = np.argsort(of[row], kind="stable")
+    bounds = list(accumulate(np.bincount(of[row], minlength=sizes.size).tolist(), initial=0))
+    loops = np.flatnonzero((row == col) & (sizes[of[row]] == 1))
+    pivots = 1.0 - amp[loops]
+    with np.errstate(divide="ignore"):  # an exact zero pivot has log|det| = -inf
+        log_det = float(np.log(np.abs(pivots)).sum())
+    pivot = dict(zip(row[loops].tolist(), pivots.tolist()))
+    blocks = {}
+    for k, states in enumerate(components):
+        if len(states) > 1:
+            e = grouped[bounds[k]:bounds[k + 1]]
+            own = e[inner[e]]
+            block = np.eye(len(states), dtype=complex)  # np.eye - to_dense(), as the oracle's
+            block[at[row[own]], at[col[own]]] -= amp[own]
+            log_det += np.linalg.slogdet(block)[1]
+            blocks[k] = block, e[~inner[e]]
+    if log_det <= np.log(SINGULAR_DET_THRESHOLD):
+        raise SingularError(
+            f"I - T is numerically singular "
+            f"(|det| {np.exp(log_det):.3e}, at or below {SINGULAR_DET_THRESHOLD:.0e})"
+        )
+    ptr = op._row_ptr().tolist()
+    source = col - 1
+    for k, states in enumerate(components):
+        if k in blocks:
+            block, e = blocks[k]
+            rows = np.array(states) - 1
+            rhs = x[rows]
+            if e.size:
+                rhs += _bin_sums(at[row[e]], *_products(amp[e], x[source[e]]), rows.size)
+            x[rows] = np.linalg.solve(block, rhs)
+            continue
+        j = states[0]
+        lo, hi = ptr[j - 1], ptr[j]
+        if j in pivot:
+            b = x[j - 1]
+            x[j - 1] = 0.0  # so the self-loop adds nothing to the dot
+            x[j - 1] = (b + amp[lo:hi] @ x[source[lo:hi]]) / pivot[j]
+        elif lo < hi:
+            x[j - 1] += amp[lo:hi] @ x[source[lo:hi]]
+    return x
 
 
 def remainder_bound(

@@ -7,8 +7,16 @@ reproduce; no test draws from global random state.
 from __future__ import annotations
 
 import numpy as np
+import numpy.testing as npt
+from hypothesis import strategies as st
 
 from bornsolve.operators import SparseOperator, operator_norm
+
+
+def assert_same_bits(got, want) -> None:
+    """Equal values and equal signs, so -0.0 and 0.0 count as different."""
+    npt.assert_array_equal(got, want)
+    npt.assert_array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 def random_phase(rng) -> complex:
@@ -67,3 +75,37 @@ def backward_error(op: SparseOperator, phi, psi) -> float:
     residual = float(np.abs(psi - t @ psi - phi).max())
     scale = float(np.abs(t).max() * np.abs(psi).max() + np.abs(phi).max())
     return residual / scale if scale > 0.0 else residual
+
+
+@st.composite
+def planted_blocks(draw, max_blocks: int = 6, max_size: int = 4):
+    """(dim, entries, blocks): a transition graph with planted strongly connected blocks.
+
+    Labels are shuffled.  A block of several states carries a cycle
+    through all of them and some further edges among them; any state may
+    have a self-loop; edges between blocks run only from an earlier block
+    to a later one.  So the blocks, listed sources first, are the graph's
+    strongly connected components.  Entries are (row, col, amplitude)
+    with moduli in [0.25, 1].
+    """
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=1, max_size=max_blocks))
+    dim = sum(sizes)
+    labels = draw(st.permutations(range(1, dim + 1)))
+    starts = np.cumsum([0, *sizes]).tolist()
+    blocks = [labels[a:b] for a, b in zip(starts, starts[1:])]
+    edges = []
+    for block in blocks:
+        if len(block) > 1:
+            cycle = list(zip(block, block[1:] + block[:1]))
+            others = [(i, j) for i in block for j in block if i != j and (i, j) not in cycle]
+            edges += cycle + draw(st.lists(st.sampled_from(others), unique=True,
+                                           max_size=len(block)) if others else st.just([]))
+    edges += [(v, v) for v in draw(st.lists(st.sampled_from(labels), unique=True, max_size=3))]
+    downstream = [(i, j) for p, early in enumerate(blocks) for late in blocks[p + 1:]
+                  for i in early for j in late]
+    if downstream:
+        edges += draw(st.lists(st.sampled_from(downstream), unique=True, max_size=2 * dim))
+    amplitude = st.complex_numbers(min_magnitude=0.25, max_magnitude=1.0,
+                                   allow_nan=False, allow_infinity=False)
+    entries = [(j, i, draw(amplitude)) for i, j in edges]
+    return dim, entries, [sorted(block) for block in blocks]

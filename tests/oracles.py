@@ -3,8 +3,8 @@
 The library certifies an operator straight from its stored rows
 (bornsolve.graph.analyze_acyclicity).  The oracles here reach the same
 quantities another way, from explicit edge lists: walk enumeration with
-weights and the recursive path sum that the matrix powers are checked
-against.  The walks share no machinery with the operator arithmetic, and
+weights, the recursive path sum that the matrix powers are checked
+against, and strongly connected components by mutual reachability.  The walks share no machinery with the operator arithmetic, and
 nothing in the library imports this module.
 
 An edge i -> j is the operator entry (row j, col i).  Every graph carries
@@ -218,3 +218,20 @@ def path_sum_entry(graph: TransitionGraph, start: int, end: int, k: int) -> comp
             graph, succ, end, k - 1
         )
     return total
+
+
+def mutually_reachable_classes(graph: TransitionGraph) -> set[frozenset[int]]:
+    """Strongly connected components by brute force: i and j share one when each reaches the other.
+
+    Reachability is Warshall's transitive closure over the edge set, with
+    every vertex reaching itself; it shares nothing with Tarjan's walk.
+    """
+    vertices = range(1, graph.num_vertices + 1)
+    reach = {v: {v} for v in vertices}
+    for i, j in graph.edges():
+        reach[i].add(j)
+    for k in vertices:
+        for v in vertices:
+            if k in reach[v]:
+                reach[v] |= reach[k]
+    return {frozenset(u for u in reach[v] if v in reach[u]) for v in vertices}

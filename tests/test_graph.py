@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
 
-from bornsolve.graph import analyze_acyclicity
+from bornsolve.graph import _strong_components, analyze_acyclicity
 from bornsolve.operators import SparseOperator, power
 from bornsolve.scenarios import WeightedPath
-from conftest import random_dag, random_operator
+from conftest import planted_blocks, random_dag, random_operator
 from oracles import (
     TooManyPathsError,
     TransitionGraph,
@@ -17,6 +18,7 @@ from oracles import (
     enumerate_paths,
     extract_graph,
     longest_path_levels,
+    mutually_reachable_classes,
     path_sum_entry,
 )
 
@@ -281,6 +283,65 @@ class TestAcyclicity:
         report = analyze_acyclicity(g.operator)
         assert report.is_acyclic
         assert report.depth == n - 1
+
+
+def assert_sources_first(graph, components):
+    """Every edge stays inside its component or runs to a later one."""
+    position = {v: k for k, states in enumerate(components) for v in states}
+    for i, j in graph.edges():
+        assert position[i] <= position[j]
+
+
+class TestStrongComponents:
+    def test_blocks_behind_a_source(self):
+        g = TransitionGraph(5, [(1, 2), (2, 1), (2, 3), (3, 4), (4, 3), (5, 1)])
+        assert _strong_components(g.operator) == [[5], [1, 2], [3, 4]]
+
+    def test_self_loop_is_a_single_state(self):
+        g = TransitionGraph(3, [(1, 2), (2, 2), (2, 3)])
+        assert _strong_components(g.operator) == [[1], [2], [3]]
+
+    def test_partition_and_order_match_brute_force(self):
+        # random patterns, declared in shuffled order
+        rng = np.random.default_rng(61)
+        seen_blocks = 0
+        for _ in range(200):
+            dim = int(rng.integers(1, 20))
+            entries = list(random_operator(rng, dim, float(rng.uniform(0.02, 0.4))).entries())
+            op = SparseOperator(dim, [entries[k] for k in rng.permutation(len(entries))])
+            g = extract_graph(op)
+            components = _strong_components(op)
+            assert {frozenset(states) for states in components} == mutually_reachable_classes(g)
+            assert len(components) == len(mutually_reachable_classes(g))
+            assert all(states == sorted(states) for states in components)
+            assert_sources_first(g, components)
+            seen_blocks += any(len(states) > 1 for states in components)
+        assert seen_blocks > 80
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(planted_blocks())
+    def test_planted_blocks_are_found_sources_first(self, case):
+        # blocks downstream of blocks, self-loops, and single states between
+        dim, entries, blocks = case
+        g = TransitionGraph(dim, [(i, j, amp) for j, i, amp in entries])
+        components = _strong_components(g.operator)
+        assert {frozenset(states) for states in components} == mutually_reachable_classes(g)
+        assert sorted(components) == sorted(blocks)
+        assert_sources_first(g, components)
+
+    def test_dag_components_are_a_topological_order(self):
+        rng = np.random.default_rng(67)
+        for _ in range(30):
+            dim = int(rng.integers(1, 15))
+            g = extract_graph(random_dag(rng, dim))
+            components = _strong_components(g.operator)
+            assert all(len(states) == 1 for states in components)
+            assert_valid_topological_order(g, [v for (v,) in components])
+
+    def test_long_cycle_does_not_hit_recursion_limit(self):
+        n = 5000
+        g = TransitionGraph(n + 1, [(k, k + 1) for k in range(1, n)] + [(n, 1), (n, n + 1)])
+        assert _strong_components(g.operator) == [list(range(1, n + 1)), [n + 1]]
 
 
 class TestEnumeration:

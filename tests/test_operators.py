@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bornsolve import operators
 from bornsolve.errors import DimensionError, ResonanceError
 from bornsolve.graph import analyze_acyclicity
 from bornsolve.operators import (
@@ -26,10 +28,11 @@ from bornsolve.operators import (
     operator_norm,
     power,
     vector_norm,
+    _FLAT_BINS,
     _LOOP_RECORDS,
     _loop_records,
 )
-from conftest import random_dag, random_operator, random_state
+from conftest import assert_same_bits, random_dag, random_operator, random_state
 
 RTOL = 1e-12
 ATOL = 1e-13
@@ -211,6 +214,13 @@ class TestEntry:
         for row in (1.5, 2.0, np.float64(2.0)):
             with pytest.raises(TypeError):
                 op.entry(row, 1)
+
+    def test_rejects_a_non_integral_column(self):
+        # == would match column 1.0 to the stored 1, and miss 1.5
+        op = SparseOperator(2, [(2, 1, 1.0)])
+        for col in (1.0, 1.5, np.float64(1.0)):
+            with pytest.raises(TypeError):
+                op.entry(2, col)
 
 
 class TestMatmul:
@@ -460,12 +470,6 @@ def python_matvec(dim, entries, v) -> np.ndarray:
     for row, col, amp in entries:
         out[row - 1] += complex(amp) * complex(v[col - 1])
     return np.array(out, dtype=complex)
-
-
-def assert_same_bits(got, want) -> None:
-    """Equal values and equal signs, so -0.0 and 0.0 count as different."""
-    npt.assert_array_equal(got, want)
-    npt.assert_array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 def wide_entries(rng, dim, density, empty_rows=()):
@@ -767,6 +771,127 @@ class TestStoreRule:
                 npt.assert_array_equal(got._row, want._row)
                 npt.assert_array_equal(got._col, want._col)
                 assert_same_bits(got._amp, want._amp)
+
+
+def flat_binned(a: SparseOperator, b: SparseOperator) -> bool:
+    """Whether matmul(a, b) sums its terms in flat bins rather than by np.unique."""
+    ptr = b._row_ptr()
+    terms = int((ptr[a._col] - ptr[a._col - 1]).sum())
+    return (a.dim + 1) ** 2 <= _FLAT_BINS * terms
+
+
+class TestBinningPaths:
+    """matmul's two ways of grouping terms store the same bits."""
+
+    @staticmethod
+    def both_paths(monkeypatch, a, b):
+        products = []
+        for ratio in (0, 10**18):  # np.unique for every product, then flat bins for all with terms
+            with monkeypatch.context() as patch:
+                patch.setattr(operators, "_FLAT_BINS", ratio)
+                products.append(matmul(a, b))
+        return products
+
+    def assert_same_store(self, monkeypatch, a, b):
+        by_sort, by_bins = self.both_paths(monkeypatch, a, b)
+        for got in (by_sort, by_bins):
+            assert got._row.dtype == got._col.dtype == np.intp
+        npt.assert_array_equal(by_bins._row, by_sort._row)
+        npt.assert_array_equal(by_bins._col, by_sort._col)
+        assert_same_bits(by_bins._amp, by_sort._amp)
+        natural = matmul(a, b)
+        assert_same_bits(natural._amp, by_sort._amp)
+
+    def test_random_products_on_both_sides_of_the_switch(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        sides = set()
+        for _ in range(150):
+            dim = int(rng.integers(1, 30))
+            density = float(rng.uniform(0.02, 0.9))
+            a = SparseOperator(dim, wide_entries(rng, dim, density))
+            b = SparseOperator(dim, wide_entries(rng, dim, density))
+            sides.add(flat_binned(a, b))
+            self.assert_same_store(monkeypatch, a, b)
+        assert sides == {False, True}
+
+    def test_edge_cases(self, monkeypatch):
+        edge = SparseOperator(3, [(2, 1, 1.0)])
+        cancel = diamond_operator(2.0, 4.0, 3.0, -1.5)  # its square sums to exact zeros
+        signed = SparseOperator(2, [(1, 1, complex(-0.0, 1.0)), (1, 2, complex(1.0, -0.0)),
+                                    (2, 1, complex(1e-300, -0.0)), (2, 2, -1.0)])
+        one = SparseOperator(1, [(1, 1, complex(-0.0, 2.0))])
+        for a, b in ((edge, edge), (cancel, cancel), (signed, signed), (one, one),
+                     (SparseOperator(1), one), (SparseOperator.identity(4), cancel)):
+            self.assert_same_store(monkeypatch, a, b)
+        by_sort, by_bins = self.both_paths(monkeypatch, cancel, cancel)
+        assert by_sort.is_zero() and by_bins.is_zero()
+
+    def test_overflow_names_the_same_entry(self, monkeypatch):
+        a = SparseOperator(2, [(1, 1, 1e200), (1, 2, -1e200)])
+        b = SparseOperator(2, [(1, 1, 1e200 + 1j), (2, 1, 1e200 + 1j)])
+        for ratio in (0, 10**18):
+            monkeypatch.setattr(operators, "_FLAT_BINS", ratio)
+            with pytest.raises(ValueError, match=r"entry \(1, 1\) is not finite"):
+                matmul(a, b)
+
+    def test_sparse_products_allocate_no_flat_bins(self):
+        # dim 2000 and a few thousand terms: (dim + 1)^2 bins would take 32 MB
+        rng = np.random.default_rng(53)
+        dim = 2000
+        cells = rng.choice(dim * dim, size=3000, replace=False)
+        op = SparseOperator(dim, list(zip((cells // dim + 1).tolist(), (cells % dim + 1).tolist(),
+                                          rng.standard_normal(3000).tolist())))
+        assert not flat_binned(op, op)
+        tracemalloc.start()
+        try:
+            product = matmul(op, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert product.nnz > 0
+        assert peak < (dim + 1) ** 2  # bytes: an eighth of one array of the bins
+
+
+def lexsorted(op: SparseOperator) -> np.ndarray:
+    return np.lexsort((op._col, op._row))
+
+
+class TestSortedOrder:
+    """The stored entries in (row, col) order, skipping the lexsort where they already are."""
+
+    def operators(self, rng):
+        for _ in range(40):
+            dim = int(rng.integers(1, 20))
+            declared = SparseOperator(dim, wide_entries(rng, dim, float(rng.uniform(0.1, 0.8))))
+            yield declared
+            yield matmul(declared, declared)
+
+    def test_order_equals_the_lexsort(self):
+        rng = np.random.default_rng(59)
+        taken = set()
+        for op in self.operators(rng):
+            order = op._sorted()
+            taken.add(isinstance(order, slice))
+            npt.assert_array_equal(np.arange(op.nnz)[order], lexsorted(op))
+            if isinstance(order, np.ndarray):
+                assert order.dtype == np.intp
+        assert taken == {False, True}
+
+    def test_norms_entries_and_equality_as_with_the_lexsort(self):
+        rng = np.random.default_rng(61)
+        for op in self.operators(rng):
+            order = lexsorted(op)
+            row, col, amp = op._row[order], op._col[order], op._amp[order]
+            for kind in NORM_KINDS:
+                assert operator_norm(op, kind) == python_norm(op, kind)
+            assert list(op.entries()) == list(zip(row.tolist(), col.tolist(), amp.tolist()))
+            shuffled = [(r, c, a) for r, c, a in op.entries()]
+            shuffled = [shuffled[k] for k in rng.permutation(len(shuffled))]
+            other = SparseOperator(op.dim, shuffled)
+            assert op == other and other == op
+            if op.nnz:
+                changed = shuffled[:-1] + [(*shuffled[-1][:2], shuffled[-1][2] + 1.0)]
+                assert op != SparseOperator(op.dim, changed)
 
 
 def python_norm(op: SparseOperator, kind: str) -> float:

@@ -2,19 +2,39 @@
 
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bornsolve.errors import SingularError
+from bornsolve.graph import _strong_components, analyze_acyclicity
 from bornsolve.operators import SparseOperator, basis_state, matvec, power
-from bornsolve.solver import born_approximation
+from bornsolve.solver import born_approximation, direct_solve_oracle
 from bornsolve.truncation import (
     QUASI_NILPOTENT_DEFECT,
+    _block_solve,
     exact_remainder,
     nilpotency_defect,
     remainder_bound,
 )
-from conftest import random_dag, random_operator, random_state, scaled_to_norm
+from conftest import (
+    assert_same_bits,
+    planted_blocks,
+    random_dag,
+    random_operator,
+    random_state,
+    scaled_to_norm,
+)
+
+EPS = np.finfo(float).eps
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                             database=None)
 
 # two-level loop: 1 -> 2 with 0.04, 2 -> 1 with 0.5; every number in the
 # order-2 budget is hand-checkable (powers of two keep them exact)
@@ -191,3 +211,104 @@ class TestArgumentHandling:
             npt.assert_allclose(nilpotency_defect(op, m, "one"),
                                 np.linalg.norm(dense, 1),
                                 rtol=1e-12, atol=1e-13)
+
+
+def states(dim):
+    return st.lists(st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+                    min_size=dim, max_size=dim).map(lambda v: np.array(v, dtype=complex))
+
+
+def exactly_singular(op: SparseOperator, block: list[int]) -> SparseOperator:
+    """op with its entries inside block replaced by a cycle whose amplitudes multiply to 1.
+
+    The cycle's block of I - T then has determinant 1 - 1 = 0 exactly; a
+    single state gets a unit self-loop.
+    """
+    inside = set(block)
+    kept = [(j, i, a) for j, i, a in op.entries() if not (j in inside and i in inside)]
+    gains = (1.0,) if len(block) == 1 else (2.0, 0.5, 1.0, 1.0)
+    cycle = [(block[(k + 1) % len(block)], block[k], gains[k]) for k in range(len(block))]
+    return SparseOperator(op.dim, kept + cycle)
+
+
+class TestBlockRoute:
+    """The remainder's forward substitution over the strong components of T."""
+
+    @PROPERTY_SETTINGS
+    @given(planted_blocks(), st.data())
+    def test_matches_the_dense_lu(self, case, data):
+        # several blocks, self-loops, blocks downstream of blocks; with
+        # ||T||_inf = 0.5, cond_inf(I - T) is at most 3
+        dim, entries, _ = case
+        op = SparseOperator(dim, entries)
+        if not op.is_zero():
+            op = scaled_to_norm(op, 0.5)
+        phi = data.draw(states(dim))
+        want = direct_solve_oracle(op, phi)
+        got = _block_solve(op, _strong_components(op), phi.copy())
+        assert np.abs(got - want).max() <= 32 * dim * EPS * np.abs(want).max()
+        m = data.draw(st.integers(0, 3))
+        tail = matvec(power(op, m + 1), phi)
+        want = direct_solve_oracle(op, tail)
+        got = exact_remainder(op, phi, m)
+        assert np.abs(got - want).max() <= 32 * dim * EPS * np.abs(want).max()
+
+    @PROPERTY_SETTINGS
+    @given(planted_blocks(), st.data())
+    def test_singular_block_raises(self, case, data):
+        dim, entries, blocks = case
+        op = SparseOperator(dim, entries)
+        if not op.is_zero():
+            op = scaled_to_norm(op, 0.5)
+        singular = exactly_singular(op, data.draw(st.sampled_from(blocks)))
+        phi = data.draw(states(dim))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by the zero pivot
+            with pytest.raises(SingularError, match=r"\(\|det\| 0\.000e\+00, at or below 1e-12\)"):
+                exact_remainder(singular, phi, data.draw(st.integers(0, 3)))
+        with pytest.raises(SingularError):
+            direct_solve_oracle(singular, phi)
+
+    def test_unit_self_loop_raises_the_oracles_message(self):
+        for op in (SparseOperator.identity(3), SparseOperator(2, [(1, 1, 1.0), (2, 1, 0.5)])):
+            phi = np.ones(op.dim)
+            with pytest.raises(SingularError) as oracle:
+                direct_solve_oracle(op, phi)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularError) as block:
+                    exact_remainder(op, phi, 0)
+            assert str(block.value) == str(oracle.value)
+
+    def test_near_singular_block_raises_the_oracles_message(self):
+        # |det(I - T)| = 1 - t12 t21: about 1e-13, 1e-12 and 1e-11, around the 1e-12
+        # threshold; both routes decide alike, and raise with the same message
+        for t in (1.0 - 1e-13, 1.0 - 1e-12, 1.0 - 1e-11):
+            op = SparseOperator(2, [(1, 2, 0.5), (2, 1, 2.0 * t)])
+            phi = np.array([1.0, 2.0], dtype=complex)
+            try:
+                want = direct_solve_oracle(op, phi)
+            except SingularError as exc:
+                with pytest.raises(SingularError, match=re.escape(str(exc))):
+                    exact_remainder(op, phi, 1)
+            else:
+                npt.assert_allclose(_block_solve(op, _strong_components(op), phi.copy()), want)
+
+    def test_one_block_is_the_dense_solve_bit_for_bit(self):
+        # the two-level loop is one block spanning the matrix in label order
+        rng = np.random.default_rng(163)
+        for phi in [basis_state(2, 1), basis_state(2, 2), *(random_state(rng, 2) for _ in range(5))]:
+            for m in range(5):
+                want = direct_solve_oracle(WORKED, matvec(power(WORKED, m + 1), phi))
+                assert_same_bits(exact_remainder(WORKED, phi, m), want)
+
+    def test_acyclic_input_keeps_the_dense_route(self):
+        rng = np.random.default_rng(167)
+        for _ in range(20):
+            dim = int(rng.integers(2, 12))
+            op = random_dag(rng, dim, density=0.5)
+            depth = analyze_acyclicity(op).depth
+            phi = random_state(rng, dim)
+            for m in range(depth):
+                want = direct_solve_oracle(op, matvec(power(op, m + 1), phi))
+                assert_same_bits(exact_remainder(op, phi, m), want)
