@@ -14,7 +14,6 @@ graph, the strongly connected components in sources-first order
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -50,8 +49,8 @@ def analyze_acyclicity(op: SparseOperator) -> AcyclicityReport:
     one, which is returned in edge direction from its smallest label.
     """
     n = op.dim
-    targets = op._row[op._col.argsort()].tolist()  # grouped by source
-    start = list(accumulate(np.bincount(op._col, minlength=n + 1).tolist()))
+    by_source, start = op._by_source()
+    targets = op._row[by_source].tolist()
     waiting = np.bincount(op._row, minlength=n + 1).tolist()  # unplaced predecessors
     level = [v for v in range(1, n + 1) if not waiting[v]]
     order: list[int] = []

@@ -3,9 +3,13 @@
 When the transition graph of T is acyclic, T is nilpotent and the Neumann
 series of (I - T)^(-1) closes after depth + 1 terms, whatever the size of
 ||T||.  In the certificate's topological order I - T is also unit lower
-triangular, so scattered states, the full resolvent and the transition
-matrix come from one forward substitution, one numpy dot per stored row,
-for a state and a block of columns alike, and det(I - T) = 1 exactly.
+triangular and I - T^T unit upper triangular.  Scattered states and the
+full resolvent come from one forward substitution, one numpy dot per
+stored row, for a state and a block of columns alike; the transition
+matrix comes from one transposed (backward) substitution, one numpy dot
+per stored column, with no dense matrix product.  Both are one loop,
+_sweep, over two indexes of the same stored entries, and det(I - T) = 1
+exactly.
 The term loop, which applies T once per order, makes the Born terms on
 demand and the truncations of any operator.  A dense LU route is kept
 alongside as an independent cross-check; it shares none of this code.
@@ -13,6 +17,7 @@ alongside as an independent cross-check; it shares none of this code.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,13 +156,35 @@ def _substitute(system: AcyclicSystem, x: np.ndarray) -> np.ndarray:
     order, and this is its forward substitution.
     """
     op = system.operator
-    ptr = op._row_ptr().tolist()
-    col = op._col - 1
-    amp = op._amp
-    for j in system.topological_order:
+    return _sweep(system.topological_order, op._row_ptr().tolist(), op._col - 1, op._amp, x)
+
+
+def _substitute_transposed(system: AcyclicSystem, x: np.ndarray) -> np.ndarray:
+    """Overwrite x, a state (n,) or a block (n, m), with (I - T^T)^(-1) x.
+
+    y[i] = x[i] + sum_j T[j, i] y[j], one numpy dot over the stored
+    entries of source i, states taken in reversed topological order, so
+    each dot reads rows of x that are already final; (I - T^T) is unit
+    upper triangular in topological order, and this is its backward
+    substitution.
+    """
+    op = system.operator
+    by_source, ptr = op._by_source()
+    return _sweep(reversed(system.topological_order), ptr,
+                  op._row[by_source] - 1, op._amp[by_source], x)
+
+
+def _sweep(order: Iterable[int], ptr: list[int], index: np.ndarray,
+           amp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The one substitution loop: x[j - 1] += amp @ x[index] over each state j's group.
+
+    State j's group of entries sits at ptr[j - 1]:ptr[j] of index, the
+    0-based states it reads, and of amp, their amplitudes.
+    """
+    for j in order:
         lo, hi = ptr[j - 1], ptr[j]
         if lo < hi:
-            x[j - 1] += amp[lo:hi] @ x[col[lo:hi]]
+            x[j - 1] += amp[lo:hi] @ x[index[lo:hi]]
     return x
 
 
@@ -191,16 +218,26 @@ def full_resolvent(system: AcyclicSystem, free_resolvent_diag) -> np.ndarray:
         raise DimensionError(
             f"free-resolvent diagonal has shape {g0.shape}, expected ({system.dim},)"
         )
-    return finite_neumann_inverse(system) * g0[np.newaxis, :]
+    x = finite_neumann_inverse(system)
+    x *= g0
+    return x
 
 
 def t_matrix(system: AcyclicSystem, potential: SparseOperator) -> np.ndarray:
-    """Transition matrix V (I - T)^(-1) as a dense array."""
+    """Transition matrix TM = V (I - T)^(-1), dense, C-contiguous complex (n, n).
+
+    TM (I - T) = V transposes to TM^T = (I - T^T)^(-1) V^T, so the dense
+    V^T goes through one transposed substitution, one numpy dot per
+    stored column of T; neither (I - T)^(-1) nor a dense matrix product
+    is formed.
+    """
     if potential.dim != system.dim:
         raise DimensionError(
             f"potential has dimension {potential.dim}, system has {system.dim}"
         )
-    return potential.to_dense() @ finite_neumann_inverse(system)
+    x = np.zeros((system.dim, system.dim), dtype=complex)
+    x[potential._col - 1, potential._row - 1] = potential._amp  # V^T
+    return np.ascontiguousarray(_substitute_transposed(system, x).T)
 
 
 def direct_solve_oracle(operator: SparseOperator, phi) -> np.ndarray:

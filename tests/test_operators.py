@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import numpy.testing as npt
@@ -892,6 +893,26 @@ class TestSortedOrder:
             if op.nnz:
                 changed = shuffled[:-1] + [(*shuffled[-1][:2], shuffled[-1][2] + 1.0)]
                 assert op != SparseOperator(op.dim, changed)
+
+
+class TestBySource:
+    """The stored entries stably by column, and the column pointer."""
+
+    # a few entries sort as they are, hundreds as 16-bit keys, and labels
+    # past 2**16 - 1 as they are
+    @pytest.mark.parametrize("dim, count", [(1, 0), (1, 1), (6, 20), (40, 900), (70000, 300)])
+    def test_stable_by_column_with_its_pointer(self, dim, count):
+        rng = np.random.default_rng(67)
+        cells = {(dim, dim)} if count else set()
+        while len(cells) < count:
+            cells.add(tuple(int(v) for v in rng.integers(1, dim + 1, size=2)))
+        records = [(row, col, complex(*rng.standard_normal(2))) for row, col in cells]
+        op = SparseOperator(dim, records)
+        order, ptr = op._by_source()
+        col = op._col.tolist()
+        assert order.tolist() == sorted(range(op.nnz), key=col.__getitem__)
+        ascending = sorted(col)
+        assert ptr == [bisect_right(ascending, i) for i in range(dim + 1)]
 
 
 def python_norm(op: SparseOperator, kind: str) -> float:

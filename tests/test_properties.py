@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.testing as npt
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bornsolve.graph import analyze_acyclicity
 from bornsolve.operators import SparseOperator, build_transfer_operator
-from bornsolve.solver import make_system, solve_exact
+from bornsolve.solver import (
+    _substitute_transposed,
+    finite_neumann_inverse,
+    make_system,
+    solve_exact,
+)
 from conftest import backward_error
 
 EPS = np.finfo(float).eps
@@ -61,6 +66,29 @@ def test_basis_permutation_permutes_psi(case, data):
     scale = float(np.abs(psi).max(initial=0.0))
     npt.assert_allclose(moved_psi[[k - 1 for k in new]], psi,
                         rtol=0, atol=8 * dim * EPS * scale)
+
+
+@PROPERTY_SETTINGS
+@given(shuffled_dags(), st.integers(0, 3))
+@example((3, [], np.array([1.0, 2j, -0.5])), 2)  # depth 0: nothing to sweep
+def test_transposed_sweep_is_the_transposed_inverse(case, width):
+    """The backward sweep's (I - T^T)^(-1) x is N^T x, N = (I - T)^(-1), for states and blocks.
+
+    Both sides are within about n eps of the exact value componentwise,
+    relative to |N|^T (I + |T|)^T |N|^T |x|: the sweep's own error, and the
+    rounding of N by forward substitution and of the product.
+    """
+    dim, entries, phi = case
+    system = make_system(SparseOperator(dim, entries))
+    # a state, or a block of width columns that differ from one another
+    x = phi if not width else np.stack([np.roll(phi, k) * 1j ** k for k in range(width)], axis=1)
+    inverse = finite_neumann_inverse(system)
+    got = _substitute_transposed(system, x.copy())
+    expected = inverse.T @ x
+    size = np.abs(inverse).T
+    bound = size @ (np.eye(dim) + np.abs(system.operator.to_dense())).T @ size @ np.abs(x)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - expected) <= 8 * dim * EPS * bound)
 
 
 # a part is an exact zero or lies within a factor 4 of 1, so that every

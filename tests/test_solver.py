@@ -429,6 +429,39 @@ class TestResolventAndTMatrix:
             expected = potential.to_dense() @ inverse
             assert relative_gap(t_matrix(system, potential), expected) <= 1e-10
 
+    @pytest.mark.parametrize("dim", [1, 2, 7, 31, 90, 200])
+    def test_t_matrix_matches_lu_route_for_any_potential(self, dim):
+        # V with T's pattern and with others: the identity, an unrelated
+        # random pattern, none at all; the result is a C-contiguous
+        # complex (n, n) array for each
+        rng = np.random.default_rng(137 + dim)
+        potential = random_dag(rng, dim, density=min(0.5, 4.0 / dim))
+        h0 = rng.uniform(-1.0, 1.0, size=dim)
+        energy = complex(rng.uniform(2.0, 4.0), rng.uniform(0.2, 1.0))
+        system = make_system(build_transfer_operator(h0, potential, energy))
+        a = np.eye(dim, dtype=complex) - system.operator.to_dense()
+        inverse = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a),
+                                        np.eye(dim, dtype=complex))
+        for v in (potential, SparseOperator.identity(dim),
+                  random_operator(rng, dim, density=min(0.4, 5.0 / dim)),
+                  SparseOperator.zero(dim)):
+            got = t_matrix(system, v)
+            assert got.shape == (dim, dim)
+            assert got.dtype == np.complex128
+            assert got.flags.c_contiguous
+            assert relative_gap(got, v.to_dense() @ inverse) <= 1e-10
+
+    def test_t_matrix_forms_no_inverse(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("t_matrix formed (I - T)^(-1)")
+
+        monkeypatch.setattr("bornsolve.solver.finite_neumann_inverse", refuse)
+        monkeypatch.setattr("bornsolve.solver._substitute", refuse)
+        system = make_system(diamond_operator(0.5, 2.0, -1.5, 0.25j))
+        v = SparseOperator(4, [(1, 4, 1.0), (3, 2, 2j)])
+        expected = v.to_dense() @ np.linalg.inv(np.eye(4) - system.operator.to_dense())
+        npt.assert_allclose(t_matrix(system, v), expected, rtol=0, atol=1e-15)
+
     def test_t_matrix_dimension_mismatch(self):
         system = make_system(diamond_operator())
         with pytest.raises(DimensionError):
