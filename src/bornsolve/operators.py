@@ -281,10 +281,8 @@ class SparseOperator:
         are order[ptr[i - 1]:ptr[i]].  ptr is a list, as its callers walk it.
         """
         col = self._col
-        # numpy sorts keys of 16 bits or less stably by radix, in linear
-        # time, and wider ones by timsort, five times slower at 2,285
-        # entries; below 64 entries the cast costs more than it saves
-        if 64 < col.size and self.dim < 1 << 16:
+        # numpy sorts 16-bit keys stably by radix
+        if self.dim < 1 << 16:
             col = col.astype(np.uint16)
         count = np.bincount(self._col, minlength=self.dim + 1).tolist()
         return col.argsort(kind="stable"), list(accumulate(count))

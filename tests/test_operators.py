@@ -898,8 +898,7 @@ class TestSortedOrder:
 class TestBySource:
     """The stored entries stably by column, and the column pointer."""
 
-    # a few entries sort as they are, hundreds as 16-bit keys, and labels
-    # past 2**16 - 1 as they are
+    # labels up to 2**16 - 1 sort as 16-bit keys, larger ones as they are
     @pytest.mark.parametrize("dim, count", [(1, 0), (1, 1), (6, 20), (40, 900), (70000, 300)])
     def test_stable_by_column_with_its_pointer(self, dim, count):
         rng = np.random.default_rng(67)
