@@ -250,11 +250,18 @@ def direct_solve_oracle(operator: SparseOperator, phi) -> np.ndarray:
     """
     v = as_state_vector(phi, operator.dim)
     a = np.eye(operator.dim, dtype=complex) - operator.to_dense()
-    # log|det| so that graded pivot magnitudes cannot overflow
-    log_det = np.linalg.slogdet(a)[1]
+    _check_invertible(np.linalg.slogdet(a)[1])
+    return np.linalg.solve(a, v)
+
+
+def _check_invertible(log_det: float) -> None:
+    """Raise SingularError when log|det(I - T)| is at or below log(SINGULAR_DET_THRESHOLD).
+
+    log|det| so that graded pivot magnitudes cannot overflow; -inf, an
+    exactly singular I - T, raises too.
+    """
     if log_det <= np.log(SINGULAR_DET_THRESHOLD):
         raise SingularError(
             f"I - T is numerically singular "
             f"(|det| {np.exp(log_det):.3e}, at or below {SINGULAR_DET_THRESHOLD:.0e})"
         )
-    return np.linalg.solve(a, v)

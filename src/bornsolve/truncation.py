@@ -4,10 +4,12 @@ A cyclic transition graph leaves a residual beyond every finite
 truncation order.  The residual after order m is (I - T)^(-1) T^(m+1) phi
 whenever I - T is invertible; it is bounded in norm by the geometric
 estimate when ||T|| < 1, and reported exactly by a forward substitution
-over the strongly connected components of T: single states take a row
-dot, and only a block of several states takes a dense solve.  An
-acyclic T, every component a single state with no loop, keeps the dense
-LU route, so the remainders printed for it keep their bits.
+over the strongly connected components of T: a single state with no
+self-loop is a step of the solver's own substitution loop, and every
+other component, a self-loop state included, is a block that takes one
+dense solve.  An acyclic T, every component a single state with no
+loop, keeps the dense LU route, so the remainders printed for it keep
+their bits.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import SingularError
 from .graph import _strong_components
 from .operators import (
     SparseOperator,
@@ -29,7 +30,7 @@ from .operators import (
     power,
     vector_norm,
 )
-from .solver import SINGULAR_DET_THRESHOLD, direct_solve_oracle
+from .solver import _check_invertible, _sweep, direct_solve_oracle
 
 # Reporting convention only, nothing derived: a defect at or below this
 # counts as "quasi-nilpotent" in reports.
@@ -97,13 +98,13 @@ def _block_solve(op: SparseOperator, components: list[list[int]], x: np.ndarray)
 
     With its strongly connected components in sources-first order,
     I - T is block lower triangular (Duff & Reid 1978).  A single state
-    takes its row's dot with finished states, divided by 1 - T[j, j] if
-    it has a self-loop; a block of several states adds its inflow from
-    finished states, then takes one dense solve of its own rows, in
-    label order.  det(I - T) is the product of the blocks' determinants;
-    before any division, SingularError is raised as direct_solve_oracle
-    raises it, when |det| is at or below SINGULAR_DET_THRESHOLD.
-    components are T's, sources first (graph._strong_components).
+    with no self-loop is a step of solver._sweep, the acyclic solve's
+    own loop.  Every other component, a self-loop state included, is a
+    block: it adds its inflow from finished states, then takes one dense
+    solve of its own rows, in label order.  det(I - T) is the product of
+    the blocks' determinants; before any solve it goes through the
+    singularity test of direct_solve_oracle.  components are T's,
+    sources first (graph._strong_components).
     """
     row, col, amp = op._row, op._col, op._amp
     sizes = np.array([len(states) for states in components])
@@ -116,44 +117,28 @@ def _block_solve(op: SparseOperator, components: list[list[int]], x: np.ndarray)
     # entries grouped by their row's component, in storage order within it
     grouped = np.argsort(of[row], kind="stable")
     bounds = list(accumulate(np.bincount(of[row], minlength=sizes.size).tolist(), initial=0))
-    loops = np.flatnonzero((row == col) & (sizes[of[row]] == 1))
-    pivots = 1.0 - amp[loops]
-    with np.errstate(divide="ignore"):  # an exact zero pivot has log|det| = -inf
-        log_det = float(np.log(np.abs(pivots)).sum())
-    pivot = dict(zip(row[loops].tolist(), pivots.tolist()))
+    log_det = 0.0
     blocks = {}
-    for k, states in enumerate(components):
-        if len(states) > 1:
-            e = grouped[bounds[k]:bounds[k + 1]]
-            own = e[inner[e]]
-            block = np.eye(len(states), dtype=complex)  # np.eye - to_dense(), as the oracle's
-            block[at[row[own]], at[col[own]]] -= amp[own]
-            log_det += np.linalg.slogdet(block)[1]
-            blocks[k] = block, e[~inner[e]]
-    if log_det <= np.log(SINGULAR_DET_THRESHOLD):
-        raise SingularError(
-            f"I - T is numerically singular "
-            f"(|det| {np.exp(log_det):.3e}, at or below {SINGULAR_DET_THRESHOLD:.0e})"
-        )
+    for k in np.unique(of[row[inner]]).tolist():  # components with a cycle or a self-loop
+        e = grouped[bounds[k]:bounds[k + 1]]
+        own = e[inner[e]]
+        block = np.eye(sizes[k], dtype=complex)  # np.eye - to_dense(), as the oracle's
+        block[at[row[own]], at[col[own]]] -= amp[own]
+        log_det += np.linalg.slogdet(block)[1]
+        blocks[k] = block, e[~inner[e]]
+    _check_invertible(log_det)
     ptr = op._row_ptr().tolist()
     source = col - 1
     for k, states in enumerate(components):
-        if k in blocks:
-            block, e = blocks[k]
-            rows = np.array(states) - 1
-            rhs = x[rows]
-            if e.size:
-                rhs += _bin_sums(at[row[e]], *_products(amp[e], x[source[e]]), rows.size)
-            x[rows] = np.linalg.solve(block, rhs)
+        if k not in blocks:
+            _sweep(states, ptr, source, amp, x)
             continue
-        j = states[0]
-        lo, hi = ptr[j - 1], ptr[j]
-        if j in pivot:
-            b = x[j - 1]
-            x[j - 1] = 0.0  # so the self-loop adds nothing to the dot
-            x[j - 1] = (b + amp[lo:hi] @ x[source[lo:hi]]) / pivot[j]
-        elif lo < hi:
-            x[j - 1] += amp[lo:hi] @ x[source[lo:hi]]
+        block, e = blocks[k]
+        rows = np.array(states) - 1
+        rhs = x[rows]
+        if e.size:
+            rhs += _bin_sums(at[row[e]], *_products(amp[e], x[source[e]]), rows.size)
+        x[rows] = np.linalg.solve(block, rhs)
     return x
 
 

@@ -48,6 +48,11 @@ CASES = [(spec, command) for spec in SPECS for command in COMMANDS]
 SPECS["layered200"] = (GOLDEN / "layered200.spec").read_text(encoding="utf-8")
 CASES += [("layered200", command) for command in ("analyze", "solve", "solve-order1")]
 
+# the remainder over several strong components: components [1] [2,3] [4]
+# [5] [6,7], sources first, with self-loops on 5 and 7
+SPECS["cyclic-blocks"] = (GOLDEN / "cyclic-blocks.spec").read_text(encoding="utf-8")
+CASES += [("cyclic-blocks", command) for command in ("analyze", "solve-order1")]
+
 
 def run_case(directory: Path, spec: str, command: str) -> dict:
     path = directory / "system.spec"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bornsolve.errors import SingularError
 from bornsolve.graph import _strong_components, analyze_acyclicity
 from bornsolve.operators import SparseOperator, basis_state, matvec, power
-from bornsolve.solver import born_approximation, direct_solve_oracle
+from bornsolve.solver import _substitute, born_approximation, direct_solve_oracle, make_system
 from bornsolve.truncation import (
     QUASI_NILPOTENT_DEFECT,
     _block_solve,
@@ -312,3 +312,23 @@ class TestBlockRoute:
             for m in range(depth):
                 want = direct_solve_oracle(op, matvec(power(op, m + 1), phi))
                 assert_same_bits(exact_remainder(op, phi, m), want)
+
+    def test_acyclic_components_are_the_solvers_sweep(self):
+        # every component a single state with no loop: the block route is
+        # solver._sweep, dot for dot, whatever order the components come in
+        rng = np.random.default_rng(173)
+        for _ in range(20):
+            dim = int(rng.integers(2, 16))
+            op = random_dag(rng, dim, density=0.5)
+            phi = random_state(rng, dim)
+            want = _substitute(make_system(op), phi.copy())
+            assert_same_bits(_block_solve(op, _strong_components(op), phi.copy()), want)
+
+    def test_dyadic_self_loop_chain_is_exact(self):
+        # 1 and 2 are self-loop blocks of one: psi = (1 / 0.5, (1 + 0.25 * 2) / 2,
+        # 1 + 0.5 * 0.75), every step exact in binary
+        op = SparseOperator(3, [(1, 1, 0.5), (2, 1, 0.25), (2, 2, -1.0), (3, 2, 0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _block_solve(op, _strong_components(op), np.ones(3, dtype=complex))
+        assert_same_bits(got, np.array([2.0, 0.75, 1.375], dtype=complex))
