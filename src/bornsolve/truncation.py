@@ -8,8 +8,7 @@ over the strongly connected components of T: a single state with no
 self-loop is a step of the solver's own substitution loop, and every
 other component, a self-loop state included, is a block that takes one
 dense solve.  An acyclic T, every component a single state with no
-loop, keeps the dense LU route, so the remainders printed for it keep
-their bits.
+loop, is the solver's substitution throughout.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .operators import (
     power,
     vector_norm,
 )
-from .solver import _check_invertible, _sweep, direct_solve_oracle
+from .solver import _check_invertible, _sweep
 
 # Reporting convention only, nothing derived: a defect at or below this
 # counts as "quasi-nilpotent" in reports.
@@ -81,16 +80,11 @@ def exact_remainder(operator: SparseOperator, phi, m: int) -> np.ndarray:
 def _remainder(operator: SparseOperator, v: np.ndarray, tail: SparseOperator) -> np.ndarray:
     """(I - T)^(-1) tail v for an already formed tail = T^(m+1); zero if the tail is.
 
-    A cyclic T takes _block_solve.  An acyclic T (its tail is not zero
-    below its depth) keeps direct_solve_oracle, whose last bits its
-    printed remainders record.
+    Otherwise _block_solve over T's strong components.
     """
     if tail.is_zero():
         return np.zeros(operator.dim, dtype=complex)
-    components = _strong_components(operator)
-    if len(components) == operator.dim and not np.count_nonzero(operator._row == operator._col):
-        return direct_solve_oracle(operator, matvec(tail, v))
-    return _block_solve(operator, components, matvec(tail, v))
+    return _block_solve(operator, _strong_components(operator), matvec(tail, v))
 
 
 def _block_solve(op: SparseOperator, components: list[list[int]], x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Test oracles for the transition graph: an edge-list graph and weighted walks.
+"""Test oracles: an edge-list graph, weighted walks and exact Born terms.
 
 The library certifies an operator straight from its stored rows
 (bornsolve.graph.analyze_acyclicity).  The oracles here reach the same
@@ -6,6 +6,13 @@ quantities another way, from explicit edge lists: walk enumeration with
 weights, the recursive path sum that the matrix powers are checked
 against, and strongly connected components by mutual reachability.  The walks share no machinery with the operator arithmetic, and
 nothing in the library imports this module.
+
+Every float is a dyadic rational, so the Born terms T^k phi of an
+acyclic T have an exact value: rational_terms computes them in Gaussian
+rationals, (re, im) pairs of fractions.Fraction built from the stored
+floats without rounding, by a matvec over the operator's stored rows,
+columns and amplitudes.  rational_remainder sums the terms beyond an
+order, the exact remainder of that truncation.
 
 An edge i -> j is the operator entry (row j, col i).  Every graph carries
 .operator, the SparseOperator with its pattern (unannotated edges get
@@ -16,6 +23,7 @@ analyze_acyclicity(graph.operator).  An amplitude the store rule drops
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 from bornsolve.graph import analyze_acyclicity
@@ -25,6 +33,10 @@ from bornsolve.scenarios import WeightedPath
 DEFAULT_PATH_BUDGET = 10**6
 
 _NO_SOURCES: dict[int, complex | None] = {}
+
+Gaussian = tuple[Fraction, Fraction]  # (re, im), exact
+
+_ZERO: Gaussian = (Fraction(0), Fraction(0))
 
 
 class UnboundedEnumerationError(Exception):
@@ -235,3 +247,45 @@ def mutually_reachable_classes(graph: TransitionGraph) -> set[frozenset[int]]:
             if k in reach[v]:
                 reach[v] |= reach[k]
     return {frozenset(u for u in reach[v] if v in reach[u]) for v in vertices}
+
+
+def gaussian(z) -> Gaussian:
+    """The exact value of a complex float: a float's Fraction is the float itself."""
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def rational_matvec(op: SparseOperator, x: list[Gaussian]) -> list[Gaussian]:
+    """T x in Gaussian rationals, one stored entry at a time."""
+    y = [_ZERO] * op.dim
+    for r, c, a in zip(op._row.tolist(), op._col.tolist(), op._amp.tolist()):
+        (ar, ai), (xr, xi), (yr, yi) = gaussian(a), x[c - 1], y[r - 1]
+        y[r - 1] = (yr + ar * xr - ai * xi, yi + ar * xi + ai * xr)
+    return y
+
+
+def rational_terms(op: SparseOperator, phi) -> list[list[Gaussian]]:
+    """The Born terms T^k phi, k = 0, 1, ..., up to the last nonzero one, exactly.
+
+    T^dim is zero on an acyclic T, so a term still nonzero at k = dim
+    means that T has a cycle, and raises ValueError.
+    """
+    terms = [[gaussian(z) for z in phi]]
+    while any(z != _ZERO for z in terms[-1]):
+        if len(terms) > op.dim:
+            raise ValueError("T^dim phi is not zero: T has a cycle")
+        terms.append(rational_matvec(op, terms[-1]))
+    return terms[:-1]
+
+
+def rational_sum(vectors: Iterable[list[Gaussian]], dim: int) -> list[Gaussian]:
+    """Componentwise sum of Gaussian rational vectors of length dim."""
+    total = [_ZERO] * dim
+    for v in vectors:
+        total = [(tr + vr, ti + vi) for (tr, ti), (vr, vi) in zip(total, v)]
+    return total
+
+
+def rational_remainder(op: SparseOperator, phi, m: int) -> list[Gaussian]:
+    """sum_{m < k <= depth} T^k phi, the exact remainder of the order-m truncation."""
+    return rational_sum(rational_terms(op, phi)[m + 1:], op.dim)

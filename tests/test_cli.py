@@ -124,6 +124,20 @@ class TestScaleFree:
         kv = parse_kv(out)
         assert [float(kv[f"norm.{kind}"]) for kind in ("inf", "one", "fro")] == [amp] * 3
 
+    def test_large_couplings_keep_the_remainder(self, tmp_path):
+        # a 40-state chain with couplings +-1e3: det(I - T) = 1, so the
+        # truncated solve reports its remainder
+        path = write_spec(tmp_path, {
+            "dimension": 40,
+            "transfer_entries": [
+                {"from": k, "to": k + step, "re": amp, "im": 0.0}
+                for step, amp in ((1, 1e3), (2, -1e3)) for k in range(1, 41 - step)
+            ],
+        })
+        code, out, _ = run_cli(["solve", path, "--phi", "1", "--order", "1"])
+        assert code == EXIT_OK
+        assert parse_kv(out)["truncation.available"] == "true"
+
 
 class TestScenario:
     @pytest.mark.parametrize("name, resource", [

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import re
 import warnings
+from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -13,8 +16,15 @@ from hypothesis import strategies as st
 
 from bornsolve.errors import SingularError
 from bornsolve.graph import _strong_components, analyze_acyclicity
-from bornsolve.operators import SparseOperator, basis_state, matvec, power
-from bornsolve.solver import _substitute, born_approximation, direct_solve_oracle, make_system
+from bornsolve.operators import SparseOperator, basis_state, matvec, power, vector_norm
+from bornsolve.solver import (
+    _substitute,
+    born_approximation,
+    direct_solve_oracle,
+    make_system,
+    solve_exact,
+)
+from bornsolve.specfile import load_spec, spec_to_operator
 from bornsolve.truncation import (
     QUASI_NILPOTENT_DEFECT,
     _block_solve,
@@ -30,6 +40,7 @@ from conftest import (
     random_state,
     scaled_to_norm,
 )
+from oracles import gaussian, rational_remainder, rational_sum, rational_terms
 
 EPS = np.finfo(float).eps
 
@@ -302,17 +313,6 @@ class TestBlockRoute:
                 want = direct_solve_oracle(WORKED, matvec(power(WORKED, m + 1), phi))
                 assert_same_bits(exact_remainder(WORKED, phi, m), want)
 
-    def test_acyclic_input_keeps_the_dense_route(self):
-        rng = np.random.default_rng(167)
-        for _ in range(20):
-            dim = int(rng.integers(2, 12))
-            op = random_dag(rng, dim, density=0.5)
-            depth = analyze_acyclicity(op).depth
-            phi = random_state(rng, dim)
-            for m in range(depth):
-                want = direct_solve_oracle(op, matvec(power(op, m + 1), phi))
-                assert_same_bits(exact_remainder(op, phi, m), want)
-
     def test_acyclic_components_are_the_solvers_sweep(self):
         # every component a single state with no loop: the block route is
         # solver._sweep, dot for dot, whatever order the components come in
@@ -323,6 +323,9 @@ class TestBlockRoute:
             phi = random_state(rng, dim)
             want = _substitute(make_system(op), phi.copy())
             assert_same_bits(_block_solve(op, _strong_components(op), phi.copy()), want)
+            for m in range(analyze_acyclicity(op).depth):
+                want = _substitute(make_system(op), matvec(power(op, m + 1), phi))
+                assert_same_bits(exact_remainder(op, phi, m), want)
 
     def test_dyadic_self_loop_chain_is_exact(self):
         # 1 and 2 are self-loop blocks of one: psi = (1 / 0.5, (1 + 0.25 * 2) / 2,
@@ -332,3 +335,65 @@ class TestBlockRoute:
             warnings.simplefilter("error")
             got = _block_solve(op, _strong_components(op), np.ones(3, dtype=complex))
         assert_same_bits(got, np.array([2.0, 0.75, 1.375], dtype=complex))
+
+
+# 0, +-1, +-1/2 and +-1/4, times 1 or i: on a DAG of at most 16 states
+# every product and sum of these, in any order, is a dyadic of at most
+# 53 significant bits, so no floating-point step rounds
+DYADIC = [0.0, *(s * f * u for f in (1.0, 0.5, 0.25) for s in (1, -1) for u in (1, 1j))]
+
+
+@st.composite
+def dyadic_dags(draw, max_dim: int = 16):
+    """(op, phi): a DAG and a state with every amplitude and component in DYADIC.
+
+    Each pair of states draws its amplitude from DYADIC with the zero
+    repeated up to 24 times, so the density runs from sparse to full.
+    """
+    dim = draw(st.integers(2, max_dim))
+    order = draw(st.permutations(range(1, dim + 1)))
+    pairs = list(combinations(range(dim), 2))
+    amplitude = st.sampled_from([0.0] * draw(st.integers(0, 23)) + DYADIC)
+    amps = draw(st.lists(amplitude, min_size=len(pairs), max_size=len(pairs)))
+    op = SparseOperator(dim, [(order[b], order[a], amp) for (a, b), amp in zip(pairs, amps)])
+    phi = np.array(draw(st.lists(st.sampled_from(DYADIC), min_size=dim, max_size=dim)),
+                   dtype=complex)
+    return op, phi
+
+
+class TestExactRemainder:
+    """The remainder against exact Gaussian-rational Born terms (tests/oracles.py)."""
+
+    @PROPERTY_SETTINGS
+    @given(dyadic_dags())
+    def test_dyadic_dag_remainder_is_exact(self, case):
+        op, phi = case
+        terms = rational_terms(op, phi)
+        for m in range(analyze_acyclicity(op).depth):
+            want = rational_sum(terms[m + 1:], op.dim)
+            assert [gaussian(z) for z in exact_remainder(op, phi, m)] == want
+
+    def test_layered200_remainder_is_nearer_than_the_dense_lu(self):
+        # solve --phi 1 --order 1 on the golden spec: its printed
+        # remainder_norm is the substitution's, not LU's
+        op = spec_to_operator(load_spec(Path(__file__).parent / "golden" / "layered200.spec"))
+        phi = basis_state(op.dim, 1)
+        exact = max(re * re + im * im for re, im in rational_remainder(op, phi, 1))
+
+        def error(v):
+            return abs(Fraction(vector_norm(v, "inf")) ** 2 - exact)
+
+        lu = direct_solve_oracle(op, matvec(power(op, 2), phi))
+        assert error(exact_remainder(op, phi, 1)) < error(lu)
+
+    def test_large_couplings_are_no_singular_system(self):
+        # det(I - T) = 1 whatever the couplings' units; the dense LU of
+        # this chain finds |det| 0
+        op = SparseOperator(40, [(k + 1, k, 1e3) for k in range(1, 40)]
+                            + [(k + 2, k, -1e3) for k in range(1, 39)])
+        phi = basis_state(40, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exact_remainder(op, phi, 1)
+            want = solve_exact(make_system(op), phi).total - phi - matvec(op, phi)
+        npt.assert_allclose(got, want, rtol=1e-14)
