@@ -148,6 +148,8 @@ def _analysis_table(tree: dict[str, Any]) -> str:
     return format_table(["property", "value"], rows)
 
 
+# an overflow shows as a non-finite value, which the report refuses
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_solve(args) -> int:
     if args.norm is not None and args.order is None:
         print("usage error: --norm needs --order", file=sys.stderr)
@@ -201,13 +203,22 @@ def _cmd_solve(args) -> int:
     tree["phi"] = phi
     tree["term"] = {str(k): t for k, t in enumerate(terms)}
     tree["total"] = total
+    overflow = _first_non_finite(terms, total)
+    if overflow:
+        print(f"error: the solve overflows: {overflow}", file=sys.stderr)
+        return EXIT_INPUT
 
     if args.order is not None:
         try:
             trunc = remainder_bound(op, phi, args.order, args.norm or "inf")
         except SingularError as exc:
-            print(f"warning: exact remainder unavailable: {exc}", file=sys.stderr)
-            tree["truncation"] = {"available": False, "reason": str(exc)}
+            reason = str(exc)
+        else:
+            reason = (None if np.isfinite(trunc.exact_remainder_norm)
+                      else "the remainder overflows: its norm is not finite")
+        if reason:
+            print(f"warning: exact remainder unavailable: {reason}", file=sys.stderr)
+            tree["truncation"] = {"available": False, "reason": reason}
         else:
             block: dict[str, Any] = {
                 "available": True,
@@ -227,6 +238,16 @@ def _cmd_solve(args) -> int:
 
     _emit(tree, _solve_table(spec, terms, total) if args.table else "")
     return EXIT_OK
+
+
+def _first_non_finite(terms, total) -> str | None:
+    """The first report line of the terms and total that is inf or nan, if any."""
+    for path, vec in [*((f"term.{k}", t) for k, t in enumerate(terms)), ("total", total)]:
+        if not np.isfinite(vec).all():
+            parts = np.column_stack((vec.real, vec.imag)).ravel()  # in report order
+            k = int(np.isfinite(parts).argmin())
+            return f"{path}.{k // 2 + 1}.{('re', 'im')[k % 2]} = {parts[k]}"
+    return None
 
 
 def _solve_table(spec: SystemSpec, terms, total) -> str:

@@ -8,7 +8,7 @@ index depth + 1, where depth is the longest directed-path length; that
 certificate is structural and involves no floating-point test.
 Topological orders are by level, so by the pattern alone.  On a cyclic
 graph, the strongly connected components in sources-first order
-(_strong_components) order the truncation remainder's block solve.
+(_strong_components) order the solver's block solve.
 """
 
 from __future__ import annotations

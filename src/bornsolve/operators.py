@@ -37,7 +37,7 @@ in (row, col) order (_sorted) skip the lexsort when the entries are
 stored so, as products are.  An operator holds its three stored arrays
 and nothing derived from them; a caller that walks rows derives the
 row pointer once per call (_row_ptr), and one that walks columns the
-stable by-source index (_by_source).
+stable by-source index (_by_source).  Stable sorts by key: _stable_order.
 """
 
 from __future__ import annotations
@@ -186,8 +186,8 @@ def _checked_columns(dim: int, rows, cols, amp: np.ndarray):
     order.  Faults: a label outside 1..dim, a repeated (row, col), a
     non-finite value, a label or sort key beyond intp.  Zero entries pass.
     """
-    # every sort key below is less than this bound, so none wraps
-    if (dim + 1) * max(dim + 1, amp.size) > np.iinfo(np.intp).max:
+    # the (row, col) keys below are less than this bound, so none wraps
+    if (dim + 1) ** 2 > np.iinfo(np.intp).max:
         return None
     try:
         row = np.asarray(rows, dtype=np.intp)
@@ -199,9 +199,18 @@ def _checked_columns(dim: int, rows, cols, amp: np.ndarray):
     keys = np.sort(row * (dim + 1) + col)
     if np.count_nonzero(keys[1:] == keys[:-1]) or np.count_nonzero(np.isfinite(amp)) < amp.size:
         return None
-    # a stable sort by row: the keys row * n + position are distinct
-    order = np.argsort(row * row.size + np.arange(row.size))
+    order = _stable_order(row, dim + 1)
     return row[order], col[order], amp[order]
+
+
+def _stable_order(keys: np.ndarray, size: int) -> np.ndarray:
+    """Indices that sort keys, each in 0..size-1, stably: equal keys keep their order.
+
+    numpy sorts 16-bit keys stably by radix, so keys that fit are cast to them.
+    """
+    if size <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return keys.argsort(kind="stable")
 
 
 class SparseOperator:
@@ -280,12 +289,8 @@ class SparseOperator:
         column, so in storage order within a column; column i's entries
         are order[ptr[i - 1]:ptr[i]].  ptr is a list, as its callers walk it.
         """
-        col = self._col
-        # numpy sorts 16-bit keys stably by radix
-        if self.dim < 1 << 16:
-            col = col.astype(np.uint16)
         count = np.bincount(self._col, minlength=self.dim + 1).tolist()
-        return col.argsort(kind="stable"), list(accumulate(count))
+        return _stable_order(self._col, self.dim + 1), list(accumulate(count))
 
     def _sorted(self) -> np.ndarray | slice:
         """Index of the stored entries in (row, col) order; all of them as stored if already so.

@@ -1,4 +1,4 @@
-"""Exact finite Born expansions for certified-nilpotent transfer operators.
+"""Solves of I - T: exact for certified-nilpotent T, by components for any invertible T.
 
 When the transition graph of T is acyclic, T is nilpotent and the Neumann
 series of (I - T)^(-1) closes after depth + 1 terms, whatever the size of
@@ -10,6 +10,10 @@ matrix comes from one transposed (backward) substitution, one numpy dot
 per stored column, with no dense matrix product.  Both are one loop,
 _sweep, over two indexes of the same stored entries, and det(I - T) = 1
 exactly.
+Any other invertible I - T is solved by the same forward substitution
+over the strongly connected components of T (_block_solve), where a
+component with a cycle or a self-loop is a dense block; I - T counts as
+singular by the dense oracle's determinant test.
 The term loop, which applies T once per order, makes the Born terms on
 demand and the truncations of any operator.  A dense LU route is kept
 alongside as an independent cross-check; it shares none of this code.
@@ -20,12 +24,14 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import DimensionError, NotNilpotentError, SingularError
-from .graph import analyze_acyclicity
-from .operators import SparseOperator, _apply, as_state_vector
+from .graph import _strong_components, analyze_acyclicity
+from .operators import (SparseOperator, _apply, _bin_sums, _products, _stable_order,
+                        as_state_vector)
 
 # Smallest |det(I - T)| the dense oracle accepts.  Pivot-versus-scale
 # tests misfire here: graded systems put legitimate pivots many orders
@@ -185,6 +191,55 @@ def _sweep(order: Iterable[int], ptr: list[int], index: np.ndarray,
         lo, hi = ptr[j - 1], ptr[j]
         if lo < hi:
             x[j - 1] += amp[lo:hi] @ x[index[lo:hi]]
+    return x
+
+
+def _block_solve(op: SparseOperator, x: np.ndarray) -> np.ndarray:
+    """Overwrite x with (I - T)^(-1) x, by forward substitution over T's components.
+
+    With its strongly connected components in sources-first order,
+    I - T is block lower triangular (Duff & Reid 1978).  A single state
+    with no self-loop is a step of _sweep, the acyclic solve's own
+    loop.  Every other component, a self-loop state included, is a
+    block: it adds its inflow from finished states, then takes one dense
+    solve of its own rows, in label order.  det(I - T) is the product of
+    the blocks' determinants; before any solve it goes through the
+    singularity test of direct_solve_oracle.
+    """
+    components = _strong_components(op)
+    row, col, amp = op._row, op._col, op._amp
+    sizes = np.array([len(states) for states in components])
+    labels = np.fromiter(chain.from_iterable(components), dtype=np.intp, count=op.dim)
+    of = np.empty(op.dim + 1, dtype=np.intp)  # each state's component ...
+    of[labels] = np.repeat(np.arange(sizes.size), sizes)
+    at = np.empty(op.dim + 1, dtype=np.intp)  # ... and its place in it
+    at[labels] = np.arange(op.dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    inner = of[row] == of[col]
+    # entries grouped by their row's component, in storage order within it
+    grouped = _stable_order(of[row], sizes.size)
+    bounds = list(accumulate(np.bincount(of[row], minlength=sizes.size).tolist(), initial=0))
+    log_det = 0.0
+    blocks = {}
+    for k in np.unique(of[row[inner]]).tolist():  # components with a cycle or a self-loop
+        e = grouped[bounds[k]:bounds[k + 1]]
+        own = e[inner[e]]
+        block = np.eye(sizes[k], dtype=complex)  # np.eye - to_dense(), as the oracle's
+        block[at[row[own]], at[col[own]]] -= amp[own]
+        log_det += np.linalg.slogdet(block)[1]
+        blocks[k] = block, e[~inner[e]]
+    _check_invertible(log_det)
+    ptr = op._row_ptr().tolist()
+    source = col - 1
+    for k, states in enumerate(components):
+        if k not in blocks:
+            _sweep(states, ptr, source, amp, x)
+            continue
+        block, e = blocks[k]
+        rows = np.array(states) - 1
+        rhs = x[rows]
+        if e.size:
+            rhs += _bin_sums(at[row[e]], *_products(amp[e], x[source[e]]), rows.size)
+        x[rows] = np.linalg.solve(block, rhs)
     return x
 
 

@@ -43,6 +43,17 @@ def parse_kv(text):
     return pairs
 
 
+def chain_doc(amp):
+    """A 40-state chain with transfer couplings amp (k -> k + 1) and -amp (k -> k + 2)."""
+    return {
+        "dimension": 40,
+        "transfer_entries": [
+            {"from": k, "to": k + step, "re": value, "im": 0.0}
+            for step, value in ((1, amp), (2, -amp)) for k in range(1, 41 - step)
+        ],
+    }
+
+
 def write_spec(tmp_path, doc, name="system.spec"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -125,18 +136,34 @@ class TestScaleFree:
         assert [float(kv[f"norm.{kind}"]) for kind in ("inf", "one", "fro")] == [amp] * 3
 
     def test_large_couplings_keep_the_remainder(self, tmp_path):
-        # a 40-state chain with couplings +-1e3: det(I - T) = 1, so the
-        # truncated solve reports its remainder
-        path = write_spec(tmp_path, {
-            "dimension": 40,
-            "transfer_entries": [
-                {"from": k, "to": k + step, "re": amp, "im": 0.0}
-                for step, amp in ((1, 1e3), (2, -1e3)) for k in range(1, 41 - step)
-            ],
-        })
+        # det(I - T) = 1, so the truncated solve reports its remainder
+        path = write_spec(tmp_path, chain_doc(1e3))
         code, out, _ = run_cli(["solve", path, "--phi", "1", "--order", "1"])
         assert code == EXIT_OK
         assert parse_kv(out)["truncation.available"] == "true"
+
+    def test_overflowing_solve_is_an_error(self, tmp_path):
+        # with couplings 1e8 the order-39 term and the total overflow
+        path = write_spec(tmp_path, chain_doc(1e8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["solve", path, "--phi", "1"])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: the solve overflows: term.39.40.re = inf\n"
+
+    def test_overflowing_remainder_is_unavailable(self, tmp_path):
+        # the order-1 terms are finite, the remainder is not: reported as
+        # a singular I - T would be
+        path = write_spec(tmp_path, chain_doc(1e8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["solve", path, "--phi", "1", "--order", "1"])
+        assert code == EXIT_OK
+        reason = "the remainder overflows: its norm is not finite"
+        kv = parse_kv(out)
+        assert (kv["truncation.available"], kv["truncation.reason"]) == ("false", reason)
+        assert not {"inf", "-inf", "nan"} & set(kv.values())
+        assert err.splitlines()[-1] == f"warning: exact remainder unavailable: {reason}"
 
 
 class TestScenario:

@@ -31,6 +31,7 @@ from bornsolve.operators import (
     vector_norm,
     _FLAT_BINS,
     _LOOP_RECORDS,
+    _checked_columns,
     _loop_records,
 )
 from conftest import assert_same_bits, random_dag, random_operator, random_state
@@ -1042,10 +1043,24 @@ class TestRecordChecks:
         assert stored_arrays(SparseOperator(dim, records)) == stored_arrays(
             _loop_records(dim, records))
 
+    def test_large_labels_sort_stably_by_row(self):
+        # dim + 1 > 2**16: the rows sort as intp keys, not 16-bit ones, and
+        # each row keeps its declaration order, as Python's sort keeps it
+        dim = 70000
+        rng = np.random.default_rng(79)
+        rows = rng.choice([1, 3, 2**16 - 1, 2**16, 2**16 + 1, dim], size=6 * _LOOP_RECORDS)
+        cols = rng.choice(dim, size=rows.size, replace=False) + 1
+        records = [(int(r), int(c), complex(k + 1)) for k, (r, c) in enumerate(zip(rows, cols))]
+        checked = _checked_columns(dim, rows.tolist(), cols.tolist(),
+                                   np.array([a for _, _, a in records]))
+        want = sorted(records, key=lambda record: record[0])
+        assert stored_arrays(checked) == [list(part) for part in zip(*want)]
+        assert stored_arrays(SparseOperator(dim, records)) == stored_arrays(checked)
+
     @pytest.mark.parametrize("dim", [2**40, 2**62])
     def test_wrapping_keys_fall_back_to_the_loop(self, dim):
-        # the sort keys row * (dim + 1) + col and row * n + position would
-        # wrap in intp; wrapped, they once stored row dim first at 2**62
+        # the keys row * (dim + 1) + col would wrap in intp; wrapped, sort
+        # keys once stored row dim first at 2**62
         records = [(dim, 1, 1.0), (1, 2, 2.0), (dim, 4, 3.0), (1, dim, 4.0)]
         records += [(2, col, 1.0) for col in range(1, _LOOP_RECORDS)]
         want = stored_arrays(_loop_records(dim, records))

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornsolve.errors import SingularError
-from bornsolve.graph import _strong_components, analyze_acyclicity
+from bornsolve.graph import analyze_acyclicity
 from bornsolve.operators import SparseOperator, basis_state, matvec, power, vector_norm
 from bornsolve.solver import (
+    _block_solve,
     _substitute,
     born_approximation,
     direct_solve_oracle,
@@ -27,7 +28,6 @@ from bornsolve.solver import (
 from bornsolve.specfile import load_spec, spec_to_operator
 from bornsolve.truncation import (
     QUASI_NILPOTENT_DEFECT,
-    _block_solve,
     exact_remainder,
     nilpotency_defect,
     remainder_bound,
@@ -256,7 +256,7 @@ class TestBlockRoute:
             op = scaled_to_norm(op, 0.5)
         phi = data.draw(states(dim))
         want = direct_solve_oracle(op, phi)
-        got = _block_solve(op, _strong_components(op), phi.copy())
+        got = _block_solve(op, phi.copy())
         assert np.abs(got - want).max() <= 32 * dim * EPS * np.abs(want).max()
         m = data.draw(st.integers(0, 3))
         tail = matvec(power(op, m + 1), phi)
@@ -303,7 +303,7 @@ class TestBlockRoute:
                 with pytest.raises(SingularError, match=re.escape(str(exc))):
                     exact_remainder(op, phi, 1)
             else:
-                npt.assert_allclose(_block_solve(op, _strong_components(op), phi.copy()), want)
+                npt.assert_allclose(_block_solve(op, phi.copy()), want)
 
     def test_one_block_is_the_dense_solve_bit_for_bit(self):
         # the two-level loop is one block spanning the matrix in label order
@@ -322,7 +322,7 @@ class TestBlockRoute:
             op = random_dag(rng, dim, density=0.5)
             phi = random_state(rng, dim)
             want = _substitute(make_system(op), phi.copy())
-            assert_same_bits(_block_solve(op, _strong_components(op), phi.copy()), want)
+            assert_same_bits(_block_solve(op, phi.copy()), want)
             for m in range(analyze_acyclicity(op).depth):
                 want = _substitute(make_system(op), matvec(power(op, m + 1), phi))
                 assert_same_bits(exact_remainder(op, phi, m), want)
@@ -333,7 +333,7 @@ class TestBlockRoute:
         op = SparseOperator(3, [(1, 1, 0.5), (2, 1, 0.25), (2, 2, -1.0), (3, 2, 0.5)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _block_solve(op, _strong_components(op), np.ones(3, dtype=complex))
+            got = _block_solve(op, np.ones(3, dtype=complex))
         assert_same_bits(got, np.array([2.0, 0.75, 1.375], dtype=complex))
 
 
