@@ -33,9 +33,9 @@ from .operators import (
     basis_state,
     operator_norm,
 )
-from .report import format_complex, format_table, kv_lines
+from .report import format_complex, format_scalar, format_table, kv_lines
 from .scenarios import InterferenceReport, classify_interference
-from .solver import _born_terms, det_i_minus_t, make_system, solve_exact
+from .solver import _block_structure, _born_terms, make_system, solve_exact
 from .specfile import SystemSpec, _parse_complex, load_spec, spec_to_operator
 from .truncation import remainder_bound
 
@@ -100,6 +100,8 @@ def _norm_block(op: SparseOperator) -> dict[str, float]:
     return {kind: operator_norm(op, kind) for kind in NORM_KINDS}
 
 
+# an overflow shows as a non-finite value, which the report refuses
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_analyze(args) -> int:
     spec = load_spec(args.spec)
     op = spec_to_operator(spec)
@@ -119,8 +121,12 @@ def _cmd_analyze(args) -> int:
         tree["det"] = 1 + 0j
     else:
         tree["witness_cycle"] = list(report.witness_cycle)
-        tree["det"] = det_i_minus_t(op)
+        tree["det"] = _block_structure(op).det
     tree["norm"] = _norm_block(op)
+    overflow = _first_non_finite(tree)
+    if overflow:
+        print(f"error: the analysis overflows: {overflow}", file=sys.stderr)
+        return EXIT_INPUT
     _emit(tree, _analysis_table(tree) if args.table else "")
     if report.is_acyclic:
         return EXIT_OK
@@ -148,8 +154,7 @@ def _analysis_table(tree: dict[str, Any]) -> str:
     return format_table(["property", "value"], rows)
 
 
-# an overflow shows as a non-finite value, which the report refuses
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")  # as _cmd_analyze
 def _cmd_solve(args) -> int:
     if args.norm is not None and args.order is None:
         print("usage error: --norm needs --order", file=sys.stderr)
@@ -203,7 +208,7 @@ def _cmd_solve(args) -> int:
     tree["phi"] = phi
     tree["term"] = {str(k): t for k, t in enumerate(terms)}
     tree["total"] = total
-    overflow = _first_non_finite(terms, total)
+    overflow = _first_non_finite(tree)
     if overflow:
         print(f"error: the solve overflows: {overflow}", file=sys.stderr)
         return EXIT_INPUT
@@ -213,12 +218,6 @@ def _cmd_solve(args) -> int:
             trunc = remainder_bound(op, phi, args.order, args.norm or "inf")
         except SingularError as exc:
             reason = str(exc)
-        else:
-            reason = (None if np.isfinite(trunc.exact_remainder_norm)
-                      else "the remainder overflows: its norm is not finite")
-        if reason:
-            print(f"warning: exact remainder unavailable: {reason}", file=sys.stderr)
-            tree["truncation"] = {"available": False, "reason": reason}
         else:
             block: dict[str, Any] = {
                 "available": True,
@@ -234,19 +233,40 @@ def _cmd_solve(args) -> int:
             else:
                 block["bound"] = trunc.bound
             block["quasi_nilpotent"] = trunc.quasi_nilpotent
+            overflow = _first_non_finite(block, "truncation.")
+            if not overflow:
+                reason = None
+            elif not np.isfinite(trunc.exact_remainder_norm):
+                reason = "the remainder overflows: its norm is not finite"
+            else:
+                reason = f"the truncation budget overflows: {overflow}"
+        if reason:
+            print(f"warning: exact remainder unavailable: {reason}", file=sys.stderr)
+            tree["truncation"] = {"available": False, "reason": reason}
+        else:
             tree["truncation"] = block
 
     _emit(tree, _solve_table(spec, terms, total) if args.table else "")
     return EXIT_OK
 
 
-def _first_non_finite(terms, total) -> str | None:
-    """The first report line of the terms and total that is inf or nan, if any."""
-    for path, vec in [*((f"term.{k}", t) for k, t in enumerate(terms)), ("total", total)]:
-        if not np.isfinite(vec).all():
-            parts = np.column_stack((vec.real, vec.imag)).ravel()  # in report order
-            k = int(np.isfinite(parts).argmin())
-            return f"{path}.{k // 2 + 1}.{('re', 'im')[k % 2]} = {parts[k]}"
+def _first_non_finite(tree: dict[str, Any], prefix: str = "") -> str | None:
+    """The first report line of tree, in report order, whose value is inf or nan, if any."""
+    for key, value in tree.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            found = _first_non_finite(value, f"{path}.")
+        elif isinstance(value, np.ndarray):  # a state vector: path.k.re and path.k.im
+            found = None if np.isfinite(value).all() else _first_non_finite(
+                dict(zip(map(str, range(1, value.size + 1)), value.tolist())), f"{path}.")
+        elif isinstance(value, (complex, np.complexfloating)):
+            found = _first_non_finite({"re": value.real, "im": value.imag}, f"{path}.")
+        elif isinstance(value, (float, np.floating)) and not np.isfinite(value):
+            found = f"{path} = {format_scalar(value)}"
+        else:
+            found = None
+        if found:
+            return found
     return None
 
 

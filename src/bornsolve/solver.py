@@ -12,8 +12,10 @@ _sweep, over two indexes of the same stored entries, and det(I - T) = 1
 exactly.
 Any other invertible I - T is solved by the same forward substitution
 over the strongly connected components of T (_block_solve), where a
-component with a cycle or a self-loop is a dense block; I - T counts as
-singular by the dense oracle's determinant test.
+component with a cycle or a self-loop is a dense block.  det(I - T) of
+any operator is the product of those blocks' determinants, from one
+slogdet per block, and I - T counts as singular when that determinant
+fails the dense oracle's test.
 The term loop, which applies T once per order, makes the Born terms on
 demand and the truncations of any operator.  A dense LU route is kept
 alongside as an independent cross-check; it shares none of this code.
@@ -194,18 +196,32 @@ def _sweep(order: Iterable[int], ptr: list[int], index: np.ndarray,
     return x
 
 
-def _block_solve(op: SparseOperator, x: np.ndarray) -> np.ndarray:
-    """Overwrite x with (I - T)^(-1) x, by forward substitution over T's components.
+@dataclass(frozen=True, eq=False)
+class _BlockStructure:
+    """I - T in block lower triangular form, over T's strong components (Duff & Reid 1978).
 
-    With its strongly connected components in sources-first order,
-    I - T is block lower triangular (Duff & Reid 1978).  A single state
-    with no self-loop is a step of _sweep, the acyclic solve's own
-    loop.  Every other component, a self-loop state included, is a
-    block: it adds its inflow from finished states, then takes one dense
-    solve of its own rows, in label order.  det(I - T) is the product of
-    the blocks' determinants; before any solve it goes through the
-    singularity test of direct_solve_oracle.
+    components come sources first, each listing its states ascending;
+    at[j] is state j's place in its component.  blocks maps each
+    component with a cycle or a self-loop to its dense rows of I - T, in
+    label order, and the indices of the stored entries flowing into it.
+    det(I - T) = sign * exp(log_det), over the blocks' slogdets; a
+    single state with no self-loop contributes exactly 1.
     """
+
+    components: list[list[int]]
+    at: np.ndarray
+    blocks: dict[int, tuple[np.ndarray, np.ndarray]]
+    sign: complex
+    log_det: float
+
+    @property
+    def det(self) -> complex:
+        """det(I - T); exactly 1 + 0j when no component is a block."""
+        return complex(self.sign * np.exp(self.log_det))
+
+
+def _block_structure(op: SparseOperator) -> _BlockStructure:
+    """Components, blocks and det(I - T) of an operator; one slogdet per block."""
     components = _strong_components(op)
     row, col, amp = op._row, op._col, op._amp
     sizes = np.array([len(states) for states in components])
@@ -218,23 +234,42 @@ def _block_solve(op: SparseOperator, x: np.ndarray) -> np.ndarray:
     # entries grouped by their row's component, in storage order within it
     grouped = _stable_order(of[row], sizes.size)
     bounds = list(accumulate(np.bincount(of[row], minlength=sizes.size).tolist(), initial=0))
-    log_det = 0.0
+    sign, log_det = 1 + 0j, 0.0
     blocks = {}
     for k in np.unique(of[row[inner]]).tolist():  # components with a cycle or a self-loop
         e = grouped[bounds[k]:bounds[k + 1]]
         own = e[inner[e]]
-        block = np.eye(sizes[k], dtype=complex)  # np.eye - to_dense(), as the oracle's
+        block = np.eye(sizes[k], dtype=complex)  # I - T as the oracle forms it
         block[at[row[own]], at[col[own]]] -= amp[own]
-        log_det += np.linalg.slogdet(block)[1]
+        block_sign, block_log = np.linalg.slogdet(block)
+        sign *= block_sign
+        log_det += block_log
         blocks[k] = block, e[~inner[e]]
-    _check_invertible(log_det)
+    return _BlockStructure(components, at, blocks, sign, log_det)
+
+
+def _block_solve(op: SparseOperator, x: np.ndarray) -> np.ndarray:
+    """Overwrite x with (I - T)^(-1) x, by forward substitution over T's components.
+
+    With its strongly connected components in sources-first order,
+    I - T is block lower triangular (Duff & Reid 1978).  A single state
+    with no self-loop is a step of _sweep, the acyclic solve's own
+    loop.  Every other component, a self-loop state included, is a
+    block: it adds its inflow from finished states, then takes one dense
+    solve of its own rows, in label order.  Before any solve, the
+    blocks' log|det(I - T)| goes through the singularity test of
+    direct_solve_oracle.
+    """
+    structure = _block_structure(op)
+    _check_invertible(structure.log_det)
+    row, amp, at = op._row, op._amp, structure.at
     ptr = op._row_ptr().tolist()
-    source = col - 1
-    for k, states in enumerate(components):
-        if k not in blocks:
+    source = op._col - 1
+    for k, states in enumerate(structure.components):
+        if k not in structure.blocks:
             _sweep(states, ptr, source, amp, x)
             continue
-        block, e = blocks[k]
+        block, e = structure.blocks[k]
         rows = np.array(states) - 1
         rhs = x[rows]
         if e.size:
@@ -244,19 +279,19 @@ def _block_solve(op: SparseOperator, x: np.ndarray) -> np.ndarray:
 
 
 def det_i_minus_t(operator: SparseOperator) -> complex:
-    """det(I - T) by dense factorization; works for any operator."""
-    a = np.eye(operator.dim, dtype=complex) - operator.to_dense()
-    return complex(np.linalg.det(a))
+    """det(I - T) for any operator, from the blocks of its strong components.
+
+    Exactly 1 + 0j for an acyclic T, where no component is a block; no
+    dense matrix of the whole operator is formed.
+    """
+    return _block_structure(operator).det
 
 
 def det_check(system: AcyclicSystem) -> complex:
-    """Determinant of I - T for a certified system.
+    """Determinant of I - T for a certified system: exactly 1 + 0j.
 
-    Mathematically this is exactly 1, independent of the amplitudes (I - T
-    is unit triangular in topological order), so the dense factorization
-    here measures nothing but accumulated rounding.  The full complex
-    value is returned rather than its real part; hiding the imaginary
-    component would hide half the rounding error.
+    I - T is unit triangular in topological order, so every component
+    of T is a single state with no self-loop and contributes exactly 1.
     """
     return det_i_minus_t(system.operator)
 

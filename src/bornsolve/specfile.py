@@ -192,6 +192,14 @@ def parse_spec(text: str) -> SystemSpec:
     dimension = _require_int(raw["dimension"], "dimension")
     if dimension < 1:
         raise SpecFormatError(f"dimension: must be >= 1, got {dimension}")
+    try:
+        # one state vector, which every command holds: numpy refuses it when it
+        # is beyond indexing or the machine's memory, and an empty one that
+        # fits touches no page
+        np.empty(dimension, dtype=complex)
+    except (OverflowError, ValueError, MemoryError):
+        raise SpecFormatError(
+            f"dimension: {dimension} states are too many to index or allocate") from None
 
     labels: tuple[str, ...] | None = None
     if "basis_labels" in raw:

@@ -12,7 +12,8 @@ acyclic T have an exact value: rational_terms computes them in Gaussian
 rationals, (re, im) pairs of fractions.Fraction built from the stored
 floats without rounding, by a matvec over the operator's stored rows,
 columns and amplitudes.  rational_remainder sums the terms beyond an
-order, the exact remainder of that truncation.
+order, the exact remainder of that truncation.  dense_det is det(I - T)
+by one dense LU of the whole matrix, blind to its block structure.
 
 An edge i -> j is the operator entry (row j, col i).  Every graph carries
 .operator, the SparseOperator with its pattern (unannotated edges get
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from bornsolve.graph import analyze_acyclicity
 from bornsolve.operators import SparseOperator, _label, _size
@@ -289,3 +292,8 @@ def rational_sum(vectors: Iterable[list[Gaussian]], dim: int) -> list[Gaussian]:
 def rational_remainder(op: SparseOperator, phi, m: int) -> list[Gaussian]:
     """sum_{m < k <= depth} T^k phi, the exact remainder of the order-m truncation."""
     return rational_sum(rational_terms(op, phi)[m + 1:], op.dim)
+
+
+def dense_det(op: SparseOperator) -> complex:
+    """det(I - T) by numpy.linalg.det of the dense matrix."""
+    return complex(np.linalg.det(np.eye(op.dim, dtype=complex) - op.to_dense()))

@@ -24,6 +24,9 @@ from bornsolve.solver import make_system, solve_exact
 from bornsolve.specfile import load_spec, spec_to_operator
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -151,6 +154,35 @@ class TestScaleFree:
         assert (code, out) == (EXIT_INPUT, "")
         assert err == "error: the solve overflows: term.39.40.re = inf\n"
 
+    @pytest.mark.parametrize("records, key", [
+        ([(1, 2, 1e200), (2, 1, 1e200)], "det.re = -inf"),
+        ([(2, 1, 1e308), (3, 1, 1e308)], "norm.inf = inf"),
+    ], ids=["det", "norm"])
+    def test_overflowing_analysis_is_an_error(self, tmp_path, records, key):
+        # a 2-cycle whose det(I - T) = 1 - 1e400 overflows, and two couplings
+        # into state 1 whose row sum does
+        path = write_spec(tmp_path, {"dimension": 3, "transfer_entries": [
+            {"from": i, "to": j, "re": amp, "im": 0.0} for i, j, amp in records]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["analyze", path])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: the analysis overflows: {key}\n"
+
+    def test_overflowing_norm_leaves_the_budget_unavailable(self, tmp_path):
+        # the remainder is zero, but ||T||_inf = 2e308 overflows
+        path = write_spec(tmp_path, {"dimension": 3, "transfer_entries": [
+            {"from": i, "to": 1, "re": 1e308, "im": 0.0} for i in (2, 3)]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["solve", path, "--phi", "1", "--order", "0"])
+        assert code == EXIT_OK
+        reason = "the truncation budget overflows: truncation.operator_norm = inf"
+        kv = parse_kv(out)
+        assert (kv["truncation.available"], kv["truncation.reason"]) == ("false", reason)
+        assert not {"inf", "-inf", "nan"} & set(kv.values())
+        assert err.splitlines()[-1] == f"warning: exact remainder unavailable: {reason}"
+
     def test_overflowing_remainder_is_unavailable(self, tmp_path):
         # the order-1 terms are finite, the remainder is not: reported as
         # a singular I - T would be
@@ -242,14 +274,25 @@ class TestAnalyze:
         assert kv["det.re"] == "1.0"
         assert kv["det.im"] == "0.0"
 
-    def test_cyclic_det_is_dense(self, tmp_path):
-        # det [[1, -0.5], [-0.04, 1]] = 1 - 0.02
+    def test_cyclic_det_of_one_block(self, tmp_path):
+        # one block: det [[1, -0.5], [-0.04, 1]] = 1 - 0.02
         path = write_spec(tmp_path, TWO_LEVEL_LOOP)
         code, out, _ = run_cli(["analyze", path])
         assert code == EXIT_CYCLIC
         kv = parse_kv(out)
         npt.assert_allclose(float(kv["det.re"]), 0.98, rtol=1e-15)
         assert float(kv["det.im"]) == 0.0
+
+    def test_cyclic_det_forms_no_dense_determinant(self, monkeypatch):
+        # components [1] [2,3] [4] [5] [6,7]: the product of the blocks' determinants
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze called numpy.linalg.det")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        code, out, _ = run_cli(["analyze", str(GOLDEN / "cyclic-blocks.spec")])
+        assert code == EXIT_CYCLIC
+        kv = parse_kv(out)
+        assert (kv["det.re"], kv["det.im"]) == ("0.9406718749999998", "0.08982187499999993")
 
     def test_table_appends_without_touching_kv(self, tmp_path):
         path = write_spec(tmp_path, diamond_doc())
@@ -576,6 +619,20 @@ class TestDimensionTooLarge:
             assert code == EXIT_INPUT
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("dimension", [2**63, 2**50])
+    def test_names_the_dimension(self, tmp_path, dimension):
+        # beyond intp, and 16 PiB for one state vector: both refused before
+        # any array of that size exists
+        path = write_spec(tmp_path, {
+            "dimension": dimension,
+            "transfer_entries": [{"from": 1, "to": 2, "re": 1.0, "im": 0.0}],
+        })
+        for argv in (["analyze", path], ["solve", path, "--phi", "1"]):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err == (f"error: dimension: {dimension} states are too many "
+                           f"to index or allocate\n")
 
     def test_memory_error(self, tmp_path, monkeypatch):
         def handler(args):

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
 
 from bornsolve.errors import DimensionError, NotNilpotentError, SingularError
 from bornsolve.operators import (
@@ -32,11 +33,13 @@ from bornsolve.solver import (
 from bornsolve.scenarios import build_diamond
 from conftest import (
     backward_error,
+    planted_blocks,
     random_dag,
     random_operator,
     random_state,
     scaled_to_norm,
 )
+from oracles import dense_det
 
 EPS = np.finfo(float).eps
 
@@ -381,6 +384,27 @@ class TestDeterminant:
 
     def test_zero_operator(self):
         assert det_i_minus_t(SparseOperator.zero(4)) == 1.0
+
+    def test_exactly_one_for_acyclic(self):
+        # every component a single state with no loop: no block, no rounding
+        rng = np.random.default_rng(139)
+        for _ in range(30):
+            dim = int(rng.integers(1, 40))
+            op = random_dag(rng, dim, min_modulus=0.0, max_modulus=5.0)
+            assert repr(det_i_minus_t(op)) == "(1+0j)"
+            assert repr(det_check(make_system(op))) == "(1+0j)"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(planted_blocks())
+    def test_blocks_match_the_dense_determinant(self, case):
+        # several blocks, self-loops, blocks downstream of blocks; with
+        # ||T||_inf = 0.5 every eigenvalue of I - T lies in |z - 1| <= 0.5
+        dim, entries, _ = case
+        op = SparseOperator(dim, entries)
+        if not op.is_zero():
+            op = scaled_to_norm(op, 0.5)
+        want = dense_det(op)
+        assert abs(det_i_minus_t(op) - want) <= 4 * dim * EPS * abs(want)
 
 
 class TestResolventAndTMatrix:
