@@ -30,9 +30,13 @@ Products and norms work on whole arrays with Python's roundings: a
 complex product is formed from four float products as Python forms it
 (_products), moduli come from hypot as Python's abs does, and bincount
 adds the terms of each bin in index order from 0.0, as a left-to-right
-loop does (_bin_sums); _apply and matmul share both.  matmul's bins are
-all (dim + 1)^2 flat keys of a dense enough product, else the distinct
-keys; each bin adds the same terms in the same order either way.  Sums
+loop does (_bin_sums); _apply and matmul share both.  matmul works in
+row panels of a, about _PANEL_TERMS terms each (_panels), so its
+temporaries follow a panel's terms, not the whole product's, and no
+array has (dim + 1)^2 bins.  A panel's bins are its rows' flat keys
+when dense enough, the stored keys being those of the nonzero sums,
+else its distinct keys; each bin adds the same terms in the same order
+either way and whatever the panels, since a row never spans two.  Sums
 in (row, col) order (_sorted) skip the lexsort when the entries are
 stored so, as products are.  An operator holds its three stored arrays
 and nothing derived from them; a caller that walks rows derives the
@@ -62,12 +66,20 @@ NORM_KINDS = ("inf", "one", "fro")
 # record, and the two break even near 48 records (2-core Xeon VM).
 _LOOP_RECORDS = 48
 
-# matmul sums its terms in one bin per flat key row * (dim + 1) + col,
-# with no sort, when there are at most this many keys a term; else in one
-# bin per distinct key, which np.unique sorts out.  The flat bins won at up
-# to 3.7 keys a term and lost from 4.2 on (random products, dim 10-600,
-# 2-core Xeon VM; BENCH_truncation_floor.json).
+# matmul sums a panel's terms in one bin per flat key (row - first row) *
+# (dim + 1) + col, with no sort, when there are at most this many keys a
+# term; else in one bin per distinct key, which np.unique sorts out.  The
+# flat bins won at up to 3.7 keys a term and lost from 4.2 on (random
+# products, dim 10-600, 2-core Xeon VM; BENCH_truncation_floor.json).
 _FLAT_BINS = 3
+
+# matmul forms and sums the terms of a's rows one panel of about this many
+# terms at a time.  A panel is sized in terms, not in rows or entries,
+# because its temporaries (indices, keys, gathered amplitudes, products)
+# hold a few numbers a term, and an entry of a starts anywhere from none
+# to dim terms.  Of 4096 to 65536, 8192 and 16384 ran resolvent_truncation's
+# requests fastest, tied within noise (2-core Xeon VM; BENCH_row_panels.json).
+_PANEL_TERMS = 16384
 
 Entry = tuple[int, int, complex]
 
@@ -389,30 +401,58 @@ def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
 
     Every term a[row, mid] b[mid, col] is formed by _products, a's
     entries in storage order and each followed through b's row mid in
-    storage order.  An output entry sums its terms in that order from 0,
-    in a bin of its own: one of all (dim + 1)^2 flat keys, whose hit
-    counts give the stored keys in order, when that is at most _FLAT_BINS
-    keys a term; else one of the distinct keys, from np.unique.  The two
-    give the same bits.
+    storage order.  a's rows are cut into panels of about _PANEL_TERMS
+    terms, never inside a row, and the panels are formed and summed one
+    after another.  An output entry sums its panel's terms in that order
+    from 0, in a bin of its own: one of the panel's (rows) * (dim + 1)
+    flat keys, relative to its first row, when that is at most
+    _FLAT_BINS keys a term, the stored keys being those of the nonzero
+    sums (NaN is not zero, so _store still names it); else one of the
+    distinct keys, from np.unique.  The two give the same bits, and so
+    does any panel size: an entry's terms all lie in its row's panel, in
+    the same order.
     """
     if a.dim != b.dim:
         raise DimensionError(f"cannot multiply dimension {a.dim} by {b.dim}")
     ptr = b._row_ptr()
     start = ptr[a._col - 1]
     count = ptr[a._col] - start
-    left = np.repeat(np.arange(a.nnz), count)
-    right = np.arange(left.size) + np.repeat(start - (np.cumsum(count) - count), count)
     width = a.dim + 1
-    flat = a._row[left] * width + b._col[right]
-    with np.errstate(over="ignore", invalid="ignore"):  # _store rejects what overflowed
-        products = _products(a._amp[left], b._amp[right])
-    if width * width <= _FLAT_BINS * flat.size:
-        keys = np.flatnonzero(np.bincount(flat, minlength=width * width) != 0)
-        out = _bin_sums(flat, *products, width * width)[keys]
-    else:
-        keys, slot = np.unique(flat, return_inverse=True)
-        out = _bin_sums(slot, *products, keys.size)
-    return SparseOperator._from_arrays(a.dim, keys // width, keys % width, out)
+    keys, sums = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
+    for lo, hi in _panels(a._row, count):
+        n = count[lo:hi]
+        left = np.repeat(np.arange(lo, hi), n)
+        right = np.arange(left.size) + np.repeat(start[lo:hi] - (np.cumsum(n) - n), n)
+        first = a._row[lo]
+        flat = (a._row[left] - first) * width + b._col[right]
+        with np.errstate(over="ignore", invalid="ignore"):  # _store rejects what overflowed
+            products = _products(a._amp[left], b._amp[right])
+        span = (a._row[hi - 1] - first + 1) * width
+        if span <= _FLAT_BINS * flat.size:
+            re, im = (np.bincount(flat, part, span) for part in products)
+            key = np.flatnonzero((re != 0) | (im != 0))
+            out = np.empty(key.size, dtype=complex)
+            out.real, out.imag = re[key], im[key]
+        else:
+            key, slot = np.unique(flat, return_inverse=True)
+            out = _bin_sums(slot, *products, key.size)
+        keys.append(key + first * width)
+        sums.append(out)
+    row, col = np.divmod(np.concatenate(keys), width)
+    return SparseOperator._from_arrays(a.dim, row, col, np.concatenate(sums))
+
+
+def _panels(row: np.ndarray, count: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(lo, hi) slices of entries in storage order, cut at row starts about every _PANEL_TERMS terms.
+
+    count[k] is the number of terms entry k starts.  The first row starts
+    a panel, and so does each later row whose terms before it have passed
+    a multiple of _PANEL_TERMS that those before the previous row had not.
+    """
+    starts = np.flatnonzero(np.diff(row, prepend=0))
+    before = (np.cumsum(count) - count)[starts]
+    cuts = starts[np.flatnonzero(np.diff(before // _PANEL_TERMS, prepend=-1))].tolist()
+    return zip(cuts, cuts[1:] + [row.size])
 
 
 def power(op: SparseOperator, k: int) -> SparseOperator:

@@ -12,6 +12,12 @@ from hypothesis import strategies as st
 
 from bornsolve.operators import SparseOperator, operator_norm
 
+# 0, +-1, +-1/2 and +-1/4, times 1 or i: on a DAG of at most 16 states, and
+# in the first five powers of any operator of at most 16 states, every
+# product and sum of these, in any order, is a dyadic of at most 53
+# significant bits, so no floating-point step rounds
+DYADIC = [0.0, *(s * f * u for f in (1.0, 0.5, 0.25) for s in (1, -1) for u in (1, 1j))]
+
 
 def assert_same_bits(got, want) -> None:
     """Equal values and equal signs, so -0.0 and 0.0 count as different."""

@@ -12,8 +12,10 @@ acyclic T have an exact value: rational_terms computes them in Gaussian
 rationals, (re, im) pairs of fractions.Fraction built from the stored
 floats without rounding, by a matvec over the operator's stored rows,
 columns and amplitudes.  rational_remainder sums the terms beyond an
-order, the exact remainder of that truncation.  dense_det is det(I - T)
-by one dense LU of the whole matrix, blind to its block structure.
+order, the exact remainder of that truncation, and rational_power forms
+the operator power T^k itself, entry by entry, in the same arithmetic.
+dense_det is det(I - T) by one dense LU of the whole matrix, blind to
+its block structure.
 
 An edge i -> j is the operator entry (row j, col i).  Every graph carries
 .operator, the SparseOperator with its pattern (unannotated edges get
@@ -292,6 +294,38 @@ def rational_sum(vectors: Iterable[list[Gaussian]], dim: int) -> list[Gaussian]:
 def rational_remainder(op: SparseOperator, phi, m: int) -> list[Gaussian]:
     """sum_{m < k <= depth} T^k phi, the exact remainder of the order-m truncation."""
     return rational_sum(rational_terms(op, phi)[m + 1:], op.dim)
+
+
+def rational_power(op: SparseOperator, k: int,
+                   base: dict[tuple[int, int], Gaussian] | None = None) -> dict[tuple[int, int], Gaussian]:
+    """base T^k in Gaussian rationals, {(row, col): value} over its nonzero entries.
+
+    base is such a dict too, the identity when omitted, so T^k by
+    default.  Each factor T multiplies from the right, one stored entry
+    at a time, with no rounding.
+    """
+    by_row: dict[int, list[tuple[int, Gaussian]]] = {}
+    for r, c, a in zip(op._row.tolist(), op._col.tolist(), op._amp.tolist()):
+        by_row.setdefault(r, []).append((c, gaussian(a)))
+    out = base if base is not None else {(j, j): (Fraction(1), Fraction(0))
+                                         for j in range(1, op.dim + 1)}
+    for _ in range(k):
+        nxt: dict[tuple[int, int], Gaussian] = {}
+        for (r, mid), (pr, pi) in out.items():
+            for c, (ar, ai) in by_row.get(mid, ()):
+                nxt[r, c] = _add_product(nxt.get((r, c), _ZERO), (pr, pi), (ar, ai))
+        out = {key: value for key, value in nxt.items() if value != _ZERO}
+    return out
+
+
+def _add_product(y: Gaussian, p: Gaussian, a: Gaussian) -> Gaussian:
+    """y + p a, exactly; a part of p or a that is zero forms no product."""
+    (yr, yi), (pr, pi), (ar, ai) = y, p, a
+    if ar:
+        yr, yi = (yr + pr * ar if pr else yr), (yi + pi * ar if pi else yi)
+    if ai:
+        yr, yi = (yr - pi * ai if pi else yr), (yi + pr * ai if pr else yi)
+    return yr, yi
 
 
 def dense_det(op: SparseOperator) -> complex:

@@ -31,10 +31,13 @@ from bornsolve.operators import (
     vector_norm,
     _FLAT_BINS,
     _LOOP_RECORDS,
+    _PANEL_TERMS,
     _checked_columns,
     _loop_records,
+    _panels,
 )
-from conftest import assert_same_bits, random_dag, random_operator, random_state
+from conftest import DYADIC, assert_same_bits, random_dag, random_operator, random_state
+from oracles import gaussian, rational_power
 
 RTOL = 1e-12
 ATOL = 1e-13
@@ -775,11 +778,17 @@ class TestStoreRule:
                 assert_same_bits(got._amp, want._amp)
 
 
-def flat_binned(a: SparseOperator, b: SparseOperator) -> bool:
-    """Whether matmul(a, b) sums its terms in flat bins rather than by np.unique."""
+def panel_sizes(a: SparseOperator, b: SparseOperator) -> list[tuple[int, int]]:
+    """(rows, terms) of each of matmul(a, b)'s panels, rows counted from its first to its last."""
     ptr = b._row_ptr()
-    terms = int((ptr[a._col] - ptr[a._col - 1]).sum())
-    return (a.dim + 1) ** 2 <= _FLAT_BINS * terms
+    count = ptr[a._col] - ptr[a._col - 1]
+    return [(int(a._row[hi - 1] - a._row[lo] + 1), int(count[lo:hi].sum()))
+            for lo, hi in _panels(a._row, count)]
+
+
+def flat_binned(a: SparseOperator, b: SparseOperator) -> bool:
+    """Whether matmul(a, b) sums some panel's terms in flat bins rather than by np.unique."""
+    return any(rows * (a.dim + 1) <= _FLAT_BINS * terms for rows, terms in panel_sizes(a, b))
 
 
 class TestBinningPaths:
@@ -852,6 +861,141 @@ class TestBinningPaths:
             tracemalloc.stop()
         assert product.nnz > 0
         assert peak < (dim + 1) ** 2  # bytes: an eighth of one array of the bins
+
+
+# one panel a row with terms, rows beyond a panel, the default, one panel
+PANEL_SIZES = (1, 3, _PANEL_TERMS, 10**18)
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                             database=None)
+
+
+def assert_stores(got: SparseOperator, rows: dict) -> None:
+    """got's stored arrays are the row dicts' entries in their order, bit for bit."""
+    want = [(row, col, amp) for row, cols in rows.items() for col, amp in cols.items()]
+    assert list(zip(got._row.tolist(), got._col.tolist())) == [entry[:2] for entry in want]
+    assert_same_bits(got._amp, np.array([entry[2] for entry in want], dtype=complex))
+
+
+def panel_cases(rng):
+    """Operand pairs with rows of many terms, rows without terms and panels without terms.
+
+    b leaves about a third of its rows empty, so an entry of a in one of
+    those columns starts no term.
+    """
+    for _ in range(30):
+        dim = int(rng.integers(1, 14))
+        empty = rng.choice(np.arange(1, dim + 1), size=dim // 3, replace=False).tolist()
+        a = SparseOperator(dim, wide_entries(rng, dim, float(rng.uniform(0.1, 0.9))))
+        b = SparseOperator(dim, wide_entries(rng, dim, float(rng.uniform(0.1, 0.9)), empty))
+        yield a, b
+    yield SparseOperator(3, [(2, 1, 1.0)]), SparseOperator(3, [(2, 1, 1.0)])
+    yield diamond_operator(2.0, 4.0, 3.0, -1.5), diamond_operator(2.0, 4.0, 3.0, -1.5)
+    yield SparseOperator(4), SparseOperator.identity(4)
+
+
+@pytest.mark.parametrize("panel", PANEL_SIZES)
+class TestRowPanels:
+    """matmul forms and sums a's rows in panels of terms; no panel size moves a bit."""
+
+    @pytest.mark.parametrize("flat", [0, 10**18])  # np.unique for every panel, flat bins for all with terms
+    def test_products_and_powers_equal_the_python_reference(self, monkeypatch, panel, flat):
+        monkeypatch.setattr(operators, "_PANEL_TERMS", panel)
+        monkeypatch.setattr(operators, "_FLAT_BINS", flat)
+        panels = []
+        for a, b in panel_cases(np.random.default_rng(59)):
+            panels += [terms for _, terms in panel_sizes(a, b)]
+            assert_stores(matmul(a, b), python_product(stored_rows(a), stored_rows(b)))
+            want = stored_rows(a)
+            for k in range(1, 6):
+                assert_stores(power(a, k), want)
+                want = python_product(want, stored_rows(a))
+        if panel in (1, 3):
+            assert 0 in panels and max(panels) > panel  # panels without terms, rows beyond one
+
+    def test_cuts_fall_at_row_starts(self, monkeypatch, panel):
+        monkeypatch.setattr(operators, "_PANEL_TERMS", panel)
+        # rows 1, 2, 3 and 5 start 2, 0, 5 and 0 terms
+        row = np.array([1, 1, 2, 3, 3, 5])
+        count = np.array([2, 0, 0, 4, 1, 0])
+        want = {1: [(0, 2), (2, 5), (5, 6)], 3: [(0, 5), (5, 6)]}
+        assert list(_panels(row, count)) == want.get(panel, [(0, 6)])
+        assert list(_panels(row[:0], count[:0])) == []
+
+    def test_overflow_in_a_later_panel_names_the_same_entry(self, monkeypatch, panel):
+        # rows 1 and 2 are finite; row 3's two products overflow to +inf
+        # and -inf, whose sum is NaN, in the third panel of one-term panels
+        a = SparseOperator(3, [(1, 1, 1.0), (2, 2, 2.0), (3, 1, 1e200), (3, 2, -1e200)])
+        b = SparseOperator(3, [(1, 1, 1e200 + 1j), (1, 3, 1.0), (2, 1, 1e200 + 1j)])
+        monkeypatch.setattr(operators, "_PANEL_TERMS", panel)
+        assert len(panel_sizes(a, b)) == {1: 3, 3: 2}.get(panel, 1)
+        for flat in (0, 10**18):
+            monkeypatch.setattr(operators, "_FLAT_BINS", flat)
+            with pytest.raises(ValueError, match=r"^entry \(3, 1\) is not finite: \(nan"):
+                matmul(a, b)
+
+
+def resolvent_like_input() -> SparseOperator:
+    """A dim-300 contraction with cycles, made as the resolvent benchmark's cyclic input.
+
+    The same pattern stream: a DAG at density 0.05 in a random vertex
+    order with five of its edges reversed; amplitudes on the complex
+    unit disk, scaled to a largest absolute row sum of 0.9.
+    """
+    dim, pattern = 300, np.random.default_rng(300_010)
+    order = pattern.permutation(dim)
+    pos_a, pos_b = np.triu_indices(dim, k=1)
+    keep = pattern.random(pos_a.size) < 0.05
+    rows, cols = order[pos_b[keep]] + 1, order[pos_a[keep]] + 1
+    flip = pattern.choice(rows.size, size=5, replace=False)
+    rows, cols = np.concatenate([rows, cols[flip]]), np.concatenate([cols, rows[flip]])
+    values = np.random.default_rng(61)
+    amps = np.sqrt(values.random(rows.size)) * np.exp(2j * np.pi * values.random(rows.size))
+    op = SparseOperator(dim, list(zip(rows.tolist(), cols.tolist(), amps.tolist())))
+    return op.scaled(0.9 / operator_norm(op))
+
+
+def test_products_of_powers_stay_in_panels():
+    # T^3 T on the resolvent benchmark's input: all its terms formed at
+    # once peak at 5.9 MB traced, row panels at 2.8 MB
+    op = resolvent_like_input()
+    assert not analyze_acyclicity(op).is_acyclic
+    cube = power(op, 3)
+    tracemalloc.start()
+    try:
+        product = matmul(cube, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(panel_sizes(cube, op)) > 1 and product.nnz > 10_000
+    assert peak < 3.5e6  # bytes
+
+
+@st.composite
+def dyadic_operators(draw, max_dim: int = 16):
+    """An operator, cycles allowed, with every amplitude in DYADIC.
+
+    Each position draws its amplitude from DYADIC with the zero repeated
+    up to 24 times, so the density runs from sparse to full.
+    """
+    dim = draw(st.integers(2, max_dim))
+    amplitude = st.sampled_from([0.0] * draw(st.integers(0, 23)) + DYADIC)
+    amps = draw(st.lists(amplitude, min_size=dim * dim, max_size=dim * dim))
+    return SparseOperator(dim, [(k // dim + 1, k % dim + 1, amp) for k, amp in enumerate(amps)])
+
+
+@PROPERTY_SETTINGS
+@given(dyadic_operators())
+def test_dyadic_powers_are_exact(op):
+    exact = [rational_power(op, 0)]
+    for _ in range(5):
+        exact.append(rational_power(op, 1, exact[-1]))
+    for panel in (1, _PANEL_TERMS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(operators, "_PANEL_TERMS", panel)
+            for k, want in enumerate(exact):
+                got = power(op, k)
+                assert {(r, c): gaussian(a) for r, c, a in got.entries()} == want
 
 
 def lexsorted(op: SparseOperator) -> np.ndarray:

@@ -33,6 +33,7 @@ from bornsolve.truncation import (
     remainder_bound,
 )
 from conftest import (
+    DYADIC,
     assert_same_bits,
     planted_blocks,
     random_dag,
@@ -335,12 +336,6 @@ class TestBlockRoute:
             warnings.simplefilter("error")
             got = _block_solve(op, np.ones(3, dtype=complex))
         assert_same_bits(got, np.array([2.0, 0.75, 1.375], dtype=complex))
-
-
-# 0, +-1, +-1/2 and +-1/4, times 1 or i: on a DAG of at most 16 states
-# every product and sum of these, in any order, is a dyadic of at most
-# 53 significant bits, so no floating-point step rounds
-DYADIC = [0.0, *(s * f * u for f in (1.0, 0.5, 0.25) for s in (1, -1) for u in (1, 1j))]
 
 
 @st.composite
