@@ -56,7 +56,6 @@ from .solver import (
     t_matrix,
 )
 from .specfile import (
-    CouplingRecord,
     SystemSpec,
     load_spec,
     parse_spec,
@@ -79,7 +78,6 @@ __all__ = [
     "BenchResult",
     "BornExpansion",
     "BornsolveError",
-    "CouplingRecord",
     "DARK_THRESHOLD",
     "DimensionError",
     "InterferenceReport",

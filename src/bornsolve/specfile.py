@@ -17,14 +17,16 @@ Exactly one of two forms must be present on top of "dimension":
 "basis_labels" (n strings) is optional and only affects human-readable
 tables.
 
-A record list is checked by column first.  The loader's own gates ask
-for every item a dict with exactly the four record keys, labels of type
-int and values of type int or float within the float range; range,
-duplicates and finiteness are then left to the operators module's one
-check of record columns, whose verdict alone is used.  Any fault sends
-the list to the per-record loop instead, which is the only code that
-names a fault, so every SpecFormatError names the first faulty record
-in list order.
+A parsed spec holds its record lists as checked operators: T in the
+direct form, V in the Hamiltonian form.  A record list is checked by
+column first.  The loader's own gates ask for every item a dict with
+exactly the four record keys, labels of type int and values of type int
+or float within the float range; range, duplicates and finiteness are
+then left to the operators module's one check of record columns, whose
+sorted columns the operator stores as they are.  Any fault sends the
+list to the per-record loop instead, which is the only code that names
+a fault, so every SpecFormatError names the first faulty record in list
+order; a list it passes becomes an operator through SparseOperator.
 """
 
 from __future__ import annotations
@@ -54,23 +56,19 @@ _RECORD_KEYS = ("from", "to", "re", "im")
 
 
 @dataclass(frozen=True)
-class CouplingRecord:
-    """One off-diagonal coupling: amplitude for the transition source -> target."""
-
-    source: int
-    target: int
-    amplitude: complex
-
-
-@dataclass(frozen=True)
 class SystemSpec:
-    """Parsed system description; exactly one of the two forms is populated."""
+    """Parsed system description; exactly one of the two forms is populated.
+
+    The record fields, named after the file's keys, hold checked operators:
+    transfer_entries the transfer operator T, potential_entries the
+    potential V.
+    """
 
     dimension: int
     basis_labels: tuple[str, ...] | None = None
-    transfer_entries: tuple[CouplingRecord, ...] | None = None
+    transfer_entries: SparseOperator | None = None
     free_hamiltonian: tuple[float, ...] | None = None
-    potential_entries: tuple[CouplingRecord, ...] | None = None
+    potential_entries: SparseOperator | None = None
     energy: complex | None = None
 
     @property
@@ -109,8 +107,8 @@ def _parse_complex(obj: Any, where: str) -> complex:
                    _require_number(obj["im"], f"{where}.im"))
 
 
-def _column_records(raw: list, dimension: int) -> tuple[CouplingRecord, ...] | None:
-    """The records of raw if every one passes the checks of _loop_records, else None."""
+def _column_records(raw: list, dimension: int) -> SparseOperator | None:
+    """The operator of raw's records if every one passes the checks of _loop_records, else None."""
     # four keys each, and itemgetter finds all four: exactly the record keys
     if set(map(type, raw)) != {dict} or set(map(len, raw)) != {len(_RECORD_KEYS)}:
         return None
@@ -129,13 +127,12 @@ def _column_records(raw: list, dimension: int) -> tuple[CouplingRecord, ...] | N
         amplitude.imag = imags
     except OverflowError:  # an integer beyond the float range
         return None
-    if _checked_columns(dimension, targets, sources, amplitude) is None:
-        return None
-    return tuple(map(CouplingRecord, sources, targets, amplitude.tolist()))
+    checked = _checked_columns(dimension, targets, sources, amplitude)
+    return None if checked is None else SparseOperator._from_arrays(dimension, *checked)
 
 
-def _loop_records(raw: list, field: str, dimension: int) -> tuple[CouplingRecord, ...]:
-    records = []
+def _loop_records(raw: list, field: str, dimension: int) -> SparseOperator:
+    entries = []
     seen: set[tuple[int, int]] = set()
     for pos, item in enumerate(raw):
         where = f"{field}[{pos}]"
@@ -161,15 +158,15 @@ def _loop_records(raw: list, field: str, dimension: int) -> tuple[CouplingRecord
         seen.add((source, target))
         amplitude = complex(_require_number(item["re"], f"{where}.re"),
                             _require_number(item["im"], f"{where}.im"))
-        records.append(CouplingRecord(source=source, target=target, amplitude=amplitude))
-    return tuple(records)
+        entries.append((target, source, amplitude))
+    return SparseOperator(dimension, entries)
 
 
-def _parse_records(raw: Any, field: str, dimension: int) -> tuple[CouplingRecord, ...]:
+def _parse_records(raw: Any, field: str, dimension: int) -> SparseOperator:
     if not isinstance(raw, list):
         raise SpecFormatError(f"{field}: expected a list of coupling records")
-    records = _column_records(raw, dimension)
-    return _loop_records(raw, field, dimension) if records is None else records
+    op = _column_records(raw, dimension)
+    return _loop_records(raw, field, dimension) if op is None else op
 
 
 def parse_spec(text: str) -> SystemSpec:
@@ -259,11 +256,11 @@ def load_spec(path) -> SystemSpec:
         return parse_spec(handle.read())
 
 
-def _record_objs(records: tuple[CouplingRecord, ...]) -> list[dict]:
-    """Records as JSON objects, sorted by (from, to)."""
+def _record_objs(op: SparseOperator) -> list[dict]:
+    """An operator's entries as JSON records, sorted by (from, to)."""
     return [
-        {"from": r.source, "to": r.target, "re": r.amplitude.real, "im": r.amplitude.imag}
-        for r in sorted(records, key=lambda r: (r.source, r.target))
+        {"from": source, "to": target, "re": amplitude.real, "im": amplitude.imag}
+        for target, source, amplitude in sorted(op.entries(), key=itemgetter(1, 0))
     ]
 
 
@@ -289,14 +286,11 @@ def spec_to_operator(spec: SystemSpec) -> SparseOperator:
     """Transfer operator described by a spec.
 
     A record with source i and target j lands at matrix entry (j, i).
-    The Hamiltonian form runs through the free resolvent and can raise
-    ResonanceError for an energy too close to a level.
+    The direct form's operator was checked as it was parsed and comes
+    back as it is.  The Hamiltonian form runs through the free resolvent
+    and can raise ResonanceError for an energy too close to a level.
     """
-    records = spec.transfer_entries if spec.is_direct else spec.potential_entries
-    assert records is not None
-    op = SparseOperator(spec.dimension, [(r.target, r.source, r.amplitude) for r in records])
-    if spec.is_direct:
-        return op
-    return build_transfer_operator(
-        np.asarray(spec.free_hamiltonian, dtype=float), op, spec.energy
-    )
+    if spec.transfer_entries is not None:
+        return spec.transfer_entries
+    assert spec.potential_entries is not None
+    return build_transfer_operator(spec.free_hamiltonian, spec.potential_entries, spec.energy)

@@ -20,7 +20,6 @@ EXPORTED = [
     "BenchResult",
     "BornExpansion",
     "BornsolveError",
-    "CouplingRecord",
     "DARK_THRESHOLD",
     "DimensionError",
     "InterferenceReport",

@@ -19,7 +19,6 @@ import bornsolve
 from bornsolve.errors import BornsolveError, ResonanceError, SpecFormatError
 from bornsolve.operators import SparseOperator, build_transfer_operator
 from bornsolve.specfile import (
-    CouplingRecord,
     SystemSpec,
     _column_records,
     _loop_records,
@@ -45,7 +44,7 @@ class TestParsing:
         ]))
         assert spec.dimension == 3
         assert spec.is_direct
-        assert spec.transfer_entries == (CouplingRecord(1, 2, 0.5 - 0.25j),)
+        assert spec.transfer_entries == SparseOperator(3, [(2, 1, 0.5 - 0.25j)])
 
     def test_from_to_maps_to_row_col(self):
         # record i -> j populates matrix entry (row j, column i)
@@ -100,7 +99,7 @@ class TestParsing:
         spec = parse_spec(direct_spec(2, [
             {"from": 1, "to": 2, "re": 0.0, "im": 0.0},
         ]))
-        assert len(spec.transfer_entries) == 1
+        assert spec.transfer_entries.is_zero()
         assert spec_to_operator(spec).is_zero()
 
 
@@ -115,7 +114,7 @@ class TestRoundTrip:
         original = parse_spec(direct_spec(4, records))
         recovered = parse_spec(serialize_spec(original))
         assert recovered.dimension == original.dimension
-        assert set(recovered.transfer_entries) == set(original.transfer_entries)
+        assert recovered.transfer_entries == original.transfer_entries
         assert spec_to_operator(recovered) == spec_to_operator(original)
 
     def test_serialized_records_sorted_by_endpoint(self):
@@ -341,16 +340,17 @@ def inject(raw: list, kind: str, pos: int, dim: int) -> None:
         item[part] = 5e-324
 
 
+def stored(op: SparseOperator):
+    """An operator's dimension and the dtype and bytes of its stored arrays."""
+    return op.dim, [(a.dtype, a.tobytes()) for a in (op._row, op._col, op._amp)]
+
+
 def outcome(parse, raw: list, dim: int):
     try:
-        records = parse(raw, "transfer_entries", dim)
+        op = parse(raw, "transfer_entries", dim)
     except SpecFormatError as exc:
         return "error", str(exc)
-    return "records", [
-        (type(r.source), r.source, type(r.target), r.target,
-         type(r.amplitude), repr(r.amplitude))
-        for r in records
-    ]
+    return "operator", stored(op)
 
 
 class TestColumnCheck:
@@ -374,8 +374,10 @@ class TestColumnCheck:
         expected = outcome(_loop_records, raw, dim)
         assert outcome(_parse_records, raw, dim) == expected
         if raw and not any(kind in FAULTS for kind, _ in changes):
-            assert expected[0] == "records"
             assert _column_records(raw, dim) is not None
+            # bit for bit the operator built from (to, from, amplitude) triples
+            assert expected == ("operator", stored(SparseOperator(dim, [
+                (r["to"], r["from"], complex(r["re"], r["im"])) for r in raw])))
 
     def test_wrapping_keys_fall_back_to_the_loop(self):
         # from * (dim + 1) + to wraps in int64 here; the loop decides
@@ -383,4 +385,4 @@ class TestColumnCheck:
         raw = [{"from": dim, "to": 1, "re": 1.0, "im": 0.0},
                {"from": 1, "to": dim, "re": 1.0, "im": 0.0}]
         assert outcome(_parse_records, raw, dim) == outcome(_loop_records, raw, dim)
-        assert outcome(_loop_records, raw, dim)[0] == "records"
+        assert outcome(_loop_records, raw, dim)[0] == "operator"

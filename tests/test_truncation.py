@@ -41,7 +41,7 @@ from conftest import (
     random_state,
     scaled_to_norm,
 )
-from oracles import gaussian, rational_remainder, rational_sum, rational_terms
+from oracles import gaussian, rational_matvec, rational_remainder, rational_sum, rational_terms
 
 EPS = np.finfo(float).eps
 
@@ -357,7 +357,19 @@ def dyadic_dags(draw, max_dim: int = 16):
 
 
 class TestExactRemainder:
-    """The remainder against exact Gaussian-rational Born terms (tests/oracles.py)."""
+    """The solve and its remainder against exact Gaussian-rational Born terms (tests/oracles.py)."""
+
+    @PROPERTY_SETTINGS
+    @given(dyadic_dags())
+    def test_dyadic_dag_solve_is_the_exact_born_sum(self, case):
+        # the paper's identity with no rounding: the substitution's psi is
+        # sum_{k <= depth} T^k phi, and psi - T psi == phi
+        op, phi = case
+        psi = [gaussian(z) for z in solve_exact(make_system(op), phi).total]
+        assert psi == rational_sum(rational_terms(op, phi), op.dim)
+        residual = [(pr - tr, pi - ti)
+                    for (pr, pi), (tr, ti) in zip(psi, rational_matvec(op, psi))]
+        assert residual == [gaussian(z) for z in phi]
 
     @PROPERTY_SETTINGS
     @given(dyadic_dags())
