@@ -6,7 +6,8 @@ graph's edge list, grouped by target, and no separate graph is built.  An
 acyclic transition graph certifies that the operator is nilpotent with
 index depth + 1, where depth is the longest directed-path length; that
 certificate is structural and involves no floating-point test.
-Topological orders are by level, so by the pattern alone.  On a cyclic
+Topological orders are by level, so by the pattern alone, and the last
+small operator's report is remembered by its pattern.  On a cyclic
 graph, the strongly connected components in sources-first order
 (_strong_components) order the solver's block solve.
 """
@@ -35,8 +36,44 @@ class AcyclicityReport:
     witness_cycle: tuple[int, ...] | None = None
 
 
+# analyze_acyclicity remembers the report of the last operator of at most
+# this many states.  Its key holds the stored rows and columns, two intp
+# labels an entry, so at most 64^2 entries x 16 bytes = 64 KiB stay alive
+# between calls, however large the operators certified; unbounded, the last
+# of a stream of 25k-entry patterns that never repeat would stay alive.
+_REMEMBERED_STATES = 64
+
+# (dim, nnz, _row bytes, _col bytes, report) of that operator
+_last: tuple[int, int, bytes, bytes, AcyclicityReport | None] = (0, 0, b"", b"", None)
+
+
 def analyze_acyclicity(op: SparseOperator) -> AcyclicityReport:
     """Classify the operator's transition graph as acyclic or exhibit a directed cycle.
+
+    The report follows from dim and the stored _row and _col alone, so
+    the last one for an operator of at most _REMEMBERED_STATES states is
+    kept with its pattern and returned again, the same object, for the
+    next operator of that dimension whose stored rows and columns are
+    equal byte for byte: an energy scan's transfer operators keep their
+    potential's pattern and are certified once.  dim and nnz are compared
+    first, so a different pattern costs no copy.  The entry is replaced
+    as one tuple, so a concurrent caller reads the old one or the new
+    one, never a mix.  A larger operator is certified afresh and nothing
+    of it is kept.
+    """
+    if op.dim > _REMEMBERED_STATES:
+        return _certify(op)
+    global _last
+    dim, nnz, row, col, report = _last
+    if dim == op.dim and nnz == op.nnz and row == op._row.tobytes() and col == op._col.tobytes():
+        return report
+    report = _certify(op)
+    _last = (op.dim, op.nnz, op._row.tobytes(), op._col.tobytes(), report)
+    return report
+
+
+def _certify(op: SparseOperator) -> AcyclicityReport:
+    """analyze_acyclicity's report, computed from the stored pattern.
 
     Kahn's algorithm by levels over a by-source index of the stored
     entries.  Each vertex first waits for its in-degree, the count of

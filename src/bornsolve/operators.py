@@ -25,6 +25,8 @@ values), the spec loader those of its JSON records, and the benchmark
 generator none.  Lists of up to _LOOP_RECORDS records, where numpy's
 fixed cost per call would dominate, and any that fail are checked and
 stored record by record in _loop_records, the only code that names a fault.
+Both read a record's items 0, 1 and 2 by position (_triple), so a record
+list gives the same operator or the same fault whatever its length.
 
 Products and norms work on whole arrays with Python's roundings: a
 complex product is formed from four float products as Python forms it
@@ -130,15 +132,25 @@ def _fill(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
 def _loop_records(dim: int, records: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check and store records one by one; their rows, columns and values as arrays.
 
-    Index faults are found first, in record order: a non-integral label,
-    one outside 1..dim, a repeated position.  Values are then made
+    Every record is read as _triple reads it.  Index faults are found
+    first, in record order: a record that is no triple, a non-integral
+    label, one outside 1..dim, a repeated position.  Values are then made
     complex and tested for finiteness row by row, rows in order of first
-    appearance.  The first fault raises a ValueError naming its entry.
+    appearance.  The first fault raises a ValueError naming its record
+    by position or its entry by labels; a record with neither a length
+    nor items raises a TypeError naming it.
     What is kept follows the store rule, record by record: exact zeros
     go; storage order is by row, each row in declaration order.
     """
     rows: dict[int, dict[int, complex]] = {}
-    for row, col, amp in records:
+    for record in records:
+        if type(record) is not tuple or len(record) != 3:
+            try:
+                record = _triple(record)
+            except (TypeError, ValueError) as fault:
+                # every record before this one stored one entry, so their count is its position
+                raise type(fault)(f"record {sum(map(len, rows.values()))} {fault}") from None
+        row, col, amp = record
         if type(row) is not int or type(col) is not int:
             try:
                 row, col = _label(row), _label(col)
@@ -170,20 +182,48 @@ def _loop_records(dim: int, records: list) -> tuple[np.ndarray, np.ndarray, np.n
     return labels[:len(row_of)], labels[len(row_of):], np.array(amp_of, dtype=complex)
 
 
+def _triple(record) -> tuple:
+    """A record's (row, col, amplitude): its items 0, 1 and 2, as _array_records reads them.
+
+    A record with a length is read by position, so a tuple, a list and a
+    mapping with keys 0, 1 and 2 read alike whatever the list's length;
+    one without a length, an iterator, is read by iteration.  A record
+    that does not give exactly three items raises a ValueError, a
+    TypeError if it has neither a length nor items.
+    """
+    problem = "is not a (row, col, amplitude) triple"
+    try:
+        size = len(record)
+    except TypeError:
+        try:
+            record = tuple(record)
+        except TypeError:
+            raise TypeError(f"{problem}: {record!r}") from None
+        size = len(record)
+    if size != 3:
+        count = "not enough values" if size < 3 else "too many values"
+        raise ValueError(f"{problem}, {count}: {record!r}")
+    try:
+        return record[0], record[1], record[2]
+    except (TypeError, LookupError):  # a set, or a mapping without keys 0, 1 and 2
+        raise ValueError(f"{problem}: {record!r}") from None
+
+
 def _array_records(dim: int, records: list):
     """Rows, columns and values of records, in storage order, if all pass _checked_columns.
 
-    None also for records that are not triples and for labels or values
-    of other types than int and complex or float; the loop decides those.
+    None also for records that are not read by position as triples and
+    for labels or values of other types than int and complex or float;
+    the loop decides those.
     """
     try:
         if set(map(len, records)) != {3}:
             return None
-    except TypeError:  # a record without a length
+        # itemgetter, not zip(*records): that makes an iterator per record,
+        # and so many short-lived containers set off the cyclic collector
+        rows, cols, amps = (list(map(itemgetter(k), records)) for k in range(3))
+    except (TypeError, LookupError):  # a record without a length or an item 0, 1 or 2
         return None
-    # itemgetter, not zip(*records): that makes an iterator per record,
-    # and so many short-lived containers set off the cyclic collector
-    rows, cols, amps = (list(map(itemgetter(k), records)) for k in range(3))
     if set(map(type, rows)) | set(map(type, cols)) != {int}:
         return None
     if not {complex, float}.issuperset(map(type, amps)):
@@ -255,7 +295,7 @@ class SparseOperator:
     @classmethod
     def identity(cls, dim: int) -> "SparseOperator":
         dim = _size(dim, "dimension")
-        labels = np.arange(1, dim + 1)
+        labels = np.arange(1, dim + 1, dtype=np.intp)
         return cls._from_arrays(dim, labels, labels, np.ones(dim, dtype=complex))
 
     @classmethod

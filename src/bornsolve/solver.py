@@ -98,7 +98,10 @@ def make_system(operator: SparseOperator) -> AcyclicSystem:
 
     Raises NotNilpotentError, carrying a witness cycle, when the graph is
     cyclic.  The certificate is purely structural: no power of the
-    operator is formed and no floating-point comparison is involved.
+    operator is formed and no floating-point comparison is involved.  So
+    analyze_acyclicity returns a small operator's certificate again for
+    the next one with the same stored pattern, as an energy scan's
+    transfer operators have; the system always holds the operator given.
     """
     report = analyze_acyclicity(operator)
     if not report.is_acyclic:

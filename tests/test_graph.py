@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 
-from bornsolve.graph import _strong_components, analyze_acyclicity
-from bornsolve.operators import SparseOperator, power
+from bornsolve.errors import NotNilpotentError
+from bornsolve.graph import _REMEMBERED_STATES, _strong_components, analyze_acyclicity
+from bornsolve.operators import SparseOperator, build_transfer_operator, power
 from bornsolve.scenarios import WeightedPath
+from bornsolve.solver import make_system
 from conftest import planted_blocks, random_dag, random_operator
 from oracles import (
     TooManyPathsError,
@@ -283,6 +290,138 @@ class TestAcyclicity:
         report = analyze_acyclicity(g.operator)
         assert report.is_acyclic
         assert report.depth == n - 1
+
+
+def assert_brute_force_levels(op, report):
+    """report is op's certificate by tests/oracles.py's longest_path_levels."""
+    levels = longest_path_levels(extract_graph(op))
+    assert report.is_acyclic and report.witness_cycle is None
+    assert report.topological_order == tuple(sorted(levels, key=lambda v: (levels[v], v)))
+    assert report.depth == max(levels.values())
+
+
+def forget() -> None:
+    """Certify a one-state pattern, so that no test operator's is remembered."""
+    analyze_acyclicity(SparseOperator.zero(1))
+
+
+class TestRememberedCertificate:
+    """analyze_acyclicity returns a small pattern's report again, and only for that pattern."""
+
+    def test_hit_equals_miss(self):
+        # a rescaled operator keeps the stored pattern: the same report
+        # object comes back, equal to the fresh one and to the oracle's
+        rng = np.random.default_rng(83)
+        seen_cyclic = 0
+        for trial in range(60):
+            dim = int(rng.integers(1, 14))
+            op = random_dag(rng, dim) if trial % 2 else random_operator(rng, dim, density=0.3)
+            forget()
+            miss = analyze_acyclicity(op)
+            hit = analyze_acyclicity(op.scaled(-0.5j))
+            assert hit is miss
+            assert (hit.topological_order, hit.depth, hit.witness_cycle) == (
+                miss.topological_order, miss.depth, miss.witness_cycle)
+            if miss.is_acyclic:
+                assert_brute_force_levels(op, hit)
+            else:
+                seen_cyclic += 1
+                assert_genuine_cycle(extract_graph(op), hit.witness_cycle)
+        assert seen_cyclic > 10
+
+    def test_cyclic_operator_raises_the_same_witness_twice(self):
+        op = SparseOperator(5, [(2, 1, 1.0), (3, 2, 0.5), (4, 3, 0.25), (2, 4, 2.0), (5, 4, 1.0)])
+        forget()
+        witnesses = []
+        for current in (op, op.scaled(3.0)):
+            with pytest.raises(NotNilpotentError) as excinfo:
+                make_system(current)
+            witnesses.append(excinfo.value.witness_cycle)
+        assert witnesses == [(2, 3, 4), (2, 3, 4)]
+
+    def test_a_different_pattern_misses(self):
+        # same dim and nnz but one label moved; another dim; the same
+        # entries declared in another order within row 3
+        entries = [(3, 1, 1.0), (3, 2, 1.0), (5, 3, 1.0), (4, 2, 1.0)]
+        base = SparseOperator(5, entries)
+        variants = {
+            "label": SparseOperator(5, [*entries[:2], (4, 3, 1.0), entries[3]]),
+            "dim": SparseOperator(6, entries),
+            "order": SparseOperator(5, [entries[1], entries[0], *entries[2:]]),
+        }
+        assert variants["order"] == base
+        assert variants["order"]._col.tobytes() != base._col.tobytes()
+        for name, op in variants.items():
+            remembered = analyze_acyclicity(base)
+            got = analyze_acyclicity(op)
+            assert got is not remembered, name
+            assert_brute_force_levels(op, got)
+        assert analyze_acyclicity(variants["label"]).topological_order == (1, 2, 5, 3, 4)
+        assert analyze_acyclicity(variants["dim"]).topological_order == (1, 2, 6, 3, 4, 5)
+
+    def test_system_holds_the_callers_operator(self):
+        h0 = np.array([0.0, 1.0, 1.5, 3.0])
+        potential = SparseOperator(4, [(2, 1, 0.5), (3, 1, 0.25), (4, 2, -1.0), (4, 3, 0.75)])
+        a = build_transfer_operator(h0, potential, 0.4 + 0.1j)
+        b = build_transfer_operator(h0, potential, 2.2 + 0.1j)
+        first = make_system(a)
+        second = make_system(b)
+        assert analyze_acyclicity(b) is analyze_acyclicity(a)
+        assert second.operator is b and first.operator is a
+        assert second.topological_order == first.topological_order == (1, 2, 3, 4)
+        assert second.depth == 2
+        assert list(second.operator.entries()) == list(b.entries()) != list(a.entries())
+
+    def test_only_small_patterns_are_kept(self):
+        large = random_dag(np.random.default_rng(89), _REMEMBERED_STATES + 1)
+        kept = weakref.ref(large._row)
+        assert analyze_acyclicity(large).is_acyclic
+        del large
+        gc.collect()
+        assert kept() is None
+        small = SparseOperator(3, [(2, 1, 1.0), (3, 2, 1.0)])
+        kept = weakref.ref(small._row)
+        analyze_acyclicity(small)
+        del small
+        analyze_acyclicity(SparseOperator(3, [(3, 1, 1.0)]))
+        gc.collect()
+        assert kept() is None
+
+    def test_a_large_operator_is_not_remembered(self):
+        # it neither hits nor replaces the small entry
+        small = SparseOperator(3, [(2, 1, 1.0), (3, 2, 1.0)])
+        large = random_dag(np.random.default_rng(97), _REMEMBERED_STATES + 1)
+        remembered = analyze_acyclicity(small)
+        assert analyze_acyclicity(large) is not analyze_acyclicity(large)
+        assert analyze_acyclicity(small) is remembered
+
+    def test_threads_get_their_own_certificate(self):
+        a = SparseOperator(4, [(2, 1, 1.0), (3, 1, 1.0), (4, 2, 1.0), (4, 3, 1.0)])
+        b = SparseOperator(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+        want = {id(a): analyze_acyclicity(a), id(b): analyze_acyclicity(b)}
+        assert want[id(a)] != want[id(b)]
+        wrong = []
+        start = threading.Barrier(4)
+
+        def certify(first, second):
+            start.wait()
+            for _ in range(2000):
+                for op in (first, second):
+                    if analyze_acyclicity(op) != want[id(op)]:
+                        wrong.append(op)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=certify, args=(a, b) if k % 2 else (b, a))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not wrong
 
 
 def assert_sources_first(graph, components):

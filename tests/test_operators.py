@@ -1219,6 +1219,39 @@ class TestRecordChecks:
             with pytest.raises(TypeError):
                 SparseOperator(RECORD_DIM, records + [7])
 
+    @pytest.mark.parametrize("kind", ["by_position", "by_name", "set", "short_list",
+                                      "long_tuple", "iterator", "no_items"])
+    def test_records_read_alike_in_short_and_long_lists(self, kind):
+        # the same records, one of them at position 1 not a plain triple, in
+        # a list the loop reads and one the array checks see first
+        outcomes = []
+        for count in (3, _LOOP_RECORDS + 1):
+            records = padded_records(_LOOP_RECORDS + 1, seed=5)[:count]
+            row, col, amp = records[1]
+            records[1] = {
+                "by_position": {0: row, 1: col, 2: amp},
+                "by_name": {"to": row, "from": col, "amp": amp},
+                "set": {row, col, amp},
+                "short_list": [row, col],
+                "long_tuple": (row, col, amp, 1.0),
+                "iterator": iter((row, col, amp)),
+                "no_items": 7,
+            }[kind]
+            try:
+                op = SparseOperator(RECORD_DIM, records)
+            except (TypeError, ValueError) as fault:
+                outcomes.append((type(fault), str(fault)))
+            else:
+                plain = padded_records(_LOOP_RECORDS + 1, seed=5)[:count]
+                assert stored_arrays(op) == stored_arrays(SparseOperator(RECORD_DIM, plain))
+                outcomes.append("stored")
+        assert outcomes[0] == outcomes[1]
+        if kind in ("by_position", "iterator"):
+            assert outcomes[0] == "stored"
+        else:
+            assert outcomes[0][0] is (TypeError if kind == "no_items" else ValueError)
+            assert outcomes[0][1].startswith("record 1 is not a (row, col, amplitude) triple")
+
 
 record_lists = st.integers(1, 2 * _LOOP_RECORDS + 20).flatmap(
     lambda n: st.tuples(

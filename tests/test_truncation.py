@@ -41,7 +41,8 @@ from conftest import (
     random_state,
     scaled_to_norm,
 )
-from oracles import gaussian, rational_matvec, rational_remainder, rational_sum, rational_terms
+from oracles import (gaussian, rational_matvec, rational_power, rational_remainder, rational_sum,
+                     rational_terms)
 
 EPS = np.finfo(float).eps
 
@@ -370,6 +371,24 @@ class TestExactRemainder:
         residual = [(pr - tr, pi - ti)
                     for (pr, pi), (tr, ti) in zip(psi, rational_matvec(op, psi))]
         assert residual == [gaussian(z) for z in phi]
+
+    @PROPERTY_SETTINGS
+    @given(dyadic_dags())
+    def test_certified_depth_is_the_nilpotency_index(self, case):
+        # positive amplitudes: no two walks cancel, so T^k is zero exactly
+        # when no walk has k edges, and T^(depth + 1) == 0 != T^depth; the
+        # second certificate is the remembered one
+        op, _ = case
+        op = SparseOperator(op.dim, [(r, c, abs(a)) for r, c, a in op.entries()])
+        analyze_acyclicity(SparseOperator.zero(1))  # remember no pattern of these
+        fresh, remembered = make_system(op), make_system(op)
+        assert remembered.topological_order is fresh.topological_order
+        powers = [rational_power(op, 0)]
+        while powers[-1]:
+            powers.append(rational_power(op, 1, powers[-1]))
+        for system in (fresh, remembered):
+            assert powers[system.depth] != {}
+            assert powers[system.depth + 1] == {}
 
     @PROPERTY_SETTINGS
     @given(dyadic_dags())
