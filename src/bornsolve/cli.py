@@ -33,9 +33,9 @@ from .operators import (
     basis_state,
     operator_norm,
 )
-from .report import format_complex, format_scalar, format_table, kv_lines
+from .report import first_non_finite, format_complex, format_table, report_lines
 from .scenarios import InterferenceReport, classify_interference
-from .solver import _block_structure, _born_terms, make_system, solve_exact
+from .solver import _born_terms, det_i_minus_t, make_system, solve_exact
 from .specfile import SystemSpec, _parse_complex, load_spec, spec_to_operator
 from .truncation import remainder_bound
 
@@ -61,9 +61,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(tree: dict[str, Any], table: str = "") -> None:
-    """Write the report, and the --table block after a blank line, in one write."""
-    sys.stdout.write("\n".join(kv_lines(tree)) + "\n" + (table and "\n" + table))
+def _emit(tree: dict[str, Any], table: str, subject: str) -> int:
+    """Write the report and the --table block in one write, or refuse an inf or nan."""
+    lines, overflow = report_lines(tree)
+    if overflow:
+        print(f"error: the {subject} overflows: {overflow}", file=sys.stderr)
+        return EXIT_INPUT
+    sys.stdout.write("\n".join(lines) + "\n" + (table and "\n" + table))
+    return EXIT_OK
 
 
 def _state_names(labels, dim: int) -> list[str]:
@@ -100,8 +105,6 @@ def _norm_block(op: SparseOperator) -> dict[str, float]:
     return {kind: operator_norm(op, kind) for kind in NORM_KINDS}
 
 
-# an overflow shows as a non-finite value, which the report refuses
-@np.errstate(over="ignore", invalid="ignore")
 def _cmd_analyze(args) -> int:
     spec = load_spec(args.spec)
     op = spec_to_operator(spec)
@@ -121,15 +124,11 @@ def _cmd_analyze(args) -> int:
         tree["det"] = 1 + 0j
     else:
         tree["witness_cycle"] = list(report.witness_cycle)
-        tree["det"] = _block_structure(op).det
+        tree["det"] = det_i_minus_t(op)
     tree["norm"] = _norm_block(op)
-    overflow = _first_non_finite(tree)
-    if overflow:
-        print(f"error: the analysis overflows: {overflow}", file=sys.stderr)
-        return EXIT_INPUT
-    _emit(tree, _analysis_table(tree) if args.table else "")
-    if report.is_acyclic:
-        return EXIT_OK
+    code = _emit(tree, _analysis_table(tree) if args.table else "", "analysis")
+    if code or report.is_acyclic:
+        return code
     print(
         "note: the transition graph is cyclic; no finite expansion closes exactly",
         file=sys.stderr,
@@ -154,7 +153,6 @@ def _analysis_table(tree: dict[str, Any]) -> str:
     return format_table(["property", "value"], rows)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as _cmd_analyze
 def _cmd_solve(args) -> int:
     if args.norm is not None and args.order is None:
         print("usage error: --norm needs --order", file=sys.stderr)
@@ -208,12 +206,9 @@ def _cmd_solve(args) -> int:
     tree["phi"] = phi
     tree["term"] = {str(k): t for k, t in enumerate(terms)}
     tree["total"] = total
-    overflow = _first_non_finite(tree)
-    if overflow:
-        print(f"error: the solve overflows: {overflow}", file=sys.stderr)
-        return EXIT_INPUT
 
-    if args.order is not None:
+    # no budget when a term is not finite (then neither is total): _emit refuses that report
+    if args.order is not None and np.isfinite(total).all():
         try:
             trunc = remainder_bound(op, phi, args.order, args.norm or "inf")
         except SingularError as exc:
@@ -233,7 +228,7 @@ def _cmd_solve(args) -> int:
             else:
                 block["bound"] = trunc.bound
             block["quasi_nilpotent"] = trunc.quasi_nilpotent
-            overflow = _first_non_finite(block, "truncation.")
+            overflow = first_non_finite(block, "truncation.")
             if not overflow:
                 reason = None
             elif not np.isfinite(trunc.exact_remainder_norm):
@@ -246,28 +241,7 @@ def _cmd_solve(args) -> int:
         else:
             tree["truncation"] = block
 
-    _emit(tree, _solve_table(spec, terms, total) if args.table else "")
-    return EXIT_OK
-
-
-def _first_non_finite(tree: dict[str, Any], prefix: str = "") -> str | None:
-    """The first report line of tree, in report order, whose value is inf or nan, if any."""
-    for key, value in tree.items():
-        path = f"{prefix}{key}"
-        if isinstance(value, dict):
-            found = _first_non_finite(value, f"{path}.")
-        elif isinstance(value, np.ndarray):  # a state vector: path.k.re and path.k.im
-            found = None if np.isfinite(value).all() else _first_non_finite(
-                dict(zip(map(str, range(1, value.size + 1)), value.tolist())), f"{path}.")
-        elif isinstance(value, (complex, np.complexfloating)):
-            found = _first_non_finite({"re": value.real, "im": value.imag}, f"{path}.")
-        elif isinstance(value, (float, np.floating)) and not np.isfinite(value):
-            found = f"{path} = {format_scalar(value)}"
-        else:
-            found = None
-        if found:
-            return found
-    return None
+    return _emit(tree, _solve_table(spec, terms, total) if args.table else "", "solve")
 
 
 def _solve_table(spec: SystemSpec, terms, total) -> str:
@@ -306,8 +280,7 @@ def _cmd_classify(args) -> int:
         tree["relative_error_born1"] = "undefined (A4 = 0)"
     else:
         tree["relative_error_born1"] = result.relative_error_born1
-    _emit(tree, _classify_table(result) if args.table else "")
-    return EXIT_OK
+    return _emit(tree, _classify_table(result) if args.table else "", "classification")
 
 
 def _classify_table(result: InterferenceReport) -> str:
@@ -336,8 +309,7 @@ def _cmd_bench(args) -> int:
         "speedup": result.speedup,
         "agreement": result.agreement,
     }
-    _emit(tree, _bench_table(result) if args.table else "")
-    return EXIT_OK
+    return _emit(tree, _bench_table(result) if args.table else "", "benchmark")
 
 
 def _bench_table(result: BenchResult) -> str:
@@ -464,7 +436,9 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return EXIT_INPUT
     try:
-        return args.handler(args)
+        # an overflow shows as a non-finite value, which the report refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     # OverflowError, MemoryError: a dimension too large to index or allocate
     except (BornsolveError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

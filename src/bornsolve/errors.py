@@ -40,7 +40,7 @@ class NotNilpotentError(BornsolveError):
 
 
 class SingularError(BornsolveError):
-    """A dense solve met a pivot too small to trust."""
+    """|det(I - T)| is at or below the singularity threshold, so I - T is not inverted."""
 
 
 class TopologyError(BornsolveError):

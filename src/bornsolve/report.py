@@ -2,13 +2,18 @@
 
 The machine view prints one `path = value` line per leaf of a report
 tree.  Nested dicts extend the dotted path, complex leaves split into
-.re and .im, sequences of plain integers or strings are emitted inline
-(space separated) and other sequences get numeric path components.
+.re and .im, sequences of ints (not bools), numpy integers or strings
+are emitted inline (space separated) and other sequences get numeric
+path components.
 A 1-d complex ndarray leaf is a state vector: component k (1-based)
 prints as `path.k.re` and `path.k.im`, the lines a dict {"1": z1, ...}
 of complex leaves would give, rendered from the array's columns.
 Floats print with shortest-roundtrip precision; tables reuse the same
 formatting so both views carry identical numbers.
+
+One rule covers every printed number: no report prints inf, -inf or
+nan.  The walk that forms the lines finds the first that would
+(`first_non_finite`), and the command line refuses that report.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from itertools import count
 from typing import Any, Iterable
 
 import numpy as np
+
+_NON_FINITE = frozenset({"inf", "-inf", "nan"})  # repr of a non-finite float
 
 
 def format_scalar(value: Any) -> str:
@@ -38,50 +45,68 @@ def format_complex(value: complex) -> str:
     return f"{format_scalar(z.real)} {sign} {format_scalar(abs(z.imag))}j"
 
 
-def _is_inline_sequence(value: Any) -> bool:
-    return isinstance(value, (list, tuple)) and all(
-        isinstance(item, (int, np.integer, str)) and not isinstance(item, bool)
-        for item in value
-    )
+def _inline(value: list | tuple) -> str | None:
+    # each item's type is read once; str() of these is what format_scalar prints
+    if all(kind is int or kind is str or issubclass(kind, np.integer)
+           for kind in set(map(type, value))):
+        return " ".join(map(str, value))
+    return None
 
 
-def _is_state_vector(value: Any) -> bool:
-    return (isinstance(value, np.ndarray) and value.ndim == 1
-            and value.dtype.kind == "c")
-
-
-def _vector_lines(path: str, vec: np.ndarray) -> list[str]:
+def _vector_lines(path: str, vec: np.ndarray, lines: list[str]) -> str | None:
+    start = len(lines)
     # repr of a Python float is what format_scalar prints for it
-    lines: list[str] = []
     for k, re, im in zip(count(1), map(repr, vec.real.tolist()),
                          map(repr, vec.imag.tolist())):
         lines.append(f"{path}.{k}.re = {re}")
         lines.append(f"{path}.{k}.im = {im}")
-    return lines
+    if np.isfinite(vec).all():
+        return None
+    return next(line for line in lines[start:] if line.rpartition(" = ")[2] in _NON_FINITE)
 
 
-def kv_lines(tree: dict[str, Any], prefix: str = "") -> list[str]:
-    """Flatten a report tree into `path = value` lines, depth first."""
-    lines: list[str] = []
+def _walk(tree: dict[str, Any], prefix: str, lines: list[str]) -> str | None:
+    """Append tree's lines to lines; return the first whose number is not finite."""
+    first = None
     for key, value in tree.items():
         path = f"{prefix}{key}"
         if value is None:
             continue
         if isinstance(value, dict):
-            lines.extend(kv_lines(value, f"{path}."))
-        elif _is_state_vector(value):
-            lines.extend(_vector_lines(path, value))
+            found = _walk(value, f"{path}.", lines)
+        elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "c":
+            found = _vector_lines(path, value, lines)
         elif isinstance(value, (complex, np.complexfloating)):
-            z = complex(value)
-            lines.append(f"{path}.re = {format_scalar(z.real)}")
-            lines.append(f"{path}.im = {format_scalar(z.imag)}")
-        elif _is_inline_sequence(value):
-            lines.append(f"{path} = {' '.join(format_scalar(v) for v in value)}")
+            found = _walk({"re": value.real, "im": value.imag}, f"{path}.", lines)
         elif isinstance(value, (list, tuple)):
-            lines.extend(kv_lines({str(k): v for k, v in enumerate(value)}, f"{path}."))
+            inline = _inline(value)
+            if inline is None:
+                found = _walk({str(k): v for k, v in enumerate(value)}, f"{path}.", lines)
+            else:  # ints and strings: nothing to refuse
+                lines.append(f"{path} = {inline}")
+                found = None
         else:
-            lines.append(f"{path} = {format_scalar(value)}")
-    return lines
+            text = format_scalar(value)
+            lines.append(f"{path} = {text}")
+            found = lines[-1] if text in _NON_FINITE and not isinstance(value, str) else None
+        first = first or found
+    return first
+
+
+def report_lines(tree: dict[str, Any], prefix: str = "") -> tuple[list[str], str | None]:
+    """kv_lines(tree, prefix) and first_non_finite(tree, prefix), from one walk."""
+    lines: list[str] = []
+    return lines, _walk(tree, prefix, lines)
+
+
+def kv_lines(tree: dict[str, Any], prefix: str = "") -> list[str]:
+    """Flatten a report tree into `path = value` lines, depth first."""
+    return report_lines(tree, prefix)[0]
+
+
+def first_non_finite(tree: dict[str, Any], prefix: str = "") -> str | None:
+    """The first line of kv_lines(tree, prefix) whose number is inf, -inf or nan, if any."""
+    return report_lines(tree, prefix)[1]
 
 
 def format_table(headers: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:

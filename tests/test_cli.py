@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -519,6 +521,22 @@ class TestClassify:
         assert code == EXIT_OK
         assert parse_kv(out)["regime"] == "generic"
 
+    def test_overflowing_amplitude_is_an_error(self, tmp_path):
+        # the branch products 1e400 overflow: a4 = inf is no dark state
+        path = write_spec(tmp_path, diamond_doc(1e200, 1e200, 1e200, 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli(["classify", path])
+        assert result == (EXIT_INPUT, "", "error: the classification overflows: a4.re = inf\n")
+
+    def test_underflowing_amplitude_keeps_its_regime(self, tmp_path):
+        # the branch products 1e-400 underflow to 0, but they still agree
+        path = write_spec(tmp_path, diamond_doc(1e-200, 1e-200, 1e-200, 1e-200))
+        code, out, err = run_cli(["classify", path])
+        assert (code, err) == (EXIT_OK, "")
+        kv = parse_kv(out)
+        assert (kv["regime"], kv["a4.re"]) == ("constructive", "0.0")
+
     def test_wrong_shape_is_input_error(self, tmp_path):
         path = write_spec(tmp_path, {
             "dimension": 3,
@@ -565,6 +583,15 @@ class TestBench:
         assert err == ""
         kv = parse_kv(out)
         assert (kv["nnz"], kv["depth"], kv["agreement"]) == ("0", "0", "0.0")
+
+    def test_non_finite_result_is_an_error(self, monkeypatch):
+        # the report refuses an inf or nan in bench as in every other command
+        result = cli.run_benchmark(5, 0.3, 0)
+        monkeypatch.setattr(cli, "run_benchmark", lambda *args: dataclasses.replace(
+            result, speedup=math.inf, agreement=math.nan))
+        code, out, err = run_cli(["bench", "--dim", "5"])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: the benchmark overflows: speedup = inf\n"
 
     def test_dim_below_two_is_input_error(self):
         code, _, err = run_cli(["bench", "--dim", "1"])

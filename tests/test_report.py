@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from bornsolve.report import (
+    first_non_finite,
     format_complex,
     format_scalar,
     format_table,
     kv_lines,
+    report_lines,
 )
 
 
@@ -136,6 +138,39 @@ class TestKvLines:
             key, sep, value = line.partition(" = ")
             assert sep == " = "
             assert key and value
+
+
+def first_printed_non_finite(lines):
+    return next((line for line in lines if line.partition(" = ")[2] in {"inf", "-inf", "nan"}),
+                None)
+
+
+INF, NAN = math.inf, math.nan
+
+
+class TestFirstNonFinite:
+    @pytest.mark.parametrize("tree, line", [
+        ({"a": 1.0, "b": {"c": 2, "d": {"e": -INF}}, "f": NAN}, "b.d.e = -inf"),
+        ({"ok": True, "z": complex(1.0, NAN), "w": INF}, "z.im = nan"),
+        ({"z": np.complex128(complex(-INF, 0.0))}, "z.re = -inf"),
+        ({"n": 3, "v": np.array([1 + 0j, complex(0.0, INF)]), "w": INF}, "v.2.im = inf"),
+        ({"term": {"0": np.ones(2, complex), "1": np.array([NAN + 0j, 1j])}}, "term.1.1.re = nan"),
+        ({"order": [3, 1, 2], "state": [0.5, INF, NAN]}, "state.1 = inf"),
+        ({"psi": [1 + 0j, complex(NAN, NAN)]}, "psi.1.re = nan"),
+        ({"x": np.float64(-INF)}, "x = -inf"),
+        ({"skipped": None, "x": 1e308, "v": np.array([1e-320 + 0j]), "r": [1, "a"]}, None),
+    ])
+    def test_is_the_first_printed_non_finite_line(self, tree, line):
+        assert first_non_finite(tree) == first_printed_non_finite(kv_lines(tree)) == line
+        assert report_lines(tree) == (kv_lines(tree), line)
+
+    def test_prefix_is_part_of_the_line(self):
+        assert first_non_finite({"norm": INF}, "truncation.") == "truncation.norm = inf"
+
+    def test_strings_are_not_numbers(self):
+        # a string that reads inf is text, such as a spec file's name
+        assert kv_lines({"spec": "inf", "names": ["nan"]}) == ["spec = inf", "names = nan"]
+        assert first_non_finite({"spec": "inf", "names": ["nan"]}) is None
 
 
 class TestFormatTable:

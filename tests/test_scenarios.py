@@ -7,6 +7,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornsolve.errors import TopologyError
 from bornsolve.operators import basis_state
@@ -21,8 +23,12 @@ from bornsolve.scenarios import (
     classify_interference,
 )
 from bornsolve.solver import solve_exact
-from conftest import random_phase
-from oracles import enumerate_paths, extract_graph
+from conftest import DYADIC, assert_same_bits, random_phase
+from oracles import enumerate_paths, extract_graph, gaussian
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                             database=None)
+NONZERO_DYADIC = [z for z in DYADIC if z != 0]
 
 
 def random_amplitude(rng, lo=0.5, hi=2.0) -> complex:
@@ -163,11 +169,30 @@ class TestClassifier:
     def test_dark_state_scale_invariance(self):
         t21, t31, t42 = 0.7 + 0.3j, -1.2 + 0.5j, 0.9 - 0.4j
         t43 = -t42 * t21 / t31
-        for lam in (1e-3, 1.0, 1e3, 1e6):
+        # at 2**600 the branch products overflow, at 2**-600 they underflow
+        for lam in (1e-3, 1.0, 1e3, 1e6, 2.0**600, 2.0**-600):
             report = classify_interference(
                 build_diamond(lam * t21, lam * t31, lam * t42, lam * t43)
             )
             assert report.regime == REGIME_DARK
+
+    @pytest.mark.parametrize("couplings, regime", [
+        ((0.7 + 0.3j, -1.2 + 0.5j, 0.9 - 0.4j, (0.9 - 0.4j) * (0.7 + 0.3j) / (-1.2 + 0.5j)),
+         REGIME_CONSTRUCTIVE),
+        ((1.0, 1.0, 1.0, 1.0), REGIME_CONSTRUCTIVE),
+        ((1.0, 1.0, 1.0, 0.5), REGIME_GENERIC),
+        ((0.5, 2.0, -1.5, 0.25j), REGIME_GENERIC),
+    ])
+    @pytest.mark.parametrize("lam", [2.0**600, 2.0**-600], ids=["2**600", "2**-600"])
+    def test_regime_at_the_edges_of_the_float_range(self, couplings, regime, lam):
+        # the regime is the one at scale 1, while the path weights stay the
+        # products of the given couplings, overflowed or underflowed as they are
+        t21, t31, t42, t43 = (complex(lam * t) for t in couplings)
+        report = classify_interference(build_diamond(t21, t31, t42, t43))
+        assert classify_interference(build_diamond(*couplings)).regime == regime
+        assert report.regime == regime
+        assert_same_bits(np.array([p.weight for p in report.path_contributions]),
+                         np.array([t42 * t21, t43 * t31]))
 
     def test_generic_regime(self):
         report = classify_interference(build_diamond(1.0, 1.0, 1.0, 0.5))
@@ -197,6 +222,34 @@ class TestClassifier:
         # exact cancellation in floats: products 6 and -6
         report = classify_interference(build_diamond(2.0, 4.0, 3.0, -1.5))
         assert report.a4 == 0.0
+        assert report.regime == REGIME_DARK
+        assert report.relative_error_born1 is None
+
+    @pytest.mark.parametrize("couplings, regime", [
+        ((1e-300, 1e300, 1e300, 1e-300), REGIME_CONSTRUCTIVE),
+        ((1e308, 1e308, 5e-324, -5e-324), REGIME_DARK),
+        ((1.7e308, 1.0, 5e-324, 1.0), REGIME_GENERIC),
+        ((0.0, 1e-300, 1.0, 1e-300), REGIME_GENERIC),  # one branch, product 1e-600
+    ])
+    def test_regime_of_couplings_at_the_ends_of_the_float_range(self, couplings, regime):
+        # one power of two scales every coupling, and no scaled coupling overflows
+        assert classify_interference(build_diamond(*couplings)).regime == regime
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(st.sampled_from(NONZERO_DYADIC), min_size=3, max_size=3))
+    def test_exact_dark_state_on_dyadic_couplings(self, couplings):
+        # t43 = -t42 t21 / t31 is dyadic, as t31 is a power of two times +-1
+        # or +-i: the branch products cancel exactly, and so does a4
+        def exact_product(z, w):
+            (a, b), (c, d) = gaussian(z), gaussian(w)
+            return a * c - b * d, a * d + b * c
+
+        t21, t31, t42 = couplings
+        t43 = -t42 * t21 / t31
+        (ar, ai), (br, bi) = exact_product(t42, t21), exact_product(t43, t31)
+        assert (ar + br, ai + bi) == (0, 0)
+        report = classify_interference(build_diamond(t21, t31, t42, t43))
+        assert report.a4 == 0
         assert report.regime == REGIME_DARK
         assert report.relative_error_born1 is None
 
