@@ -33,7 +33,7 @@ from .operators import (
     basis_state,
     operator_norm,
 )
-from .report import first_non_finite, format_complex, format_table, report_lines
+from .report import _report_lines, first_non_finite, format_complex, format_table
 from .scenarios import InterferenceReport, classify_interference
 from .solver import _born_terms, det_i_minus_t, make_system, solve_exact
 from .specfile import SystemSpec, _parse_complex, load_spec, spec_to_operator
@@ -63,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(tree: dict[str, Any], table: str, subject: str) -> int:
     """Write the report and the --table block in one write, or refuse an inf or nan."""
-    lines, overflow = report_lines(tree)
+    lines, overflow = _report_lines(tree)
     if overflow:
         print(f"error: the {subject} overflows: {overflow}", file=sys.stderr)
         return EXIT_INPUT

@@ -2,9 +2,8 @@
 
 The machine view prints one `path = value` line per leaf of a report
 tree.  Nested dicts extend the dotted path, complex leaves split into
-.re and .im, sequences of ints (not bools), numpy integers or strings
-are emitted inline (space separated) and other sequences get numeric
-path components.
+.re and .im, sequences of plain integers or strings are emitted inline
+(space separated) and other sequences get numeric path components.
 A 1-d complex ndarray leaf is a state vector: component k (1-based)
 prints as `path.k.re` and `path.k.im`, the lines a dict {"1": z1, ...}
 of complex leaves would give, rendered from the array's columns.
@@ -46,10 +45,10 @@ def format_complex(value: complex) -> str:
 
 
 def _inline(value: list | tuple) -> str | None:
-    # each item's type is read once; str() of these is what format_scalar prints
-    if all(kind is int or kind is str or issubclass(kind, np.integer)
-           for kind in set(map(type, value))):
-        return " ".join(map(str, value))
+    kinds = set(map(type, value))  # each item's type is read once
+    if all(issubclass(kind, (int, np.integer, str)) and kind is not bool for kind in kinds):
+        # str() prints a plain int or str as format_scalar does, and sooner
+        return " ".join(map(str if kinds <= {int, str} else format_scalar, value))
     return None
 
 
@@ -93,7 +92,7 @@ def _walk(tree: dict[str, Any], prefix: str, lines: list[str]) -> str | None:
     return first
 
 
-def report_lines(tree: dict[str, Any], prefix: str = "") -> tuple[list[str], str | None]:
+def _report_lines(tree: dict[str, Any], prefix: str = "") -> tuple[list[str], str | None]:
     """kv_lines(tree, prefix) and first_non_finite(tree, prefix), from one walk."""
     lines: list[str] = []
     return lines, _walk(tree, prefix, lines)
@@ -101,12 +100,12 @@ def report_lines(tree: dict[str, Any], prefix: str = "") -> tuple[list[str], str
 
 def kv_lines(tree: dict[str, Any], prefix: str = "") -> list[str]:
     """Flatten a report tree into `path = value` lines, depth first."""
-    return report_lines(tree, prefix)[0]
+    return _report_lines(tree, prefix)[0]
 
 
 def first_non_finite(tree: dict[str, Any], prefix: str = "") -> str | None:
     """The first line of kv_lines(tree, prefix) whose number is inf, -inf or nan, if any."""
-    return report_lines(tree, prefix)[1]
+    return _report_lines(tree, prefix)[1]
 
 
 def format_table(headers: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:

@@ -25,6 +25,8 @@ DARK_THRESHOLD = 1e-12
 
 DIAMOND_EDGES = frozenset({(1, 2), (1, 3), (2, 4), (3, 4)})
 _BRANCH_EDGES = (((1, 2), (2, 4)), ((1, 3), (3, 4)))
+# branch products whose scale lies between these are compared unscaled
+_NORMAL_LO, _NORMAL_HI = 2.0**-900, 2.0**900
 
 REGIME_CONSTRUCTIVE = "constructive"
 REGIME_DARK = "dark_state"
@@ -93,9 +95,22 @@ def build_double_diamond(amplitudes: Sequence[complex]) -> AcyclicSystem:
     return make_system(SparseOperator(7, entries))
 
 
-def _branches(amp: dict[tuple[int, int], complex]) -> list[complex]:
-    """The diamond's branch products t42 t21 and t43 t31; a missing edge is 0."""
-    return [amp.get(second, 0j) * amp.get(first, 0j) for first, second in _BRANCH_EDGES]
+def _scaled_branches(amp: dict[tuple[int, int], complex]) -> tuple[complex, complex]:
+    """The branch products of the couplings scaled by one power of two.
+
+    The scaling brings the larger product to about 1 (or as near as keeps
+    every coupling finite), so no product overflows or underflows unless
+    it is negligible.  It is exact but for a coupling pushed into the
+    subnormal range, whose rounding (about 2**-50 of the larger product)
+    is negligible.
+    """
+    exp = {edge: math.frexp(max(abs(z.real), abs(z.imag)))[1] for edge, z in amp.items()}
+    top = max((exp[a] + exp[b] for a, b in _BRANCH_EDGES if a in exp and b in exp), default=0)
+    shift = min(-(top // 2), 1024 - max(exp.values(), default=0))
+    unit = {edge: complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
+            for edge, z in amp.items()}
+    return (unit.get((2, 4), 0j) * unit.get((1, 2), 0j),
+            unit.get((3, 4), 0j) * unit.get((1, 3), 0j))
 
 
 def classify_interference(system: AcyclicSystem) -> InterferenceReport:
@@ -115,24 +130,20 @@ def classify_interference(system: AcyclicSystem) -> InterferenceReport:
             f"with edges {sorted(edges)}"
         )
     amp = dict(zip(edges, t._amp.tolist()))  # edge i -> j: T[j, i]
-    p_left, p_right = _branches(amp)
+    p_left = amp.get((2, 4), 0j) * amp.get((1, 2), 0j)
+    p_right = amp.get((3, 4), 0j) * amp.get((1, 3), 0j)
     # every walk 1 -> 4 is one of the two branches; a sum started at +0j,
     # as a substitution's is, keeps a cut branch's zeros positive
     a4 = 0j + (p_left + p_right)
     # orders 0 and 1 at state 4 from state 1: 0 + T[4, 1], and 1 -> 4 is no edge
     a4_born1 = 0j
-    # the regime is decided from the couplings scaled by one power of two,
-    # which is exact: it brings the larger branch product to about 1 (or as
-    # near as keeps every coupling finite), so no product overflows or
-    # underflows unless it is negligible, and a common rescaling by a power
-    # of two changes nothing (stored amplitudes are nonzero)
-    exp = {edge: math.frexp(max(abs(z.real), abs(z.imag)))[1] for edge, z in amp.items()}
-    top = max((exp[a] + exp[b] for a, b in _BRANCH_EDGES if a in exp and b in exp), default=0)
-    shift = min(-(top // 2), 1024 - max(exp.values(), default=0))
-    unit = {edge: complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
-            for edge, z in amp.items()}
-    q_left, q_right = _branches(unit)
-    scale = abs(q_left) + abs(q_right)
+    q_left, q_right = p_left, p_right
+    scale = abs(p_left) + abs(p_right)
+    if not _NORMAL_LO < scale < _NORMAL_HI:
+        # a product that overflows or underflows does not decide the regime;
+        # inside the normal range the scaling would change no comparison
+        q_left, q_right = _scaled_branches(amp)
+        scale = abs(q_left) + abs(q_right)
     if abs(q_left + q_right) <= DARK_THRESHOLD * scale:
         regime = REGIME_DARK
     elif abs(q_left - q_right) <= DARK_THRESHOLD * scale:

@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import enum
 import math
 
 import numpy as np
 import pytest
 
 from bornsolve.report import (
+    _report_lines,
     first_non_finite,
     format_complex,
     format_scalar,
     format_table,
     kv_lines,
-    report_lines,
 )
 
 
@@ -90,6 +91,17 @@ class TestKvLines:
     def test_str_sequence_inlined(self):
         assert kv_lines({"names": ["a", "b"]}) == ["names = a b"]
 
+    def test_subclass_sequences_inlined_as_format_scalar_prints_them(self):
+        class Level(enum.IntEnum):
+            GROUND = 1
+            EXCITED = 2
+
+        tree = {"order": [Level.EXCITED, np.int64(1), 3], "names": [np.str_("a"), "b"]}
+        assert kv_lines(tree) == ["order = 2 1 3", "names = a b"]
+
+    def test_bool_sequence_indexed(self):
+        assert kv_lines({"flags": [1, True]}) == ["flags.0 = 1", "flags.1 = true"]
+
     def test_float_sequence_indexed(self):
         lines = kv_lines({"state": [0.5, 0.25]})
         assert lines == ["state.0 = 0.5", "state.1 = 0.25"]
@@ -162,7 +174,7 @@ class TestFirstNonFinite:
     ])
     def test_is_the_first_printed_non_finite_line(self, tree, line):
         assert first_non_finite(tree) == first_printed_non_finite(kv_lines(tree)) == line
-        assert report_lines(tree) == (kv_lines(tree), line)
+        assert _report_lines(tree) == (kv_lines(tree), line)
 
     def test_prefix_is_part_of_the_line(self):
         assert first_non_finite({"norm": INF}, "truncation.") == "truncation.norm = inf"
