@@ -26,7 +26,12 @@ generator none.  Lists of up to _LOOP_RECORDS records, where numpy's
 fixed cost per call would dominate, and any that fail are checked and
 stored record by record in _loop_records, the only code that names a fault.
 Both read a record's items 0, 1 and 2 by position (_triple), so a record
-list gives the same operator or the same fault whatever its length.
+list gives the same operator or the same fault whatever its length.  The
+same cut serves short row scalings and level scans: up to _LOOP_RECORDS
+products of _row_scaled that are all finite and nonzero are stored as
+they are, any others go through _store; free_resolvent_diagonal scans up
+to _LOOP_RECORDS levels as Python floats, its gaps and reciprocals
+staying numpy's, so both give the same bits and faults either way.
 
 Products and norms work on whole arrays with Python's roundings: a
 complex product is formed from four float products as Python forms it
@@ -49,6 +54,7 @@ stable by-source index (_by_source).  Stable sorts by key: _stable_order.
 from __future__ import annotations
 
 import math
+import sys
 from cmath import isfinite
 from itertools import accumulate
 from operator import index, itemgetter
@@ -65,7 +71,8 @@ NORM_KINDS = ("inf", "one", "fro")
 
 # Record lists up to this length are checked and stored record by record:
 # the whole-array checks cost a fixed 40 us or so, the loop about 0.8 us a
-# record, and the two break even near 48 records (2-core Xeon VM).
+# record, and the two break even near 48 records (2-core Xeon VM).  Row
+# scalings and level scans up to this length skip numpy's checks too.
 _LOOP_RECORDS = 48
 
 # matmul sums a panel's terms in one bin per flat key (row - first row) *
@@ -556,26 +563,41 @@ def vector_norm(vec, kind: str = "inf") -> float:
 def free_resolvent_diagonal(h0_diagonal, energy: complex) -> np.ndarray:
     """Diagonal of (E - H0)^(-1) for a diagonal free Hamiltonian.
 
-    Raises ValueError for a non-finite energy, and ResonanceError when
-    the energy comes within RESONANCE_MARGIN * max(|E|, max|H0|) of any
-    level, a margin on the Hamiltonian's own scale; a complex energy keeps
-    a probe near a level well posed.
+    Raises ValueError for a non-finite level or energy, and ResonanceError
+    when the energy comes within RESONANCE_MARGIN * max(|E|, max|H0|) of
+    any level, a margin on the Hamiltonian's own scale; a complex energy
+    keeps a probe near a level well posed.  A least gap below the least
+    normal float, whose reciprocal may overflow, raises a ValueError naming
+    its level.  Both errors name the first nearest level.  Up to
+    _LOOP_RECORDS levels are scanned as Python floats, more on arrays; the
+    gaps and their reciprocals are numpy's either way.
     """
     h0 = np.asarray(h0_diagonal, dtype=float)
     if h0.ndim != 1 or h0.size == 0:
         raise ValueError("free Hamiltonian must be a non-empty 1-d real array")
-    if not math.isfinite(top := np.abs(h0).max()):  # NaN or inf for any non-finite level
+    short = h0.size <= _LOOP_RECORDS
+    if short:
+        levels = h0.tolist()
+        top = max(map(abs, levels)) if all(map(math.isfinite, levels)) else math.inf
+    else:
+        top = np.abs(h0).max()  # NaN or inf for any non-finite level
+    if not math.isfinite(top):
         raise ValueError("free Hamiltonian has non-finite levels")
     e = complex(energy)
     if not isfinite(e):
         raise ValueError(f"energy is not finite: {e}")
     threshold = RESONANCE_MARGIN * max(abs(e), top)
     gaps = e - h0
-    distance = np.abs(gaps)
-    if distance.min() <= threshold:
-        worst = int(distance.argmin())
-        raise ResonanceError(
-            level=worst + 1, energy=e, gap=float(distance[worst]), threshold=threshold
+    # abs and np.abs both take the hypot of a gap's parts
+    distance = list(map(abs, gaps.tolist())) if short else np.abs(gaps)
+    least = min(distance) if short else distance.min()
+    if least <= threshold or least < sys.float_info.min:
+        level = int(np.argmin(distance)) + 1
+        if least <= threshold:
+            raise ResonanceError(level=level, energy=e, gap=float(least), threshold=threshold)
+        raise ValueError(
+            f"energy {e} is within {least:.3e} of free level {level}, below the least "
+            f"normal float {sys.float_info.min:.3e}; rescale the Hamiltonian and energy"
         )
     return 1.0 / gaps
 
@@ -597,7 +619,15 @@ def build_transfer_operator(
 
 
 def _row_scaled(op: SparseOperator, factors: np.ndarray) -> SparseOperator:
-    """Operator with entries factors[row - 1] * T[row, col], in op's storage order."""
+    """Operator with entries factors[row - 1] * T[row, col], in op's storage order.
+
+    Up to _LOOP_RECORDS products that are all finite and nonzero are
+    stored as they are; any others go through _store, which names the
+    first non-finite entry and drops exact zeros.
+    """
     factor = factors.tolist()
     amp = [factor[r - 1] * a for r, a in zip(op._row.tolist(), op._amp.tolist())]
+    if len(amp) <= _LOOP_RECORDS and 0 not in amp and all(map(isfinite, amp)):
+        out = SparseOperator.__new__(SparseOperator)
+        return _fill(out, op.dim, op._row, op._col, np.array(amp, dtype=complex))
     return SparseOperator._from_arrays(op.dim, op._row, op._col, amp)

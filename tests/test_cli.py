@@ -126,6 +126,19 @@ class TestScaleFree:
             # T[2, 1] = 1e-21 / (5e-20 - 1e-19) = -0.02
             npt.assert_allclose(float(kv["total.2.re"]), -0.02, rtol=1e-15)
 
+    @pytest.mark.parametrize("command", [["analyze"], ["solve", "--phi", "1"]])
+    def test_subnormal_gap_names_the_level(self, tmp_path, command):
+        # levels 1e-310 apart: the gaps are subnormal and 1 / gap would
+        # overflow, which once showed as a non-finite entry (2, 1)
+        path = write_spec(tmp_path, hamiltonian_doc([0.0, 1e-310], [(1, 2, 1e-311)], 5e-311))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([command[0], path, *command[1:]])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: energy (5e-311+0j) is within ")
+        assert "of free level 2, below the least normal float" in err
+        assert "entry (" not in err
+
     @pytest.mark.parametrize("amp", [1e200, 1e-170])
     def test_frobenius_norm_out_of_range(self, tmp_path, amp):
         # the squared modulus overflows or underflows; the norm does not

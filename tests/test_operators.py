@@ -460,6 +460,27 @@ class TestTransferOperator:
         npt.assert_allclose(free_resolvent_diagonal(h0, energy),
                             1.0 / (energy - h0), rtol=1e-15)
 
+    def test_subnormal_gap_rejected_before_the_division(self):
+        # the diamond scaled by 2**-1070: every gap is subnormal, so 1 / gap
+        # overflowed and T's first entry read (inf+nanj); the least gap is
+        # now refused with a message naming its level, and no warning
+        h0 = np.array([0.0, 1.0, -1.0, 0.5]) * 2.0**-1070
+        potential = diamond_operator().scaled(2.0**-1070)
+        energy = complex(0.25, 0.125) * 2.0**-1070
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: free_resolvent_diagonal(h0, energy),
+                         lambda: build_transfer_operator(h0, potential, energy)):
+                with pytest.raises(ValueError, match=r"of free level 1, below the least normal"):
+                    call()
+
+    def test_least_normal_gap_is_accepted(self):
+        tiny = np.finfo(float).tiny
+        g0 = free_resolvent_diagonal(np.array([0.0, 4.0 * tiny]), tiny)
+        assert g0.tolist() == [1.0 / tiny, -1.0 / (3.0 * tiny)]
+        with pytest.raises(ValueError, match="free level 1, below the least normal"):
+            free_resolvent_diagonal(np.array([0.0, 4.0 * tiny]), tiny / 2.0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             build_transfer_operator(np.zeros(2), SparseOperator.identity(3), 5.0)
@@ -1283,3 +1304,147 @@ def test_shuffled_records_store_alike(case):
         }
         for row, cols in stored_rows(built).items():
             assert list(cols) == [col for r, col, _ in declared if r == row]
+
+
+# Short row scalings and level scans run in Python, long ones on arrays;
+# _LOOP_RECORDS at 0 sends every list down the array path, at 10**9 every
+# list down the Python one.
+BOTH_PATHS = (0, 10**9)
+ORDINARY = [1.0, -2.5, 0.75j, complex(1.5, -0.5), complex(-0.0, 3.0)]
+
+
+def outcome(call):
+    """What a call gives: its result, or its error's type, message and fields."""
+    try:
+        return call()
+    except (ValueError, ResonanceError) as fault:
+        return type(fault), str(fault), vars(fault)
+
+
+def on_both_paths(call) -> list:
+    """call's outcome with the module's own cut, then on the array and on the Python path."""
+    outcomes = [outcome(call)]
+    for limit in BOTH_PATHS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(operators, "_LOOP_RECORDS", limit)
+            outcomes.append(outcome(call))
+    return outcomes
+
+
+def assert_same_outcomes(outcomes) -> None:
+    first = outcomes[0]
+    for other in outcomes[1:]:
+        if isinstance(first, tuple):
+            assert other == first
+        elif isinstance(first, SparseOperator):
+            assert isinstance(other, SparseOperator) and other.dim == first.dim
+            npt.assert_array_equal(other._row, first._row)
+            npt.assert_array_equal(other._col, first._col)
+            assert other._row.dtype == other._col.dtype == np.intp
+            assert other._amp.dtype == complex and other._amp.flags.c_contiguous
+            assert_same_bits(other._amp, first._amp)
+        else:
+            assert_same_bits(other, first)
+
+
+@st.composite
+def row_scalings(draw):
+    """An operator of 48 or 49 entries on 8 states and factors for its rows.
+
+    Amplitudes mix ordinary values with 1e-200 and 1e200.  The factors are
+    ordinary, or some are zero, 1e-200 or 1e200, so that whole rows come
+    out zero, products underflow to exact zeros or overflow.
+    """
+    nnz = draw(st.sampled_from([_LOOP_RECORDS, _LOOP_RECORDS + 1]))
+    cells = draw(st.lists(st.integers(0, 63), min_size=nnz, max_size=nnz, unique=True))
+    amps = draw(st.lists(st.sampled_from(ORDINARY + [1e-200, -1e200j] * 2), min_size=nnz,
+                         max_size=nnz))
+    op = SparseOperator(8, [(k // 8 + 1, k % 8 + 1, a) for k, a in zip(cells, amps)])
+    extreme = draw(st.sampled_from([[], [0.0], [complex(0.0, 1e-200)], [1e200]]))
+    factors = draw(st.lists(st.sampled_from(ORDINARY + extreme), min_size=8, max_size=8))
+    return op, np.array(factors, dtype=complex)
+
+
+@PROPERTY_SETTINGS
+@given(row_scalings())
+def test_row_scalings_store_alike_on_both_paths(case):
+    # the same arrays, the same dropped zeros, the same entry named
+    op, factors = case
+    outcomes = on_both_paths(lambda: operators._row_scaled(op, factors))
+    assert_same_outcomes(outcomes)
+    if isinstance(outcomes[0], SparseOperator):
+        kept = [(r, c) for r, c, a in zip(op._row.tolist(), op._col.tolist(), op._amp.tolist())
+                if factors[r - 1] * a != 0]
+        assert list(zip(outcomes[0]._row.tolist(), outcomes[0]._col.tolist())) == kept
+    else:
+        assert re.fullmatch(r"entry \(\d+, \d+\) is not finite: .*", outcomes[0][1])
+
+
+@pytest.mark.parametrize("nnz", [_LOOP_RECORDS, _LOOP_RECORDS + 1])
+@pytest.mark.parametrize("last", [0.0, 1e-200, 1e200, math.nan])
+def test_row_scaling_of_the_last_entry(nnz, last):
+    # only the last product is zero, underflows, overflows or is NaN
+    op = SparseOperator(nnz, [(k + 1, k + 1, complex(k + 1, -1.0)) for k in range(nnz - 1)]
+                        + [(nnz, 1, 1e-200 if last == 1e-200 else 1e200)])
+    factors = np.ones(nnz, dtype=complex)
+    factors[-1] = last if last == last else complex(math.nan, 0.0)
+    outcomes = on_both_paths(lambda: operators._row_scaled(op, factors))
+    assert_same_outcomes(outcomes)
+    if last in (0.0, 1e-200):
+        assert outcomes[0].nnz == nnz - 1
+    else:
+        product = complex(factors[-1]) * (1e200 + 0j)
+        assert outcomes[0][:2] == (ValueError, f"entry ({nnz}, 1) is not finite: {product}")
+
+
+@st.composite
+def level_scans(draw):
+    """48 or 49 levels and an energy, at a scale from ordinary to subnormal.
+
+    The energy sits on a drawn level, at an offset from exact resonance to
+    well clear of it, or away from every level; a level may be NaN or
+    infinite.
+    """
+    n = draw(st.sampled_from([_LOOP_RECORDS, _LOOP_RECORDS + 1]))
+    levels = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 1e-300, 2.0**-1060, 2.0**-1070]))
+    h0 = np.array(levels, dtype=float) * 0.5 * scale
+    energy = complex(draw(st.integers(-50, 50)) * 0.5 * scale, 0.0)
+    if draw(st.booleans()):
+        offset = draw(st.sampled_from([0.0, 1e-12, -3e-11, 1e-3, complex(0.0, 0.25), 0.25]))
+        energy = complex(float(h0[draw(st.integers(0, n - 1))]) + offset * scale)
+    bad = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    if bad is not None and draw(st.booleans()):
+        h0[draw(st.integers(0, n - 1))] = bad
+    return h0, energy
+
+
+@PROPERTY_SETTINGS
+@given(level_scans())
+def test_level_scans_agree_on_both_paths(case):
+    # the same reciprocals, the same ResonanceError (level, gap, threshold),
+    # the same non-finite-level and subnormal-gap messages
+    h0, energy = case
+    outcomes = on_both_paths(lambda: free_resolvent_diagonal(h0, energy))
+    assert_same_outcomes(outcomes)
+    if isinstance(outcomes[0], np.ndarray):
+        assert_same_bits(outcomes[0], 1.0 / (energy - h0))
+    elif not np.isfinite(h0).all():
+        assert outcomes[0][:2] == (ValueError, "free Hamiltonian has non-finite levels")
+    else:
+        level = int(np.abs(energy - h0).argmin()) + 1
+        assert f"of free level {level}" in outcomes[0][1]
+
+
+def test_level_scan_names_the_first_nearest_level():
+    # levels 3 and 5 are equally near; a resonance names 3 on both paths
+    for n in (_LOOP_RECORDS, _LOOP_RECORDS + 1):
+        h0 = np.full(n, 40.0)
+        h0[2], h0[4] = 1.0, 1.0
+        outcomes = on_both_paths(lambda: free_resolvent_diagonal(h0, 1.0))
+        assert_same_outcomes(outcomes)
+        assert outcomes[0][0] is ResonanceError and outcomes[0][2]["level"] == 3
+        h0 *= 2.0**-1070
+        outcomes = on_both_paths(lambda: free_resolvent_diagonal(h0, 2.0**-1070 * (1 + 1j)))
+        assert_same_outcomes(outcomes)
+        assert "of free level 3, below the least normal float" in outcomes[0][1]
