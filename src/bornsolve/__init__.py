@@ -66,7 +66,6 @@ from .truncation import (
     QUASI_NILPOTENT_DEFECT,
     TruncationReport,
     exact_remainder,
-    nilpotency_defect,
     remainder_bound,
 )
 
@@ -112,7 +111,6 @@ __all__ = [
     "make_system",
     "matmul",
     "matvec",
-    "nilpotency_defect",
     "operator_norm",
     "parse_spec",
     "power",

@@ -10,7 +10,6 @@ the input has a directed cycle.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import resources
 from typing import Any
@@ -26,17 +25,11 @@ from .errors import (
     TopologyError,
 )
 from .graph import analyze_acyclicity
-from .operators import (
-    NORM_KINDS,
-    SparseOperator,
-    as_state_vector,
-    basis_state,
-    operator_norm,
-)
+from .operators import NORM_KINDS, SparseOperator, basis_state, operator_norm
 from .report import _report_lines, first_non_finite, format_complex, format_table
 from .scenarios import InterferenceReport, classify_interference
 from .solver import _born_terms, det_i_minus_t, make_system, solve_exact
-from .specfile import SystemSpec, _parse_complex, load_spec, spec_to_operator
+from .specfile import SystemSpec, load_spec, load_state, spec_to_operator
 from .truncation import remainder_bound
 
 EXIT_OK = 0
@@ -81,24 +74,10 @@ def _parse_phi(text: str, dim: int) -> np.ndarray:
     try:
         index = int(text)
     except ValueError:
-        return _load_phi_file(text, dim)
+        return load_state(text, dim)
     if not 1 <= index <= dim:
         raise SpecFormatError(f"--phi basis index {index} outside 1..{dim}")
     return basis_state(dim, index)
-
-
-def _load_phi_file(path: str, dim: int) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise SpecFormatError(f'{path}: expected a JSON array of {{"re", "im"}} objects')
-    if len(raw) != dim:
-        raise SpecFormatError(f"{path}: expected {dim} components, got {len(raw)}")
-    components = [_parse_complex(item, f"{path}[{pos}]") for pos, item in enumerate(raw)]
-    return as_state_vector(components, dim)
 
 
 def _norm_block(op: SparseOperator) -> dict[str, float]:

@@ -296,40 +296,14 @@ class SparseOperator:
         return _store(cls.__new__(cls), dim, row, col, amp)
 
     @classmethod
-    def zero(cls, dim: int) -> "SparseOperator":
-        return cls(dim)
-
-    @classmethod
     def identity(cls, dim: int) -> "SparseOperator":
         dim = _size(dim, "dimension")
         labels = np.arange(1, dim + 1, dtype=np.intp)
         return cls._from_arrays(dim, labels, labels, np.ones(dim, dtype=complex))
 
-    @classmethod
-    def from_dense(cls, matrix) -> "SparseOperator":
-        a = np.asarray(matrix, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        row, col = np.nonzero(a)
-        return cls._from_arrays(_size(a.shape[0], "dimension"), row + 1, col + 1, a[row, col])
-
     @property
     def nnz(self) -> int:
         return self._amp.size
-
-    def entry(self, row: int, col: int) -> complex:
-        """Stored amplitude at (row, col); structural zeros come back as 0.
-
-        TypeError for a non-integral label; a label outside 1..dim reads 0.
-        """
-        # searchsorted would place row 1.5 in row 2, and == would match column 1.0
-        row, col = index(row), index(col)
-        if 1 <= row <= self.dim and 1 <= col <= self.dim:
-            lo, hi = np.searchsorted(self._row, (row, row + 1))
-            hit = np.flatnonzero(self._col[lo:hi] == col)
-            if hit.size:
-                return complex(self._amp[lo + hit[0]])
-        return 0j
 
     def entries(self) -> Iterator[Entry]:
         """Stored entries as (row, col, amplitude), sorted by (row, col)."""
@@ -363,16 +337,10 @@ class SparseOperator:
             return slice(None)
         return np.lexsort((col, row))
 
-    def index_set(self) -> set[tuple[int, int]]:
-        return set(zip(self._row.tolist(), self._col.tolist()))
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         out[self._row - 1, self._col - 1] = self._amp
         return out
-
-    def scaled(self, factor: complex) -> "SparseOperator":
-        return _row_scaled(self, np.full(self.dim, factor, dtype=complex))
 
     def is_zero(self) -> bool:
         return not self._amp.size
@@ -393,7 +361,8 @@ class SparseOperator:
 
 
 def basis_state(dim: int, label: int) -> np.ndarray:
-    """Unit amplitude on basis state `label` (1-based), zero elsewhere."""
+    """Unit amplitude on basis state `label` (1-based), else zero; TypeError unless integral."""
+    label = _label(label)
     if not 1 <= label <= dim:
         raise ValueError(f"basis label {label} outside 1..{dim}")
     v = np.zeros(dim, dtype=complex)
@@ -537,26 +506,34 @@ def operator_norm(op: SparseOperator, kind: str = "inf") -> float:
     amp = op._amp[order]
     modulus = np.hypot(amp.real, amp.imag)
     if kind == "fro":
-        # pow and cumsum round as Python's ** and += do; rescaled only out of range
-        for top in (1.0, modulus.max()):
-            with np.errstate(over="ignore"):
-                total = np.cumsum(np.float_power(modulus / top, 2.0))[-1]
-            if np.finfo(float).tiny <= total < math.inf:
-                break
-        return float(top * math.sqrt(total))
+        return _root_sum_squares(modulus)
     key = op._row if kind == "inf" else op._col
     return float(np.bincount(key[order], modulus).max())
 
 
+def _root_sum_squares(modulus: np.ndarray) -> float:
+    """Root of the sum of squares of a non-empty array, as Python's ** and += round in index order.
+
+    A sum outside the normal range is formed again over the values divided by the largest.
+    """
+    top = 1.0
+    with np.errstate(over="ignore"):
+        total = np.cumsum(np.float_power(modulus, 2.0))[-1]
+    if not np.finfo(float).tiny <= total < math.inf and 0.0 < modulus.max() < math.inf:
+        top = modulus.max()
+        total = np.cumsum(np.float_power(modulus / top, 2.0))[-1]
+    return float(top * math.sqrt(total))
+
+
 def vector_norm(vec, kind: str = "inf") -> float:
-    """Vector norm compatible with the operator norm of the same kind."""
+    """Vector norm compatible with the operator norm of the same kind; "fro" sums as it does."""
     v = np.asarray(vec, dtype=complex)
     if kind == "inf":
         return float(np.max(np.abs(v))) if v.size else 0.0
     if kind == "one":
         return float(np.sum(np.abs(v)))
     if kind == "fro":
-        return float(np.linalg.norm(v))
+        return _root_sum_squares(np.hypot(v.real, v.imag)) if v.size else 0.0
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
@@ -568,9 +545,10 @@ def free_resolvent_diagonal(h0_diagonal, energy: complex) -> np.ndarray:
     any level, a margin on the Hamiltonian's own scale; a complex energy
     keeps a probe near a level well posed.  A least gap below the least
     normal float, whose reciprocal may overflow, raises a ValueError naming
-    its level.  Both errors name the first nearest level.  Up to
-    _LOOP_RECORDS levels are scanned as Python floats, more on arrays; the
-    gaps and their reciprocals are numpy's either way.
+    its level.  Both errors name the first nearest level.  A gap that
+    overflows, whose reciprocal 0 would drop its row, raises a ValueError
+    naming the first such level.  Up to _LOOP_RECORDS levels are scanned
+    as Python floats, more on arrays; the gaps and reciprocals are numpy's.
     """
     h0 = np.asarray(h0_diagonal, dtype=float)
     if h0.ndim != 1 or h0.size == 0:
@@ -586,7 +564,13 @@ def free_resolvent_diagonal(h0_diagonal, energy: complex) -> np.ndarray:
     e = complex(energy)
     if not isfinite(e):
         raise ValueError(f"energy is not finite: {e}")
-    threshold = RESONANCE_MARGIN * max(abs(e), top)
+    scale = max(abs(e), top)
+    if scale >= 2.0**1023:  # else every |E.real - H0[j]| is below the largest float
+        far = next((k for k, x in enumerate(h0.tolist(), 1) if math.isinf(e.real - x)), 0)
+        if far:
+            raise ValueError(f"energy {e} is beyond the largest float from free level {far}; "
+                             "rescale the Hamiltonian and energy")
+    threshold = RESONANCE_MARGIN * scale
     gaps = e - h0
     # abs and np.abs both take the hypot of a gap's parts
     distance = list(map(abs, gaps.tolist())) if short else np.abs(gaps)

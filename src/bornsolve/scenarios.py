@@ -40,10 +40,6 @@ class WeightedPath:
     vertices: tuple[int, ...]
     weight: complex
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
 
 @dataclass(frozen=True)
 class InterferenceReport:

@@ -15,7 +15,8 @@ Exactly one of two forms must be present on top of "dimension":
   resolvent applied to the potential.
 
 "basis_labels" (n strings) is optional and only affects human-readable
-tables.
+tables.  A state file, read by load_state, is a JSON array of n such
+{"re", "im"} objects.
 
 A parsed spec holds its record lists as checked operators: T in the
 direct form, V in the Hamiltonian form.  A record list is checked by
@@ -40,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from .errors import SpecFormatError
-from .operators import SparseOperator, _checked_columns, build_transfer_operator
+from .operators import SparseOperator, _checked_columns, as_state_vector, build_transfer_operator
 
 _TOP_LEVEL_KEYS = {
     "dimension",
@@ -254,6 +255,21 @@ def load_spec(path) -> SystemSpec:
     """Read and parse a system description file."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_spec(handle.read())
+
+
+def load_state(path, dim: int) -> np.ndarray:
+    """Read a state vector of dim components from a JSON array of {"re", "im"} objects."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SpecFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise SpecFormatError(f'{path}: expected a JSON array of {{"re", "im"}} objects')
+    if len(raw) != dim:
+        raise SpecFormatError(f"{path}: expected {dim} components, got {len(raw)}")
+    components = [_parse_complex(item, f"{path}[{pos}]") for pos, item in enumerate(raw)]
+    return as_state_vector(components, dim)
 
 
 def _record_objs(op: SparseOperator) -> list[dict]:

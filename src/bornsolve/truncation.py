@@ -3,7 +3,8 @@
 A cyclic transition graph leaves a residual beyond every finite
 truncation order.  The residual after order m is (I - T)^(-1) T^(m+1) phi
 whenever I - T is invertible.  The budget at order m holds the norms of
-T and of its (m+1)-th power, formed sparsely; the geometric bound
+T and of its (m+1)-th power, formed sparsely: that defect_norm is zero
+exactly when truncation at order m is exact; the geometric bound
 ||T^(m+1)|| ||phi|| / (1 - ||T||) when ||T|| < 1; and the residual's
 norm, exactly: zero with no solve when the power vanishes structurally,
 else from the solver's substitution over the strong components of T.
@@ -43,13 +44,6 @@ class TruncationReport:
     exact_remainder_norm: float
     bound: float | None
     quasi_nilpotent: bool
-
-
-def nilpotency_defect(operator: SparseOperator, m: int, norm_kind: str = "inf") -> float:
-    """Norm of the (m+1)-th power; zero exactly when truncation at order m is exact."""
-    if m < 0:
-        raise ValueError(f"order must be >= 0, got {m}")
-    return operator_norm(power(operator, m + 1), norm_kind)
 
 
 def exact_remainder(operator: SparseOperator, phi, m: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy.testing as npt
 from hypothesis import strategies as st
 
 from bornsolve.operators import SparseOperator, operator_norm
+from oracles import scaled
 
 # 0, +-1, +-1/2 and +-1/4, times 1 or i: on a DAG of at most 16 states, and
 # in the first five powers of any operator of at most 16 states, every
@@ -64,7 +65,7 @@ def scaled_to_norm(op: SparseOperator, target: float, kind: str = "inf") -> Spar
     current = operator_norm(op, kind)
     if current == 0.0:
         raise ValueError("cannot rescale a zero operator")
-    return op.scaled(target / current)
+    return scaled(op, target / current)
 
 
 def random_state(rng, dim: int) -> np.ndarray:

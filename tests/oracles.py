@@ -15,7 +15,8 @@ columns and amplitudes.  rational_remainder sums the terms beyond an
 order, the exact remainder of that truncation, and rational_power forms
 the operator power T^k itself, entry by entry, in the same arithmetic.
 dense_det is det(I - T) by one dense LU of the whole matrix, blind to
-its block structure.
+its block structure.  from_dense, scaled and pattern build and read
+operators through the public constructor and entries() alone.
 
 An edge i -> j is the operator entry (row j, col i).  Every graph carries
 .operator, the SparseOperator with its pattern (unannotated edges get
@@ -331,3 +332,21 @@ def _add_product(y: Gaussian, p: Gaussian, a: Gaussian) -> Gaussian:
 def dense_det(op: SparseOperator) -> complex:
     """det(I - T) by numpy.linalg.det of the dense matrix."""
     return complex(np.linalg.det(np.eye(op.dim, dtype=complex) - op.to_dense()))
+
+
+def from_dense(matrix) -> SparseOperator:
+    """The operator holding a square matrix's nonzero entries, through the public constructor."""
+    a = np.asarray(matrix, dtype=complex)
+    row, col = np.nonzero(a)
+    entries = zip((row + 1).tolist(), (col + 1).tolist(), a[row, col].tolist())
+    return SparseOperator(len(a), list(entries))
+
+
+def scaled(op: SparseOperator, factor: complex) -> SparseOperator:
+    """op with every amplitude multiplied by factor, built from its entries."""
+    return SparseOperator(op.dim, [(r, c, factor * a) for r, c, a in op.entries()])
+
+
+def pattern(op: SparseOperator) -> set[tuple[int, int]]:
+    """The (row, col) positions of op's stored entries."""
+    return {(r, c) for r, c, _ in op.entries()}

@@ -199,7 +199,7 @@ def test_criterion_06_determinant_is_one():
             op = random_dag(rng, dim, density=0.2,
                             min_modulus=0.0, max_modulus=5.0)
             assert abs(det_i_minus_t(op) - 1.0) <= 1e-9
-        assert det_i_minus_t(SparseOperator.zero(5)) == 1.0
+        assert det_i_minus_t(SparseOperator(5)) == 1.0
 
 
 def _random_hamiltonian_system(rng):

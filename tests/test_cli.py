@@ -139,6 +139,18 @@ class TestScaleFree:
         assert "of free level 2, below the least normal float" in err
         assert "entry (" not in err
 
+    def test_overflowing_gap_names_the_level(self, tmp_path):
+        # E - H0[1] overflows: 1 / inf once dropped row 1, and the 2-cycle
+        # of V was certified acyclic with depth 1
+        path = write_spec(tmp_path, hamiltonian_doc([-1.7e308, 0.0], [(1, 2, 1.0), (2, 1, 1.0)],
+                                                    1.7e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["analyze", path])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == ("error: energy (1.7e+308+0j) is beyond the largest float from free "
+                       "level 1; rescale the Hamiltonian and energy\n")
+
     @pytest.mark.parametrize("amp", [1e200, 1e-170])
     def test_frobenius_norm_out_of_range(self, tmp_path, amp):
         # the squared modulus overflows or underflows; the norm does not

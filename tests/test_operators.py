@@ -37,7 +37,7 @@ from bornsolve.operators import (
     _panels,
 )
 from conftest import DYADIC, assert_same_bits, random_dag, random_operator, random_state
-from oracles import gaussian, rational_power
+from oracles import from_dense, gaussian, pattern, rational_power, scaled
 
 RTOL = 1e-12
 ATOL = 1e-13
@@ -58,7 +58,7 @@ class TestConstruction:
             with pytest.raises(ValueError, match="dimension must be a positive integer"):
                 SparseOperator(bad, [(1, 1, 1.0)])
         with pytest.raises(ValueError, match="dimension must be a positive integer"):
-            SparseOperator.from_dense(np.zeros((0, 0)))
+            from_dense(np.zeros((0, 0)))
         op = SparseOperator(np.int64(2), [(1, 2, 1.0)])
         assert type(op.dim) is int and op.dim == 2
         npt.assert_array_equal(matvec(op, [0, 1]), [1, 0])
@@ -80,7 +80,7 @@ class TestConstruction:
             with pytest.raises(ValueError, match="duplicate"):
                 SparseOperator(3, pair)
         op = SparseOperator(3, [(1, 2, 0.0), (1, 3, 1.0), (2, 2, 0.0)])
-        assert op.index_set() == {(1, 3)}
+        assert pattern(op) == {(1, 3)}
         assert SparseOperator(3, [(2, 1, 0.0)]).is_zero()
 
     def test_rejects_non_integral_indices(self):
@@ -118,24 +118,21 @@ class TestConstruction:
     def test_keeps_tiny_amplitudes_and_drops_exact_zeros(self):
         # no magnitude makes a structural zero; only an exact zero does
         op = SparseOperator(3, [(1, 2, 1e-15), (2, 1, 1e-300), (2, 3, 0.0), (3, 1, -0.0j)])
-        assert op.index_set() == {(1, 2), (2, 1)}
-        assert op.entry(1, 2) == 1e-15 and op.entry(2, 1) == 1e-300
-        assert op.entry(2, 3) == 0 and op.entry(3, 1) == 0
+        assert pattern(op) == {(1, 2), (2, 1)}
+        dense = op.to_dense()
+        assert dense[0, 1] == 1e-15 and dense[1, 0] == 1e-300
+        assert dense[1, 2] == 0 and dense[2, 0] == 0
 
     def test_zero_and_identity(self):
-        assert SparseOperator.zero(3).is_zero()
+        assert SparseOperator(3).is_zero()
         eye = SparseOperator.identity(3)
         npt.assert_array_equal(eye.to_dense(), np.eye(3, dtype=complex))
 
     def test_dense_round_trip(self):
         rng = np.random.default_rng(7)
         a = random_state(rng, 16).reshape(4, 4)
-        op = SparseOperator.from_dense(a)
+        op = from_dense(a)
         npt.assert_array_equal(op.to_dense(), a)
-
-    def test_from_dense_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            SparseOperator.from_dense(np.zeros((2, 3)))
 
     def test_entries_sorted(self):
         op = SparseOperator(3, [(3, 1, 1.0), (1, 2, 2.0), (1, 1, 3.0)])
@@ -148,10 +145,6 @@ class TestConstruction:
         assert a != SparseOperator(2, [(1, 2, 0.6)])
         assert a.nnz == 1
 
-    def test_scaled(self):
-        op = diamond_operator()
-        npt.assert_array_equal(op.scaled(2.0).to_dense(), 2.0 * op.to_dense())
-
 
 class TestStateVectors:
     def test_basis_state(self):
@@ -161,6 +154,13 @@ class TestStateVectors:
     def test_basis_state_rejects_bad_label(self):
         with pytest.raises(ValueError, match="label"):
             basis_state(3, 4)
+
+    @pytest.mark.parametrize("label", [True, 2.0, np.float64(2.0)])
+    def test_basis_state_rejects_a_non_integral_label(self, label):
+        # as a record's label: True once gave e_1, 2.0 numpy's IndexError
+        with pytest.raises(TypeError):
+            basis_state(4, label)
+        npt.assert_array_equal(basis_state(4, np.intp(2)), [0, 1, 0, 0])
 
     def test_as_state_vector_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -194,55 +194,21 @@ class TestMatvec:
             matvec(SparseOperator.identity(3), np.zeros(4))
 
 
-class TestEntry:
-    def test_matches_dense_on_and_beyond_the_basis(self):
-        # rows and columns 0 and dim + 1 lie outside 1..dim and read as 0
-        rng = np.random.default_rng(41)
-        ops = [SparseOperator(1), SparseOperator.identity(3)]
-        for dim in range(1, 12):
-            middle = (dim + 1) // 2
-            declared = SparseOperator(dim, wide_entries(rng, dim, 0.6, empty_rows=(1, middle, dim)))
-            full = SparseOperator(dim, wide_entries(rng, dim, 0.6))
-            ops += [declared, full, matmul(full, declared), power(full, 3)]
-        for op in ops:
-            n = op.dim
-            want = np.zeros((n + 2, n + 2), dtype=complex)
-            want[1:-1, 1:-1] = op.to_dense()
-            labels = range(n + 2)
-            got = np.array([[op.entry(row, col) for col in labels] for row in labels])
-            assert_same_bits(got, want)
-            got = np.array([[op.entry(np.intp(row), col) for col in labels] for row in labels])
-            assert_same_bits(got, want)
-
-    def test_rejects_a_non_integral_row(self):
-        op = SparseOperator(2, [(2, 1, 1.0)])
-        for row in (1.5, 2.0, np.float64(2.0)):
-            with pytest.raises(TypeError):
-                op.entry(row, 1)
-
-    def test_rejects_a_non_integral_column(self):
-        # == would match column 1.0 to the stored 1, and miss 1.5
-        op = SparseOperator(2, [(2, 1, 1.0)])
-        for col in (1.0, 1.5, np.float64(1.0)):
-            with pytest.raises(TypeError):
-                op.entry(2, col)
-
-
 class TestMatmul:
     def test_cascade_second_power(self):
         # squaring the 3-level chain leaves a single two-step amplitude
         t21, t32 = 0.8 + 0.1j, 0.5 - 0.2j
         op = SparseOperator(3, [(1, 2, t21), (2, 3, t32)])
         sq = matmul(op, op)
-        assert sq.index_set() == {(1, 3)}
-        assert sq.entry(1, 3) == t21 * t32
+        assert pattern(sq) == {(1, 3)}
+        assert sq.to_dense()[0, 2] == t21 * t32
 
     def test_diamond_second_power(self):
         t21, t31, t42, t43 = 1.5, -0.5j, 2.0 + 1.0j, 0.25
         sq = matmul(diamond_operator(t21, t31, t42, t43),
                     diamond_operator(t21, t31, t42, t43))
-        assert sq.index_set() == {(4, 1)}
-        npt.assert_allclose(sq.entry(4, 1), t42 * t21 + t43 * t31,
+        assert pattern(sq) == {(4, 1)}
+        npt.assert_allclose(sq.to_dense()[3, 0], t42 * t21 + t43 * t31,
                             rtol=RTOL, atol=0)
 
     def test_matches_dense_oracle(self):
@@ -309,7 +275,7 @@ class TestNorms:
 
     def test_zero_norms(self):
         for kind in NORM_KINDS:
-            assert operator_norm(SparseOperator.zero(3), kind) == 0.0
+            assert operator_norm(SparseOperator(3), kind) == 0.0
 
     def test_fro_norm_out_of_range(self):
         # squared moduli that overflow or underflow are summed over the
@@ -367,7 +333,7 @@ class TestNorms:
         op = random_operator(rng, 6)
         factor = 2.5 - 1.5j
         for kind in NORM_KINDS:
-            npt.assert_allclose(operator_norm(op.scaled(factor), kind),
+            npt.assert_allclose(operator_norm(scaled(op, factor), kind),
                                 abs(factor) * operator_norm(op, kind), rtol=RTOL)
 
     def test_unknown_kind_rejected(self):
@@ -381,6 +347,22 @@ class TestNorms:
         assert vector_norm(v, "inf") == 4.0
         assert vector_norm(v, "one") == 7.0
         npt.assert_allclose(vector_norm(v, "fro"), 5.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_vector_fro_norm_out_of_range(self, scale):
+        # the squares overflow or underflow; np.linalg.norm gave inf or 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fro = vector_norm([scale * 1j, scale], "fro")
+        npt.assert_allclose(fro, math.sqrt(2.0) * scale, rtol=4 * np.finfo(float).eps)
+
+    def test_vector_fro_norm_is_the_one_column_norm(self):
+        rng = np.random.default_rng(43)
+        for scale in (1.0, 1e200, 1e-200, 1e-310):
+            for dim in (1, 5, 60):
+                v = wide_state(rng, dim) * scale
+                column = SparseOperator(dim, [(k, 1, z) for k, z in enumerate(v.tolist(), 1)])
+                assert vector_norm(v, "fro") == operator_norm(column, "fro")
 
 
 class TestTransferOperator:
@@ -397,7 +379,7 @@ class TestTransferOperator:
         potential = random_dag(rng, 7)
         h0 = rng.uniform(-1.0, 1.0, size=7)
         t = build_transfer_operator(h0, potential, 3.0 + 0.25j)
-        assert t.index_set() == potential.index_set()
+        assert pattern(t) == pattern(potential)
 
     def test_resonant_energy_rejected(self):
         h0 = np.array([0.0, 1.0])
@@ -465,7 +447,7 @@ class TestTransferOperator:
         # overflowed and T's first entry read (inf+nanj); the least gap is
         # now refused with a message naming its level, and no warning
         h0 = np.array([0.0, 1.0, -1.0, 0.5]) * 2.0**-1070
-        potential = diamond_operator().scaled(2.0**-1070)
+        potential = scaled(diamond_operator(), 2.0**-1070)
         energy = complex(0.25, 0.125) * 2.0**-1070
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -473,6 +455,22 @@ class TestTransferOperator:
                          lambda: build_transfer_operator(h0, potential, energy)):
                 with pytest.raises(ValueError, match=r"of free level 1, below the least normal"):
                     call()
+
+    def test_overflowing_gap_rejected(self):
+        # E - H0[1] overflows: 1 / inf gave 0, row 1 was dropped and the
+        # 2-cycle of V came out as an acyclic T; now the level is named
+        h0 = np.array([-1.7e308, 0.0])
+        potential = SparseOperator(2, [(1, 2, 1.0), (2, 1, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: free_resolvent_diagonal(h0, 1.7e308),
+                         lambda: build_transfer_operator(h0, potential, 1.7e308)):
+                with pytest.raises(ValueError, match="beyond the largest float from free level 1;"):
+                    call()
+            # gaps up to 1.7e308 keep every row, whether or not the levels are scanned
+            for levels, energy in (([-0.85e308, 0.0], 0.85e308), ([1e308, 0.0], 1.5e308)):
+                t = build_transfer_operator(np.array(levels), potential, energy)
+                assert pattern(t) == pattern(potential)
 
     def test_least_normal_gap_is_accepted(self):
         tiny = np.finfo(float).tiny
@@ -552,7 +550,7 @@ class TestKernel:
 
     def test_zero_and_empty_operators(self):
         v = np.arange(5) + 1j
-        npt.assert_array_equal(matvec(SparseOperator.zero(5), v), np.zeros(5))
+        npt.assert_array_equal(matvec(SparseOperator(5), v), np.zeros(5))
         npt.assert_array_equal(matvec(SparseOperator.identity(5), v), v)
 
     def test_strided_and_real_states(self):
@@ -580,12 +578,12 @@ class TestKernel:
         op = random_operator(rng, 11, 0.8)
         v = random_state(rng, 11)
         before = matvec(op, v)  # applied before anything is derived from it
-        scaled = op.scaled(0.5 - 2.0j)
-        # scaled stores its entries in (row, col) order
-        assert_same_bits(matvec(scaled, v), python_matvec(11, list(scaled.entries()), v))
+        rescaled = scaled(op, 0.5 - 2.0j)
+        # built from entries(), so stored in (row, col) order
+        assert_same_bits(matvec(rescaled, v), python_matvec(11, list(rescaled.entries()), v))
         h0 = rng.uniform(-2.0, 2.0, size=11)
         # products store each row by column
-        for derived in (matmul(op, op), power(op, 3), SparseOperator.from_dense(op.to_dense()),
+        for derived in (matmul(op, op), power(op, 3), from_dense(op.to_dense()),
                         build_transfer_operator(h0, op, 0.3 + 0.7j)):
             out = matvec(derived, v)
             npt.assert_allclose(out, derived.to_dense() @ v, rtol=RTOL, atol=ATOL)
@@ -603,20 +601,7 @@ class TestKernel:
 
 
 class TestDirectBuilds:
-    """scaled and build_transfer_operator skip re-validation but keep its rules."""
-
-    def test_scaled_matches_constructor_route(self):
-        rng = np.random.default_rng(12)
-        for factor in (2.0, 0.3 - 1.1j, 1e-14, 0.0, np.complex128(-0.7j), 3):
-            op = random_operator(rng, 9, 0.6)
-            want = SparseOperator(op.dim, [(r, c, factor * a) for r, c, a in op.entries()])
-            got = op.scaled(factor)
-            assert got == want
-            assert list(got.entries()) == list(want.entries())
-
-    def test_scaled_rejects_overflow(self):
-        with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
-            SparseOperator(2, [(1, 2, 1e300), (2, 1, 1e300)]).scaled(1e10)
+    """build_transfer_operator skips re-validation but keeps its rules."""
 
     def test_transfer_matches_constructor_route(self):
         rng = np.random.default_rng(13)
@@ -636,9 +621,8 @@ class TestDirectBuilds:
         # an exact zero and goes
         potential = SparseOperator(3, [(1, 2, 1e-10), (2, 1, 1.0), (3, 1, 1e-300)])
         t = build_transfer_operator(np.zeros(3), potential, 1e100)
-        assert t.index_set() == {(1, 2), (2, 1)}
-        npt.assert_allclose(t.entry(1, 2), 1e-110, rtol=1e-15)
-        assert t.scaled(0.0).is_zero()
+        assert pattern(t) == {(1, 2), (2, 1)}
+        npt.assert_allclose(t.to_dense()[0, 1], 1e-110, rtol=1e-15)
 
     def test_transfer_keeps_storage_order(self):
         # T keeps V's storage order: by row, each row as declared
@@ -722,10 +706,10 @@ class TestStoreRule:
 
     def test_from_dense_rejects_nan(self):
         with pytest.raises(ValueError, match=r"entry \(1, 2\) is not finite"):
-            SparseOperator.from_dense([[0, np.nan], [1, 0]])
+            from_dense([[0, np.nan], [1, 0]])
 
     def test_from_dense_keeps_small_values_and_drops_zeros(self):
-        op = SparseOperator.from_dense([[0, 1e-15, 0], [2, 0, -0.0], [0, 0, 0]])
+        op = from_dense([[0, 1e-15, 0], [2, 0, -0.0], [0, 0, 0]])
         assert storage(stored_rows(op)) == [(1, [(2, 1e-15 + 0j)]), (2, [(1, 2 + 0j)])]
 
     def test_matmul_overflow_raises(self):
@@ -973,7 +957,7 @@ def resolvent_like_input() -> SparseOperator:
     values = np.random.default_rng(61)
     amps = np.sqrt(values.random(rows.size)) * np.exp(2j * np.pi * values.random(rows.size))
     op = SparseOperator(dim, list(zip(rows.tolist(), cols.tolist(), amps.tolist())))
-    return op.scaled(0.9 / operator_norm(op))
+    return scaled(op, 0.9 / operator_norm(op))
 
 
 def test_products_of_powers_stay_in_panels():
@@ -1399,7 +1383,7 @@ def test_row_scaling_of_the_last_entry(nnz, last):
 
 @st.composite
 def level_scans(draw):
-    """48 or 49 levels and an energy, at a scale from ordinary to subnormal.
+    """48 or 49 levels and an energy, at a scale from subnormal to where gaps overflow.
 
     The energy sits on a drawn level, at an offset from exact resonance to
     well clear of it, or away from every level; a level may be NaN or
@@ -1407,7 +1391,7 @@ def level_scans(draw):
     """
     n = draw(st.sampled_from([_LOOP_RECORDS, _LOOP_RECORDS + 1]))
     levels = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
-    scale = draw(st.sampled_from([1.0, 1e-300, 2.0**-1060, 2.0**-1070]))
+    scale = draw(st.sampled_from([1.0, 1e-300, 2.0**-1060, 2.0**-1070, 2.0**1019]))
     h0 = np.array(levels, dtype=float) * 0.5 * scale
     energy = complex(draw(st.integers(-50, 50)) * 0.5 * scale, 0.0)
     if draw(st.booleans()):
@@ -1423,16 +1407,24 @@ def level_scans(draw):
 @given(level_scans())
 def test_level_scans_agree_on_both_paths(case):
     # the same reciprocals, the same ResonanceError (level, gap, threshold),
-    # the same non-finite-level and subnormal-gap messages
+    # the same non-finite-level, overflowing-gap and subnormal-gap messages,
+    # and no warning
     h0, energy = case
-    outcomes = on_both_paths(lambda: free_resolvent_diagonal(h0, energy))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = on_both_paths(lambda: free_resolvent_diagonal(h0, energy))
     assert_same_outcomes(outcomes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = energy - h0
+    far = np.flatnonzero(np.isinf(gaps))
     if isinstance(outcomes[0], np.ndarray):
-        assert_same_bits(outcomes[0], 1.0 / (energy - h0))
+        assert_same_bits(outcomes[0], 1.0 / gaps)
     elif not np.isfinite(h0).all():
         assert outcomes[0][:2] == (ValueError, "free Hamiltonian has non-finite levels")
+    elif far.size:
+        assert f"beyond the largest float from free level {far[0] + 1};" in outcomes[0][1]
     else:
-        level = int(np.abs(energy - h0).argmin()) + 1
+        level = int(np.abs(gaps).argmin()) + 1
         assert f"of free level {level}" in outcomes[0][1]
 
 

@@ -10,9 +10,8 @@ import pytest
 import bornsolve
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(
-    p for p in (ROOT / "src" / "bornsolve").glob("*.py") if p.name != "__init__.py"
-)
+SRC = ROOT / "src" / "bornsolve"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 EXPORTED = [
     "AcyclicSystem",
@@ -54,7 +53,6 @@ EXPORTED = [
     "make_system",
     "matmul",
     "matvec",
-    "nilpotency_defect",
     "operator_norm",
     "parse_spec",
     "power",
@@ -67,6 +65,65 @@ EXPORTED = [
     "t_matrix",
     "vector_norm",
 ]
+
+# Exported names that no other module and no benchmark file uses, each
+# kept for its role; every other export has such a user.
+ROLE = {
+    "AcyclicityReport": "the certificate analyze_acyclicity returns",
+    "BornExpansion": "the scattered state and Born terms solve_exact returns",
+    "QUASI_NILPOTENT_DEFECT": "the reporting convention of TruncationReport.quasi_nilpotent",
+    "TruncationReport": "the error budget remainder_bound returns",
+    "WeightedPath": "a branch of InterferenceReport.path_contributions",
+    "born_approximation": "the paper's partial Born sum through a given order",
+    "build_cascade": "the paper's cascade system",
+    "build_diamond": "the paper's diamond system",
+    "build_double_diamond": "the paper's double-diamond system",
+    "exact_remainder": "the paper's truncation error beyond an order",
+    "finite_neumann_inverse": "(I - T)^(-1) as the paper's finite Neumann sum",
+    "matmul": "the operator product that power repeats",
+    "parse_spec": "reads spec text, as load_spec reads a file",
+    "random_dag_operator": "run_benchmark's random acyclic draw, to reproduce a run",
+    "serialize_spec": "the only writer of the spec format",
+}
+
+# Private names one module imports from another: the kernels shared inside
+# the one sparse representation, and the CLI's report walk and term loop.
+SEAMS = {
+    ("cli", "report", "_report_lines"),
+    ("cli", "solver", "_born_terms"),
+    ("solver", "graph", "_strong_components"),
+    ("solver", "operators", "_apply"),
+    ("solver", "operators", "_bin_sums"),
+    ("solver", "operators", "_products"),
+    ("solver", "operators", "_stable_order"),
+    ("specfile", "operators", "_checked_columns"),
+    ("truncation", "solver", "_block_solve"),
+}
+
+
+def read(path: Path) -> str:
+    return path.read_text(encoding="utf-8")
+
+
+def referenced(source: str) -> set[str]:
+    """Names a module reads or imports by name."""
+    tree = ast.parse(source)
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def relative_imports(source: str) -> list[tuple[str | None, str]]:
+    """(module, name) of each name imported by `from .module import name`."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -84,7 +141,7 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
+    assert unused_imports(read(path)) == []
 
 
 def test_unused_import_finder():
@@ -112,3 +169,32 @@ class TestExports:
         }
         assert names
         assert names <= set(bornsolve.__all__)
+
+
+class TestSurface:
+    def test_every_export_has_a_user_or_a_role(self):
+        home = {name: module for module, name in relative_imports(read(SRC / "__init__.py"))}
+        users = {path.stem: referenced(read(path)) for path in MODULES}
+        bench = set().union(*(referenced(read(p)) for p in (ROOT / "perfbench").glob("*.py")))
+        unused = {
+            name
+            for name in bornsolve.__all__
+            if name not in bench
+            and not any(name in names for stem, names in users.items() if stem != home[name])
+        }
+        assert unused == set(ROLE)
+        assert all(reason and "\n" not in reason for reason in ROLE.values())
+
+    def test_private_imports_are_the_pinned_seams(self):
+        seams = {
+            (path.stem, module, name)
+            for path in MODULES
+            for module, name in relative_imports(read(path))
+            if name.startswith("_")
+        }
+        assert seams == SEAMS
+
+    def test_finders(self):
+        source = "from .a import _b, c\nfrom x import _y\nfrom . import d\nc.e(f)\n"
+        assert relative_imports(source) == [("a", "_b"), ("a", "c"), (None, "d")]
+        assert referenced(source) == {"_b", "c", "_y", "d", "f"}

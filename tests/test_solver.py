@@ -82,7 +82,7 @@ class TestMakeSystem:
         assert "cycle" in str(excinfo.value)
 
     def test_zero_operator_depth_zero(self):
-        system = make_system(SparseOperator.zero(3))
+        system = make_system(SparseOperator(3))
         assert system.depth == 0
         assert system.term_count == 1
 
@@ -383,7 +383,7 @@ class TestDeterminant:
         npt.assert_allclose(det_i_minus_t(op), 0.375, rtol=1e-14)
 
     def test_zero_operator(self):
-        assert det_i_minus_t(SparseOperator.zero(4)) == 1.0
+        assert det_i_minus_t(SparseOperator(4)) == 1.0
 
     def test_exactly_one_for_acyclic(self):
         # every component a single state with no loop: no block, no rounding
@@ -468,7 +468,7 @@ class TestResolventAndTMatrix:
                                         np.eye(dim, dtype=complex))
         for v in (potential, SparseOperator.identity(dim),
                   random_operator(rng, dim, density=min(0.4, 5.0 / dim)),
-                  SparseOperator.zero(dim)):
+                  SparseOperator(dim)):
             got = t_matrix(system, v)
             assert got.shape == (dim, dim)
             assert got.dtype == np.complex128

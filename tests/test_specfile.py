@@ -51,8 +51,8 @@ class TestParsing:
         op = spec_to_operator(parse_spec(direct_spec(2, [
             {"from": 2, "to": 1, "re": 0.75, "im": 0.0},
         ])))
-        assert op.entry(1, 2) == 0.75
-        assert op.entry(2, 1) == 0.0
+        assert op.to_dense()[0, 1] == 0.75
+        assert op.to_dense()[1, 0] == 0.0
 
     def test_hamiltonian_form(self):
         doc = json.dumps({
@@ -68,7 +68,7 @@ class TestParsing:
             [0.0, 1.0], SparseOperator(2, [(2, 1, 0.3)]), 2.0
         )
         assert op == oracle
-        npt.assert_allclose(op.entry(2, 1), 0.3 / (2.0 - 1.0), rtol=0)
+        npt.assert_allclose(op.to_dense()[1, 0], 0.3 / (2.0 - 1.0), rtol=0)
 
     def test_hamiltonian_form_complex_energy(self):
         doc = json.dumps({
@@ -78,7 +78,7 @@ class TestParsing:
             "energy": {"re": 1.0, "im": 0.5},
         })
         op = spec_to_operator(parse_spec(doc))
-        npt.assert_allclose(op.entry(2, 1), 1.0 / 0.5j, rtol=1e-15)
+        npt.assert_allclose(op.to_dense()[1, 0], 1.0 / 0.5j, rtol=1e-15)
 
     def test_resonant_energy_surfaces_through_conversion(self):
         doc = json.dumps({

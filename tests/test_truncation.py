@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from bornsolve.errors import SingularError
 from bornsolve.graph import analyze_acyclicity
-from bornsolve.operators import SparseOperator, basis_state, matvec, power, vector_norm
+from bornsolve.operators import SparseOperator, basis_state, matvec, operator_norm, power, vector_norm
 from bornsolve.solver import (
     _block_solve,
     _substitute,
@@ -29,7 +29,6 @@ from bornsolve.specfile import load_spec, spec_to_operator
 from bornsolve.truncation import (
     QUASI_NILPOTENT_DEFECT,
     exact_remainder,
-    nilpotency_defect,
     remainder_bound,
 )
 from conftest import (
@@ -190,8 +189,6 @@ class TestArgumentHandling:
     def test_negative_order_rejected(self):
         phi = basis_state(2, 1)
         with pytest.raises(ValueError, match=">= 0"):
-            nilpotency_defect(WORKED, -1)
-        with pytest.raises(ValueError, match=">= 0"):
             exact_remainder(WORKED, phi, -1)
         with pytest.raises(ValueError, match=">= 0"):
             remainder_bound(WORKED, phi, -1)
@@ -218,10 +215,10 @@ class TestArgumentHandling:
         d = op.to_dense()
         for m in range(4):
             dense = np.linalg.matrix_power(d, m + 1)
-            npt.assert_allclose(nilpotency_defect(op, m, "inf"),
+            npt.assert_allclose(operator_norm(power(op, m + 1), "inf"),
                                 np.linalg.norm(dense, np.inf),
                                 rtol=1e-12, atol=1e-13)
-            npt.assert_allclose(nilpotency_defect(op, m, "one"),
+            npt.assert_allclose(operator_norm(power(op, m + 1), "one"),
                                 np.linalg.norm(dense, 1),
                                 rtol=1e-12, atol=1e-13)
 
@@ -380,7 +377,7 @@ class TestExactRemainder:
         # second certificate is the remembered one
         op, _ = case
         op = SparseOperator(op.dim, [(r, c, abs(a)) for r, c, a in op.entries()])
-        analyze_acyclicity(SparseOperator.zero(1))  # remember no pattern of these
+        analyze_acyclicity(SparseOperator(1))  # remember no pattern of these
         fresh, remembered = make_system(op), make_system(op)
         assert remembered.topological_order is fresh.topological_order
         powers = [rational_power(op, 0)]
