@@ -27,11 +27,9 @@ fixed cost per call would dominate, and any that fail are checked and
 stored record by record in _loop_records, the only code that names a fault.
 Both read a record's items 0, 1 and 2 by position (_triple), so a record
 list gives the same operator or the same fault whatever its length.  The
-same cut serves short row scalings and level scans: up to _LOOP_RECORDS
-products of _row_scaled that are all finite and nonzero are stored as
-they are, any others go through _store; free_resolvent_diagonal scans up
-to _LOOP_RECORDS levels as Python floats, its gaps and reciprocals
-staying numpy's, so both give the same bits and faults either way.
+transfer build has one path at every size: it scans the levels and forms
+the products in Python, and T keeps V's rows and columns or raises, so no
+coupling is lost between V and T (_row_scaled).
 
 Products and norms work on whole arrays with Python's roundings: a
 complex product is formed from four float products as Python forms it
@@ -71,8 +69,7 @@ NORM_KINDS = ("inf", "one", "fro")
 
 # Record lists up to this length are checked and stored record by record:
 # the whole-array checks cost a fixed 40 us or so, the loop about 0.8 us a
-# record, and the two break even near 48 records (2-core Xeon VM).  Row
-# scalings and level scans up to this length skip numpy's checks too.
+# record, and the two break even near 48 records (2-core Xeon VM).
 _LOOP_RECORDS = 48
 
 # matmul sums a panel's terms in one bin per flat key (row - first row) *
@@ -540,78 +537,80 @@ def vector_norm(vec, kind: str = "inf") -> float:
 def free_resolvent_diagonal(h0_diagonal, energy: complex) -> np.ndarray:
     """Diagonal of (E - H0)^(-1) for a diagonal free Hamiltonian.
 
-    Raises ValueError for a non-finite level or energy, and ResonanceError
-    when the energy comes within RESONANCE_MARGIN * max(|E|, max|H0|) of
-    any level, a margin on the Hamiltonian's own scale; a complex energy
-    keeps a probe near a level well posed.  A least gap below the least
-    normal float, whose reciprocal may overflow, raises a ValueError naming
-    its level.  Both errors name the first nearest level.  A gap that
-    overflows, whose reciprocal 0 would drop its row, raises a ValueError
-    naming the first such level.  Up to _LOOP_RECORDS levels are scanned
-    as Python floats, more on arrays; the gaps and reciprocals are numpy's.
+    Raises ResonanceError when the energy comes within RESONANCE_MARGIN *
+    max(|E|, max|H0|) of any level, a margin on the Hamiltonian's own
+    scale; a complex energy keeps a probe near a level well posed.  Raises
+    ValueError for a non-finite level or energy, an |E| beyond the largest
+    float, a gap whose modulus or reciprocal overflows (which would drop
+    its row) and a least gap below the least normal float (whose
+    reciprocal may overflow), naming the first such or nearest level.
+    Levels are scanned as Python floats; gaps and reciprocals are numpy's.
     """
     h0 = np.asarray(h0_diagonal, dtype=float)
     if h0.ndim != 1 or h0.size == 0:
         raise ValueError("free Hamiltonian must be a non-empty 1-d real array")
-    short = h0.size <= _LOOP_RECORDS
-    if short:
-        levels = h0.tolist()
-        top = max(map(abs, levels)) if all(map(math.isfinite, levels)) else math.inf
-    else:
-        top = np.abs(h0).max()  # NaN or inf for any non-finite level
-    if not math.isfinite(top):
+    levels = h0.tolist()
+    if not all(map(math.isfinite, levels)):
         raise ValueError("free Hamiltonian has non-finite levels")
     e = complex(energy)
     if not isfinite(e):
         raise ValueError(f"energy is not finite: {e}")
-    scale = max(abs(e), top)
-    if scale >= 2.0**1023:  # else every |E.real - H0[j]| is below the largest float
-        far = next((k for k, x in enumerate(h0.tolist(), 1) if math.isinf(e.real - x)), 0)
-        if far:
-            raise ValueError(f"energy {e} is beyond the largest float from free level {far}; "
-                             "rescale the Hamiltonian and energy")
+    rescale = "; rescale the Hamiltonian and energy"
+    try:
+        scale = max(abs(e), max(map(abs, levels)))
+    except OverflowError:
+        raise ValueError(f"energy {e} has a modulus beyond the largest float{rescale}") from None
+    if scale >= 2.0**1022:  # else neither |E - H0[j]| <= 2 * scale nor 1 / (E - H0[j]) overflows
+        with np.errstate(all="ignore"):  # a zero gap is a resonance, refused below
+            gaps = e - h0
+            lost = np.flatnonzero(np.isinf(np.abs(gaps)) | (1.0 / gaps == 0))
+        if lost.size:
+            raise ValueError(f"energy {e} is beyond the largest float from free level {lost[0] + 1}"
+                             + rescale)
     threshold = RESONANCE_MARGIN * scale
     gaps = e - h0
-    # abs and np.abs both take the hypot of a gap's parts
-    distance = list(map(abs, gaps.tolist())) if short else np.abs(gaps)
-    least = min(distance) if short else distance.min()
+    distance = list(map(abs, gaps.tolist()))
+    least = min(distance)
     if least <= threshold or least < sys.float_info.min:
-        level = int(np.argmin(distance)) + 1
+        level = distance.index(least) + 1
         if least <= threshold:
-            raise ResonanceError(level=level, energy=e, gap=float(least), threshold=threshold)
-        raise ValueError(
-            f"energy {e} is within {least:.3e} of free level {level}, below the least "
-            f"normal float {sys.float_info.min:.3e}; rescale the Hamiltonian and energy"
-        )
+            raise ResonanceError(level=level, energy=e, gap=least, threshold=threshold)
+        raise ValueError(f"energy {e} is within {least:.3e} of free level {level}, below the least "
+                         f"normal float {sys.float_info.min:.3e}{rescale}")
     return 1.0 / gaps
 
 
-def build_transfer_operator(
-    h0_diagonal, potential: SparseOperator, energy: complex
-) -> SparseOperator:
-    """Compose the free resolvent with the interaction: T[j, i] = V[j, i] / (E - H0[j]).
+def build_transfer_operator(h0_diagonal, potential: SparseOperator,
+                            energy: complex) -> SparseOperator:
+    """Compose the free resolvent with the interaction: T[j, i] = V[j, i] * (1 / (E - H0[j])).
 
-    The result keeps the sparsity pattern of the potential, so the
-    transition graph of T is the transition graph of V.
+    Each entry is one Python product of V's amplitude and the reciprocal
+    free_resolvent_diagonal gives, so T is not scale invariant at the top
+    of the float range (ROADMAP, known defects).  T keeps the sparsity
+    pattern, so the transition graph, of V, or raises: see _row_scaled.
     """
     h0 = np.asarray(h0_diagonal, dtype=float)
     if h0.shape != (potential.dim,):
-        raise DimensionError(
-            f"free Hamiltonian has shape {h0.shape}, potential has dimension {potential.dim}"
-        )
+        raise DimensionError(f"free Hamiltonian has shape {h0.shape}, "
+                             f"potential has dimension {potential.dim}")
     return _row_scaled(potential, free_resolvent_diagonal(h0, energy))
 
 
 def _row_scaled(op: SparseOperator, factors: np.ndarray) -> SparseOperator:
-    """Operator with entries factors[row - 1] * T[row, col], in op's storage order.
+    """Operator with op's rows and columns and entries factors[row - 1] * op[row, col].
 
-    Up to _LOOP_RECORDS products that are all finite and nonzero are
-    stored as they are; any others go through _store, which names the
-    first non-finite entry and drops exact zeros.
+    The products are Python's.  op holds no zeros and the transfer build's
+    factors are finite and nonzero, so the first product in storage order
+    that is zero (lost to underflow) or not finite raises, naming its entry.
     """
-    factor = factors.tolist()
-    amp = [factor[r - 1] * a for r, a in zip(op._row.tolist(), op._amp.tolist())]
-    if len(amp) <= _LOOP_RECORDS and 0 not in amp and all(map(isfinite, amp)):
-        out = SparseOperator.__new__(SparseOperator)
-        return _fill(out, op.dim, op._row, op._col, np.array(amp, dtype=complex))
-    return SparseOperator._from_arrays(op.dim, op._row, op._col, amp)
+    factor, rows, amps = factors.tolist(), op._row.tolist(), op._amp.tolist()
+    amp = [factor[r - 1] * a for r, a in zip(rows, amps)]
+    if 0 in amp or not all(map(isfinite, amp)):
+        k = next(k for k, x in enumerate(amp) if not (x and isfinite(x)))
+        entry = f"entry ({rows[k]}, {op._col[k]})"
+        if amp[k]:
+            raise ValueError(f"{entry} is not finite: {amp[k]}")
+        raise ValueError(f"{entry} underflows to zero: {amps[k]} * {factor[rows[k] - 1]}, "
+                         "which would drop its coupling; rescale the potential")
+    out = SparseOperator.__new__(SparseOperator)
+    return _fill(out, op.dim, op._row, op._col, np.array(amp, dtype=complex))

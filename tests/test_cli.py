@@ -151,6 +151,33 @@ class TestScaleFree:
         assert err == ("error: energy (1.7e+308+0j) is beyond the largest float from free "
                        "level 1; rescale the Hamiltonian and energy\n")
 
+    def test_overflowing_energy_modulus_names_the_energy(self, tmp_path):
+        # |E| overflows: abs raised a bare OverflowError, and the error line
+        # read "absolute value too large"
+        doc = hamiltonian_doc([0.0, 1.0], [(1, 2, 1.0)], 1.5e308)
+        doc["energy"]["im"] = 1.5e308
+        path = write_spec(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["analyze", path])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == ("error: energy (1.5e+308+1.5e+308j) has a modulus beyond the largest "
+                       "float; rescale the Hamiltonian and energy\n")
+
+    @pytest.mark.parametrize("command", [["analyze"], ["solve", "--phi", "1"]])
+    def test_underflowing_cycle_is_refused(self, tmp_path, command):
+        # T = V / 1e30 underflows to zero: T once had no entry, and the
+        # 2-cycle of V was certified acyclic (is_acyclic = true, exit 0)
+        path = write_spec(tmp_path, hamiltonian_doc([0.0, 0.0], [(1, 2, 1e-300), (2, 1, 1e-300)],
+                                                    1e30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([command[0], path, *command[1:]])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: entry (1, 2) underflows to zero: (1e-300+0j) * ")
+        assert err.endswith("which would drop its coupling; rescale the potential\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("amp", [1e200, 1e-170])
     def test_frobenius_norm_out_of_range(self, tmp_path, amp):
         # the squared modulus overflows or underflows; the norm does not

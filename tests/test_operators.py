@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from bisect import bisect_right
@@ -472,6 +474,37 @@ class TestTransferOperator:
                 t = build_transfer_operator(np.array(levels), potential, energy)
                 assert pattern(t) == pattern(potential)
 
+    def test_overflowing_modulus_rejected(self):
+        # |E|, or |E - H0[j]| with a finite real part, beyond the largest
+        # float: abs raised a bare OverflowError ("absolute value too
+        # large"); now the energy is named, and the first such level.  So
+        # is a level whose gap, 1.61e308, is finite but whose reciprocal
+        # overflows inside the division: it came out 0, with numpy's
+        # overflow warning, and dropped the level's row
+        potential = SparseOperator(3, [(1, 2, 1.0), (2, 1, 1.0)])
+        for levels, energy, message in (
+                ([0.0, 1.0, 2.0], 1.5e308 + 1.5e308j,
+                 "energy (1.5e+308+1.5e+308j) has a modulus beyond the largest float"),
+                ([0.5e308, -1e308, -1.2e308], 1.5e308j,
+                 "energy 1.5e+308j is beyond the largest float from free level 2"),
+                ([1e308, 0.0, 2.0], 8e307 + 1.4e308j,
+                 "energy (8e+307+1.4e+308j) is beyond the largest float from free level 2")):
+            h0 = np.array(levels)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for call in (lambda: free_resolvent_diagonal(h0, energy),
+                             lambda: build_transfer_operator(h0, potential, energy)):
+                    with pytest.raises(ValueError) as excinfo:
+                        call()
+                    assert str(excinfo.value) == f"{message}; rescale the Hamiltonian and energy"
+
+    def test_underflowing_cycle_rejected(self):
+        # T = V / 1e30 underflows to zero: T once had no entry, and the
+        # 2-cycle of V was certified acyclic with depth 0
+        potential = SparseOperator(2, [(1, 2, 1e-300), (2, 1, 1e-300)])
+        with pytest.raises(ValueError, match=re.escape("entry (1, 2) underflows to zero: ")):
+            build_transfer_operator(np.zeros(2), potential, 1e30)
+
     def test_least_normal_gap_is_accepted(self):
         tiny = np.finfo(float).tiny
         g0 = free_resolvent_diagonal(np.array([0.0, 4.0 * tiny]), tiny)
@@ -616,13 +649,16 @@ class TestDirectBuilds:
             assert got == want
             assert list(got.entries()) == list(want.entries())
 
-    def test_transfer_keeps_tiny_entries_and_drops_exact_zeros(self):
+    def test_transfer_keeps_tiny_entries_and_refuses_lost_ones(self):
         # 1e-10 / 1e100 is kept however small; 1e-300 / 1e100 underflows to
-        # an exact zero and goes
-        potential = SparseOperator(3, [(1, 2, 1e-10), (2, 1, 1.0), (3, 1, 1e-300)])
-        t = build_transfer_operator(np.zeros(3), potential, 1e100)
+        # an exact zero, which once dropped the entry: now it is refused
+        tiny = SparseOperator(3, [(1, 2, 1e-10), (2, 1, 1.0)])
+        t = build_transfer_operator(np.zeros(3), tiny, 1e100)
         assert pattern(t) == {(1, 2), (2, 1)}
         npt.assert_allclose(t.to_dense()[0, 1], 1e-110, rtol=1e-15)
+        lost = SparseOperator(3, [(1, 2, 1e-10), (2, 1, 1.0), (3, 1, 1e-300)])
+        with pytest.raises(ValueError, match=re.escape("entry (3, 1) underflows to zero: ")):
+            build_transfer_operator(np.zeros(3), lost, 1e100)
 
     def test_transfer_keeps_storage_order(self):
         # T keeps V's storage order: by row, each row as declared
@@ -1290,113 +1326,148 @@ def test_shuffled_records_store_alike(case):
             assert list(cols) == [col for r, col, _ in declared if r == row]
 
 
-# Short row scalings and level scans run in Python, long ones on arrays;
-# _LOOP_RECORDS at 0 sends every list down the array path, at 10**9 every
-# list down the Python one.
-BOTH_PATHS = (0, 10**9)
+# The transfer build has one path at every size.  Its two steps are held
+# to references formed here, over 1 to 120 levels and entries, on both
+# sides of the record loop's cut at _LOOP_RECORDS = 48, where they once
+# switched path: the level scan to numpy's gaps, moduli and reciprocals,
+# the row scaling to Python's products complex(g[r - 1]) * a.
 ORDINARY = [1.0, -2.5, 0.75j, complex(1.5, -0.5), complex(-0.0, 3.0)]
+RESCALE = "rescale the Hamiltonian and energy"
 
 
 def outcome(call):
-    """What a call gives: its result, or its error's type, message and fields."""
-    try:
-        return call()
-    except (ValueError, ResonanceError) as fault:
-        return type(fault), str(fault), vars(fault)
+    """What a call gives, with warnings as errors: its result, or its error's type, message and fields."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call()
+        except (ValueError, ResonanceError) as fault:
+            return type(fault), str(fault), vars(fault)
 
 
-def on_both_paths(call) -> list:
-    """call's outcome with the module's own cut, then on the array and on the Python path."""
-    outcomes = [outcome(call)]
-    for limit in BOTH_PATHS:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(operators, "_LOOP_RECORDS", limit)
-            outcomes.append(outcome(call))
-    return outcomes
+def row_scaling_reference(op: SparseOperator, factors: np.ndarray):
+    """_row_scaled's outcome from Python's products: their array, or the first lost entry named."""
+    products = []
+    for r, c, a in zip(op._row.tolist(), op._col.tolist(), op._amp.tolist()):
+        g = complex(factors[r - 1])
+        product = g * a
+        if not cmath.isfinite(product):
+            return ValueError, f"entry ({r}, {c}) is not finite: {product}", {}
+        if product == 0:
+            return ValueError, (f"entry ({r}, {c}) underflows to zero: {a} * {g}, "
+                                "which would drop its coupling; rescale the potential"), {}
+        products.append(product)
+    return np.array(products, dtype=complex)
 
 
-def assert_same_outcomes(outcomes) -> None:
-    first = outcomes[0]
-    for other in outcomes[1:]:
-        if isinstance(first, tuple):
-            assert other == first
-        elif isinstance(first, SparseOperator):
-            assert isinstance(other, SparseOperator) and other.dim == first.dim
-            npt.assert_array_equal(other._row, first._row)
-            npt.assert_array_equal(other._col, first._col)
-            assert other._row.dtype == other._col.dtype == np.intp
-            assert other._amp.dtype == complex and other._amp.flags.c_contiguous
-            assert_same_bits(other._amp, first._amp)
-        else:
-            assert_same_bits(other, first)
+def assert_row_scaling(op: SparseOperator, factors: np.ndarray) -> None:
+    """_row_scaled gives op's own rows and columns with the reference's products, or its error."""
+    got, want = outcome(lambda: operators._row_scaled(op, factors)), row_scaling_reference(op, factors)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, SparseOperator) and got.dim == op.dim
+        assert got._row is op._row and got._col is op._col
+        assert got._amp.dtype == complex and got._amp.flags.c_contiguous
+        assert_same_bits(got._amp, want)
 
 
 @st.composite
 def row_scalings(draw):
-    """An operator of 48 or 49 entries on 8 states and factors for its rows.
+    """An operator of 1 to 120 entries on up to 11 states and factors for its rows.
 
     Amplitudes mix ordinary values with 1e-200 and 1e200.  The factors are
-    ordinary, or some are zero, 1e-200 or 1e200, so that whole rows come
-    out zero, products underflow to exact zeros or overflow.
+    ordinary, or some are zero, 1e-200, 1e200 or NaN, so that whole rows
+    come out zero, products underflow to exact zeros or overflow.
     """
-    nnz = draw(st.sampled_from([_LOOP_RECORDS, _LOOP_RECORDS + 1]))
-    cells = draw(st.lists(st.integers(0, 63), min_size=nnz, max_size=nnz, unique=True))
+    dim = draw(st.integers(1, 11))
+    nnz = draw(st.integers(1, min(120, dim * dim)))
+    cells = draw(st.lists(st.integers(0, dim * dim - 1), min_size=nnz, max_size=nnz, unique=True))
     amps = draw(st.lists(st.sampled_from(ORDINARY + [1e-200, -1e200j] * 2), min_size=nnz,
                          max_size=nnz))
-    op = SparseOperator(8, [(k // 8 + 1, k % 8 + 1, a) for k, a in zip(cells, amps)])
-    extreme = draw(st.sampled_from([[], [0.0], [complex(0.0, 1e-200)], [1e200]]))
-    factors = draw(st.lists(st.sampled_from(ORDINARY + extreme), min_size=8, max_size=8))
+    op = SparseOperator(dim, [(k // dim + 1, k % dim + 1, a) for k, a in zip(cells, amps)])
+    extreme = draw(st.sampled_from([[], [0.0], [complex(0.0, 1e-200)], [1e200],
+                                    [complex(math.nan, 0.0)]]))
+    factors = draw(st.lists(st.sampled_from(ORDINARY + extreme), min_size=dim, max_size=dim))
     return op, np.array(factors, dtype=complex)
 
 
 @PROPERTY_SETTINGS
 @given(row_scalings())
-def test_row_scalings_store_alike_on_both_paths(case):
-    # the same arrays, the same dropped zeros, the same entry named
-    op, factors = case
-    outcomes = on_both_paths(lambda: operators._row_scaled(op, factors))
-    assert_same_outcomes(outcomes)
-    if isinstance(outcomes[0], SparseOperator):
-        kept = [(r, c) for r, c, a in zip(op._row.tolist(), op._col.tolist(), op._amp.tolist())
-                if factors[r - 1] * a != 0]
-        assert list(zip(outcomes[0]._row.tolist(), outcomes[0]._col.tolist())) == kept
-    else:
-        assert re.fullmatch(r"entry \(\d+, \d+\) is not finite: .*", outcomes[0][1])
+def test_row_scalings_keep_the_pattern_or_refuse(case):
+    # V's own rows and columns with Python's products, or the first
+    # product in storage order that is zero or not finite is named
+    assert_row_scaling(*case)
 
 
-@pytest.mark.parametrize("nnz", [_LOOP_RECORDS, _LOOP_RECORDS + 1])
+@pytest.mark.parametrize("nnz", [1, 48, 49, 120])
 @pytest.mark.parametrize("last", [0.0, 1e-200, 1e200, math.nan])
 def test_row_scaling_of_the_last_entry(nnz, last):
-    # only the last product is zero, underflows, overflows or is NaN
+    # only the last product is zero, underflows, overflows or is NaN; a
+    # zero or underflow is refused as an overflow is, no longer dropped
     op = SparseOperator(nnz, [(k + 1, k + 1, complex(k + 1, -1.0)) for k in range(nnz - 1)]
                         + [(nnz, 1, 1e-200 if last == 1e-200 else 1e200)])
     factors = np.ones(nnz, dtype=complex)
     factors[-1] = last if last == last else complex(math.nan, 0.0)
-    outcomes = on_both_paths(lambda: operators._row_scaled(op, factors))
-    assert_same_outcomes(outcomes)
-    if last in (0.0, 1e-200):
-        assert outcomes[0].nnz == nnz - 1
-    else:
-        product = complex(factors[-1]) * (1e200 + 0j)
-        assert outcomes[0][:2] == (ValueError, f"entry ({nnz}, 1) is not finite: {product}")
+    assert_row_scaling(op, factors)
+    got = outcome(lambda: operators._row_scaled(op, factors))
+    fault = "underflows to zero" if last in (0.0, 1e-200) else "is not finite"
+    assert got[0] is ValueError and got[1].startswith(f"entry ({nnz}, 1) {fault}: ")
+
+
+def lost_reciprocal(gap: complex) -> bool:
+    """Whether |gap| overflows or Python's 1 / gap rounds to 0: either would drop a level's row."""
+    try:
+        return math.isinf(abs(gap)) or gap != 0 and 1 / gap == 0
+    except OverflowError:
+        return True
+
+
+def level_scan_reference(h0: np.ndarray, energy: complex):
+    """free_resolvent_diagonal's outcome from numpy's moduli of E and E - H0, with its messages."""
+    e = complex(energy)
+    if not np.isfinite(h0).all():
+        return ValueError, "free Hamiltonian has non-finite levels", {}
+    with np.errstate(over="ignore"):
+        modulus = float(np.abs(np.complex128(e)))
+        gaps = e - h0
+        distance = np.abs(gaps)
+    if math.isinf(modulus):
+        return ValueError, f"energy {e} has a modulus beyond the largest float; {RESCALE}", {}
+    far = [k for k, x in enumerate(h0.tolist(), 1) if lost_reciprocal(e - x)]
+    if far:
+        return ValueError, (f"energy {e} is beyond the largest float from free level "
+                            f"{far[0]}; {RESCALE}"), {}
+    threshold = operators.RESONANCE_MARGIN * max(modulus, float(np.abs(h0).max()))
+    level, gap = int(distance.argmin()) + 1, float(distance.min())
+    if gap <= threshold:
+        fault = ResonanceError(level=level, energy=e, gap=gap, threshold=threshold)
+        return ResonanceError, str(fault), vars(fault)
+    if gap < sys.float_info.min:
+        return ValueError, (f"energy {e} is within {gap:.3e} of free level {level}, below the "
+                            f"least normal float {sys.float_info.min:.3e}; {RESCALE}"), {}
+    return 1.0 / gaps
 
 
 @st.composite
 def level_scans(draw):
-    """48 or 49 levels and an energy, at a scale from subnormal to where gaps overflow.
+    """1 to 120 levels and an energy, at a scale from subnormal to where moduli overflow.
 
     The energy sits on a drawn level, at an offset from exact resonance to
-    well clear of it, or away from every level; a level may be NaN or
-    infinite.
+    well clear of it, or away from every level, and may have a large
+    imaginary part; a level may be NaN or infinite.  The top scale is
+    drawn twice as often, so that |E| or some |E - H0[j]| overflows in a
+    fair share of the examples.
     """
-    n = draw(st.sampled_from([_LOOP_RECORDS, _LOOP_RECORDS + 1]))
+    n = draw(st.integers(1, 120))
     levels = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
-    scale = draw(st.sampled_from([1.0, 1e-300, 2.0**-1060, 2.0**-1070, 2.0**1019]))
+    scale = draw(st.sampled_from([1.0, 1e-300, 2.0**-1060, 2.0**-1070, 2.0**1019, 2.0**1019]))
     h0 = np.array(levels, dtype=float) * 0.5 * scale
     energy = complex(draw(st.integers(-50, 50)) * 0.5 * scale, 0.0)
     if draw(st.booleans()):
         offset = draw(st.sampled_from([0.0, 1e-12, -3e-11, 1e-3, complex(0.0, 0.25), 0.25]))
         energy = complex(float(h0[draw(st.integers(0, n - 1))]) + offset * scale)
+    energy += complex(0.0, draw(st.sampled_from([0.0, 0.0, 25.0, 30.0])) * scale)
     bad = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
     if bad is not None and draw(st.booleans()):
         h0[draw(st.integers(0, n - 1))] = bad
@@ -1405,38 +1476,67 @@ def level_scans(draw):
 
 @PROPERTY_SETTINGS
 @given(level_scans())
-def test_level_scans_agree_on_both_paths(case):
+def test_level_scans_match_the_array_reference(case):
     # the same reciprocals, the same ResonanceError (level, gap, threshold),
-    # the same non-finite-level, overflowing-gap and subnormal-gap messages,
-    # and no warning
+    # the same non-finite-level, overflow and subnormal-gap messages, and
+    # no warning
     h0, energy = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        outcomes = on_both_paths(lambda: free_resolvent_diagonal(h0, energy))
-    assert_same_outcomes(outcomes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = energy - h0
-    far = np.flatnonzero(np.isinf(gaps))
-    if isinstance(outcomes[0], np.ndarray):
-        assert_same_bits(outcomes[0], 1.0 / gaps)
-    elif not np.isfinite(h0).all():
-        assert outcomes[0][:2] == (ValueError, "free Hamiltonian has non-finite levels")
-    elif far.size:
-        assert f"beyond the largest float from free level {far[0] + 1};" in outcomes[0][1]
+    got, want = outcome(lambda: free_resolvent_diagonal(h0, energy)), level_scan_reference(h0, energy)
+    if isinstance(want, tuple):
+        assert got == want
     else:
-        level = int(np.abs(gaps).argmin()) + 1
-        assert f"of free level {level}" in outcomes[0][1]
+        assert isinstance(got, np.ndarray)
+        assert_same_bits(got, want)
 
 
 def test_level_scan_names_the_first_nearest_level():
-    # levels 3 and 5 are equally near; a resonance names 3 on both paths
-    for n in (_LOOP_RECORDS, _LOOP_RECORDS + 1):
+    # levels 3 and 5 are equally near; a resonance, or a subnormal gap, names 3
+    for n in (5, 48, 49, 120):
         h0 = np.full(n, 40.0)
         h0[2], h0[4] = 1.0, 1.0
-        outcomes = on_both_paths(lambda: free_resolvent_diagonal(h0, 1.0))
-        assert_same_outcomes(outcomes)
-        assert outcomes[0][0] is ResonanceError and outcomes[0][2]["level"] == 3
+        got = outcome(lambda: free_resolvent_diagonal(h0, 1.0))
+        assert got[0] is ResonanceError and got[2]["level"] == 3
         h0 *= 2.0**-1070
-        outcomes = on_both_paths(lambda: free_resolvent_diagonal(h0, 2.0**-1070 * (1 + 1j)))
-        assert_same_outcomes(outcomes)
-        assert "of free level 3, below the least normal float" in outcomes[0][1]
+        got = outcome(lambda: free_resolvent_diagonal(h0, 2.0**-1070 * (1 + 1j)))
+        assert got[0] is ValueError and "of free level 3, below the least normal float" in got[1]
+
+
+@st.composite
+def transfer_builds(draw):
+    """A potential, cyclic or not, with amplitudes from 1e-300 to 1e300, and levels and an energy.
+
+    The levels and the energy each get their own power of ten, from
+    1e-300 to 1e300, so the reciprocal gaps span 1e-300 to 1e300 and
+    products underflow, overflow or stay in range.
+    """
+    dim = draw(st.integers(1, 11))
+    nnz = draw(st.integers(1, min(120, dim * dim)))
+    cells = draw(st.lists(st.integers(0, dim * dim - 1), min_size=nnz, max_size=nnz, unique=True))
+    if draw(st.booleans()):  # below the diagonal: acyclic
+        cells = [k for k in cells if k // dim > k % dim]
+        nnz = len(cells)
+    powers = draw(st.lists(st.integers(-300, 300), min_size=nnz, max_size=nnz))
+    phases = draw(st.lists(st.sampled_from(ORDINARY), min_size=nnz, max_size=nnz))
+    potential = SparseOperator(dim, [(k // dim + 1, k % dim + 1, phase * 10.0**p)
+                                     for k, p, phase in zip(cells, powers, phases)])
+    levels = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+    h0 = np.array(levels, dtype=float) * 10.0 ** draw(st.integers(-300, 300))
+    energy = complex(draw(st.sampled_from([0.5, -2.5, 3.5])),
+                     draw(st.sampled_from([0.0, 0.25]))) * 10.0 ** draw(st.integers(-300, 300))
+    return h0, potential, energy
+
+
+@PROPERTY_SETTINGS
+@given(transfer_builds())
+def test_transfer_keeps_the_pattern_or_refuses(case):
+    # a product lost to underflow once dropped its entry, so a cyclic V
+    # could give a T certified acyclic: T has V's pattern, or the build
+    # raises, and T's certificate is V's
+    h0, potential, energy = case
+    t = outcome(lambda: build_transfer_operator(h0, potential, energy))
+    if isinstance(t, tuple):
+        assert t[0] in (ValueError, ResonanceError)
+        return
+    npt.assert_array_equal(t._row, potential._row)
+    npt.assert_array_equal(t._col, potential._col)
+    assert analyze_acyclicity(t) == analyze_acyclicity(potential)
