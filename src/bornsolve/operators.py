@@ -21,8 +21,8 @@ makes a structural zero.  _store applies it to arrays.  Record columns are
 checked on whole arrays in one place, _checked_columns, which gives None
 on any fault; its callers keep only their own gates: _array_records
 those of a long record list (triples, int labels, complex or float
-values), the spec loader those of its JSON records, and the benchmark
-generator none.  Lists of up to _LOOP_RECORDS records, where numpy's
+values), and the spec loader, its only caller outside this module,
+those of its JSON records.  Lists of up to _LOOP_RECORDS records, where numpy's
 fixed cost per call would dominate, and any that fail are checked and
 stored record by record in _loop_records, the only code that names a fault.
 Both read a record's items 0, 1 and 2 by position (_triple), so a record

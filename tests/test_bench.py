@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -40,3 +43,15 @@ def test_no_kept_edges(dim, density):
     op = random_dag_operator(dim, density, np.random.default_rng(0))
     assert (op.dim, op.nnz) == (dim, 0)
     assert op == SparseOperator(dim)
+
+
+@pytest.mark.parametrize("dim, density, message", [
+    (0, 0.5, "dimension must be positive, got 0"),
+    (-3, 0.5, "dimension must be positive, got -3"),
+    (5, -0.1, "density must lie in [0, 1], got -0.1"),
+    (5, 1.5, "density must lie in [0, 1], got 1.5"),
+    (5, math.nan, "density must lie in [0, 1], got nan"),
+])
+def test_rejects_its_arguments(dim, density, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        random_dag_operator(dim, density, np.random.default_rng(0))

@@ -431,6 +431,19 @@ class TestSolve:
         assert code == EXIT_INPUT
         assert "phi.json[0].re: expected a number" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[{not json", "not valid JSON"),
+        ('{"re": 1.0, "im": 0.0}', 'expected a JSON array of {"re", "im"} objects'),
+    ], ids=["not-json", "not-an-array"])
+    def test_phi_file_must_be_a_json_array(self, tmp_path, text, message):
+        spec = write_spec(tmp_path, diamond_doc())
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(text)
+        code, out, err = run_cli(["solve", spec, "--phi", str(phi_path)])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"error: {phi_path}: {message}")
+        assert err.count("\n") == 1
+
     def test_cyclic_without_order_refused(self, tmp_path):
         path = write_spec(tmp_path, TWO_LEVEL_LOOP)
         code, out, err = run_cli(["solve", path, "--phi", "1"])
@@ -650,6 +663,10 @@ class TestBench:
         assert code == EXIT_INPUT
         assert "error" in err
 
+    def test_density_outside_the_unit_interval_is_input_error(self):
+        assert run_cli(["bench", "--dim", "10", "--density", "2"]) == (
+            EXIT_INPUT, "", "error: density must lie in [0, 1], got 2.0\n")
+
 
 class TestInputFailures:
     def test_missing_file(self, tmp_path):
@@ -668,6 +685,19 @@ class TestInputFailures:
         code, _, err = run_cli(["analyze", path])
         assert code == EXIT_INPUT
         assert "transfer_entries[1]" in err
+
+    def test_duplicate_record_names_the_transition(self, tmp_path):
+        # the spec's record loop names the repeat, not the operator's store
+        path = write_spec(tmp_path, {
+            "dimension": 2,
+            "transfer_entries": [
+                {"from": 1, "to": 2, "re": 0.5, "im": 0.0},
+                {"from": 1, "to": 2, "re": 0.25, "im": 0.0},
+            ],
+        })
+        assert run_cli(["analyze", path]) == (
+            EXIT_INPUT, "",
+            "error: transfer_entries[1]: duplicate coupling for transition 1 -> 2\n")
 
     def test_resonant_energy_names_level(self, tmp_path):
         path = write_spec(tmp_path, {

@@ -53,6 +53,14 @@ CASES += [("layered200", command) for command in ("analyze", "solve", "solve-ord
 SPECS["cyclic-blocks"] = (GOLDEN / "cyclic-blocks.spec").read_text(encoding="utf-8")
 CASES += [("cyclic-blocks", command) for command in ("analyze", "solve-order1")]
 
+# det(I - T) = 1 - 1 = 0: the truncated solve reports the singular I - T
+# as the reason its remainder is unavailable, and still exits 0
+SPECS["two-level-singular"] = json.dumps({"dimension": 2, "transfer_entries": [
+    {"from": 1, "to": 2, "re": 1.0, "im": 0.0},
+    {"from": 2, "to": 1, "re": 1.0, "im": 0.0},
+]})
+CASES += [("two-level-singular", "solve-order1")]
+
 
 def run_case(directory: Path, spec: str, command: str) -> dict:
     path = directory / "system.spec"

@@ -6,6 +6,7 @@ import gc
 import sys
 import threading
 import weakref
+from importlib import resources
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +18,7 @@ from bornsolve.graph import _REMEMBERED_STATES, _strong_components, analyze_acyc
 from bornsolve.operators import SparseOperator, build_transfer_operator, power
 from bornsolve.scenarios import WeightedPath
 from bornsolve.solver import make_system
+from bornsolve.specfile import parse_spec, spec_to_operator
 from conftest import planted_blocks, random_dag, random_operator
 from oracles import (
     TooManyPathsError,
@@ -339,6 +341,21 @@ class TestRememberedCertificate:
                 make_system(current)
             witnesses.append(excinfo.value.witness_cycle)
         assert witnesses == [(2, 3, 4), (2, 3, 4)]
+
+    def test_bundled_specs_keep_their_certificates(self):
+        # the diamond and the cascade, certified in alternation, each keep
+        # their first order and depth, whichever pattern was remembered last
+        specs = resources.files("bornsolve").joinpath("specs")
+        ops = [spec_to_operator(parse_spec(specs.joinpath(name).read_text(encoding="utf-8")))
+               for name in ("diamond.spec", "cascade3.spec")]
+        forget()
+        want = [(s.topological_order, s.depth) for s in map(make_system, ops)]
+        for op, certificate in zip(ops, want):
+            report = analyze_acyclicity(op)
+            assert_brute_force_levels(op, report)
+            assert (report.topological_order, report.depth) == certificate
+        for _ in range(100):
+            assert [(s.topological_order, s.depth) for s in map(make_system, ops)] == want
 
     def test_a_different_pattern_misses(self):
         # same dim and nnz but one label moved; another dim; the same

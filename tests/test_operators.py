@@ -433,6 +433,11 @@ class TestTransferOperator:
             with pytest.raises(ValueError, match=message):
                 build_transfer_operator(h0, SparseOperator(2, [(1, 2, 1.0)]), energy)
 
+    @pytest.mark.parametrize("h0", [np.zeros((2, 2)), np.array([])], ids=["2-d", "empty"])
+    def test_levels_must_be_a_non_empty_vector(self, h0):
+        with pytest.raises(ValueError, match="free Hamiltonian must be a non-empty 1-d real array"):
+            free_resolvent_diagonal(h0, 1.0)
+
     def test_complex_energy_unlocks_near_level_probe(self):
         h0 = np.array([1.0])
         g0 = free_resolvent_diagonal(h0, 1.0 + 1e-3j)

@@ -202,6 +202,32 @@ class TestFormatErrors:
             "potential_entries": [],
             "energy": {"re": 2.0},
         }), "im"),
+        (json.dumps({"dimension": 2, "transfer_entries": {"from": 1, "to": 2}}),
+         "transfer_entries: expected a list of coupling records"),
+        (json.dumps({
+            "dimension": 2,
+            "free_hamiltonian": [0.0, 1.0],
+            "potential_entries": {"from": 1, "to": 2},
+            "energy": {"re": 2.0, "im": 0.0},
+        }), "potential_entries: expected a list of coupling records"),
+        (json.dumps({
+            "dimension": 2,
+            "free_hamiltonian": {"1": 0.0, "2": 1.0},
+            "potential_entries": [],
+            "energy": {"re": 2.0, "im": 0.0},
+        }), "free_hamiltonian: expected a list of numbers"),
+        (json.dumps({
+            "dimension": 2,
+            "free_hamiltonian": [0.0, 1.0],
+            "potential_entries": [],
+            "energy": 2.0,
+        }), 'energy: expected an object with "re" and "im"'),
+        (json.dumps({
+            "dimension": 2,
+            "free_hamiltonian": [0.0, 1.0],
+            "potential_entries": [],
+            "energy": {"re": 2.0, "im": 0.0, "width": 0.1},
+        }), r"energy: unknown keys \['width'\]"),
         (json.dumps({"dimension": 2, "transfer_entries": [
             {"from": 1, "to": 2, "re": 0.5},
         ]}), r"transfer_entries\[0\]"),
