@@ -17,14 +17,13 @@ stored by (row, col).  Every sum over a row runs in storage order.
 One store rule decides what every operator holds, however it was built:
 values become complex, a non-finite one (NaN included) raises a
 ValueError naming its entry, and only exact zeros are dropped: no unit
-makes a structural zero.  _store applies it to arrays.  Record columns are
-checked on whole arrays in one place, _checked_columns, which gives None
-on any fault; its callers keep only their own gates: _array_records
-those of a long record list (triples, int labels, complex or float
-values), and the spec loader, its only caller outside this module,
-those of its JSON records.  Lists of up to _LOOP_RECORDS records, where numpy's
-fixed cost per call would dominate, and any that fail are checked and
-stored record by record in _loop_records, the only code that names a fault.
+makes a structural zero.  _store applies it to computed arrays.  Every
+record list, the spec loader's too, enters through the constructor: one
+of more than _LOOP_RECORDS records is checked on whole arrays, and its
+nonzero entries sorted into storage order, by _array_records, which
+gives None on any fault.  Shorter lists, where numpy's fixed cost per
+call would dominate, and any that fail are checked and stored record by
+record in _loop_records, the only code that names a fault.
 Both read a record's items 0, 1 and 2 by position (_triple), so a record
 list gives the same operator or the same fault whatever its length.  The
 transfer build has one path at every size: it scans the levels and forms
@@ -214,11 +213,13 @@ def _triple(record) -> tuple:
 
 
 def _array_records(dim: int, records: list):
-    """Rows, columns and values of records, in storage order, if all pass _checked_columns.
+    """Rows, columns and nonzero values of records, in storage order, if all pass; else None.
 
-    None also for records that are not read by position as triples and
-    for labels or values of other types than int and complex or float;
-    the loop decides those.
+    The checks are _loop_records', on whole arrays: records read by
+    position as triples, labels of type int within 1..dim, no repeated
+    (row, col), values of type complex or float, all finite.  None also
+    for a label or sort key beyond intp; the loop decides those.  Exact
+    zeros go, and the rest are stably sorted by row.
     """
     try:
         if set(map(len, records)) != {3}:
@@ -232,29 +233,23 @@ def _array_records(dim: int, records: list):
         return None
     if not {complex, float}.issuperset(map(type, amps)):
         return None
-    return _checked_columns(dim, rows, cols, np.array(amps, dtype=complex))
-
-
-def _checked_columns(dim: int, rows, cols, amp: np.ndarray):
-    """Record columns stably sorted by row, into storage order, if they pass; else None.
-
-    rows and cols hold int labels, amp complex values, in declaration
-    order.  Faults: a label outside 1..dim, a repeated (row, col), a
-    non-finite value, a label or sort key beyond intp.  Zero entries pass.
-    """
     # the (row, col) keys below are less than this bound, so none wraps
     if (dim + 1) ** 2 > np.iinfo(np.intp).max:
         return None
     try:
-        row = np.asarray(rows, dtype=np.intp)
-        col = np.asarray(cols, dtype=np.intp)
+        row = np.array(rows, dtype=np.intp)
+        col = np.array(cols, dtype=np.intp)
     except OverflowError:
         return None
-    if row.size and (min(row.min(), col.min()) < 1 or max(row.max(), col.max()) > dim):
+    if min(row.min(), col.min()) < 1 or max(row.max(), col.max()) > dim:
         return None
+    amp = np.array(amps, dtype=complex)
     keys = np.sort(row * (dim + 1) + col)
     if np.count_nonzero(keys[1:] == keys[:-1]) or np.count_nonzero(np.isfinite(amp)) < amp.size:
         return None
+    keep = amp != 0
+    if np.count_nonzero(keep) < amp.size:
+        row, col, amp = row[keep], col[keep], amp[keep]
     order = _stable_order(row, dim + 1)
     return row[order], col[order], amp[order]
 
@@ -282,10 +277,7 @@ class SparseOperator:
         dim = _size(dim, "dimension")
         records = entries if isinstance(entries, list) else list(entries)
         checked = _array_records(dim, records) if len(records) > _LOOP_RECORDS else None
-        if checked is None:
-            _fill(self, dim, *_loop_records(dim, records))
-        else:
-            _store(self, dim, *checked)
+        _fill(self, dim, *(_loop_records(dim, records) if checked is None else checked))
 
     @classmethod
     def _from_arrays(cls, dim: int, row, col, amp) -> "SparseOperator":
@@ -540,15 +532,18 @@ def free_resolvent_diagonal(h0_diagonal, energy: complex) -> np.ndarray:
     Raises ResonanceError when the energy comes within RESONANCE_MARGIN *
     max(|E|, max|H0|) of any level, a margin on the Hamiltonian's own
     scale; a complex energy keeps a probe near a level well posed.  Raises
-    ValueError for a non-finite level or energy, an |E| beyond the largest
-    float, a gap whose modulus or reciprocal overflows (which would drop
-    its row) and a least gap below the least normal float (whose
-    reciprocal may overflow), naming the first such or nearest level.
-    Levels are scanned as Python floats; gaps and reciprocals are numpy's.
+    ValueError for levels that are not a non-empty 1-d real array (no
+    cast drops an imaginary part), a non-finite level or energy, an |E|
+    beyond the largest float, a gap whose modulus or reciprocal overflows
+    (which would drop its row) and a least gap below the least normal
+    float (whose reciprocal may overflow), naming the first such or
+    nearest level.  Levels are scanned as Python floats; gaps and
+    reciprocals are numpy's.
     """
-    h0 = np.asarray(h0_diagonal, dtype=float)
-    if h0.ndim != 1 or h0.size == 0:
+    h0 = np.asarray(h0_diagonal)
+    if h0.dtype.kind == "c" or h0.ndim != 1 or h0.size == 0:
         raise ValueError("free Hamiltonian must be a non-empty 1-d real array")
+    h0 = h0.astype(float, copy=False)
     levels = h0.tolist()
     if not all(map(math.isfinite, levels)):
         raise ValueError("free Hamiltonian has non-finite levels")
@@ -589,7 +584,7 @@ def build_transfer_operator(h0_diagonal, potential: SparseOperator,
     of the float range (ROADMAP, known defects).  T keeps the sparsity
     pattern, so the transition graph, of V, or raises: see _row_scaled.
     """
-    h0 = np.asarray(h0_diagonal, dtype=float)
+    h0 = np.asarray(h0_diagonal)
     if h0.shape != (potential.dim,):
         raise DimensionError(f"free Hamiltonian has shape {h0.shape}, "
                              f"potential has dimension {potential.dim}")

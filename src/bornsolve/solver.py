@@ -304,13 +304,16 @@ def full_resolvent(system: AcyclicSystem, free_resolvent_diag) -> np.ndarray:
 
     free_resolvent_diag must be the diagonal of (E - H0)^(-1) for the
     same Hamiltonian and energy the transfer operator was built from;
-    that consistency is the caller's contract.
+    that consistency is the caller's contract.  A non-finite component
+    raises ValueError, as a state vector's does.
     """
     g0 = np.asarray(free_resolvent_diag, dtype=complex)
     if g0.shape != (system.dim,):
         raise DimensionError(
             f"free-resolvent diagonal has shape {g0.shape}, expected ({system.dim},)"
         )
+    if np.count_nonzero(np.isfinite(g0)) < g0.size:
+        raise ValueError("free-resolvent diagonal has non-finite components")
     x = finite_neumann_inverse(system)
     x *= g0
     return x

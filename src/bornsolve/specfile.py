@@ -19,15 +19,15 @@ tables.  A state file, read by load_state, is a JSON array of n such
 {"re", "im"} objects.
 
 A parsed spec holds its record lists as checked operators: T in the
-direct form, V in the Hamiltonian form.  A record list is checked by
-column first.  The loader's own gates ask for every item a dict with
-exactly the four record keys, labels of type int and values of type int
-or float within the float range; range, duplicates and finiteness are
-then left to the operators module's one check of record columns, whose
-sorted columns the operator stores as they are.  Any fault sends the
-list to the per-record loop instead, which is the only code that names
-a fault, so every SpecFormatError names the first faulty record in list
-order; a list it passes becomes an operator through SparseOperator.
+direct form, V in the Hamiltonian form.  The loader does the JSON work
+only: its gates ask for every item a dict with exactly the four record
+keys, labels of type int and parts of type int or float.  A list that
+passes goes to SparseOperator as (to, from, complex(re, im)) triples,
+and the constructor decides range, duplicates, finiteness, the exact
+zero drop and the storage order.  A list that fails a gate, or that the
+constructor refuses, goes to the per-record loop instead, which is the
+only code that names a fault, so every SpecFormatError names the first
+faulty record in list order.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from .errors import SpecFormatError
-from .operators import SparseOperator, _checked_columns, as_state_vector, build_transfer_operator
+from .operators import SparseOperator, as_state_vector, build_transfer_operator
 
 _TOP_LEVEL_KEYS = {
     "dimension",
@@ -123,13 +123,9 @@ def _column_records(raw: list, dimension: int) -> SparseOperator | None:
     if not {int, float}.issuperset(set(map(type, reals)) | set(map(type, imags))):
         return None
     try:
-        amplitude = np.empty(len(raw), dtype=complex)
-        amplitude.real = reals
-        amplitude.imag = imags
-    except OverflowError:  # an integer beyond the float range
+        return SparseOperator(dimension, list(zip(targets, sources, map(complex, reals, imags))))
+    except (ValueError, OverflowError):  # a fault the loop names; a part beyond the float range
         return None
-    checked = _checked_columns(dimension, targets, sources, amplitude)
-    return None if checked is None else SparseOperator._from_arrays(dimension, *checked)
 
 
 def _loop_records(raw: list, field: str, dimension: int) -> SparseOperator:

@@ -34,7 +34,7 @@ from bornsolve.operators import (
     _FLAT_BINS,
     _LOOP_RECORDS,
     _PANEL_TERMS,
-    _checked_columns,
+    _array_records,
     _loop_records,
     _panels,
 )
@@ -437,6 +437,19 @@ class TestTransferOperator:
     def test_levels_must_be_a_non_empty_vector(self, h0):
         with pytest.raises(ValueError, match="free Hamiltonian must be a non-empty 1-d real array"):
             free_resolvent_diagonal(h0, 1.0)
+
+    @pytest.mark.parametrize("h0", [np.array([0.0, 1 + 1j]), [0.0, 1 + 1j]],
+                             ids=["ndarray", "list"])
+    def test_complex_levels_are_refused(self, h0):
+        # a cast to float dropped the array's imaginary part, with only a
+        # ComplexWarning, and float() refused the list's with a TypeError
+        message = "free Hamiltonian must be a non-empty 1-d real array"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                free_resolvent_diagonal(h0, 3.0)
+            with pytest.raises(ValueError, match=message):
+                build_transfer_operator(h0, SparseOperator(2, [(2, 1, 1.0)]), 3.0)
 
     def test_complex_energy_unlocks_near_level_probe(self):
         h0 = np.array([1.0])
@@ -1241,8 +1254,7 @@ class TestRecordChecks:
         rows = rng.choice([1, 3, 2**16 - 1, 2**16, 2**16 + 1, dim], size=6 * _LOOP_RECORDS)
         cols = rng.choice(dim, size=rows.size, replace=False) + 1
         records = [(int(r), int(c), complex(k + 1)) for k, (r, c) in enumerate(zip(rows, cols))]
-        checked = _checked_columns(dim, rows.tolist(), cols.tolist(),
-                                   np.array([a for _, _, a in records]))
+        checked = _array_records(dim, records)
         want = sorted(records, key=lambda record: record[0])
         assert stored_arrays(checked) == [list(part) for part in zip(*want)]
         assert stored_arrays(SparseOperator(dim, records)) == stored_arrays(checked)

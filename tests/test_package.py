@@ -87,7 +87,9 @@ ROLE = {
 }
 
 # Private names one module imports from another: the kernels shared inside
-# the one sparse representation, and the CLI's report walk and term loop.
+# the one sparse representation, the block solve the truncation reuses, and
+# the CLI's report walk and term loop.  specfile imports none: its record
+# lists enter through the public SparseOperator constructor.
 SEAMS = {
     ("cli", "report", "_report_lines"),
     ("cli", "solver", "_born_terms"),
@@ -96,7 +98,6 @@ SEAMS = {
     ("solver", "operators", "_bin_sums"),
     ("solver", "operators", "_products"),
     ("solver", "operators", "_stable_order"),
-    ("specfile", "operators", "_checked_columns"),
     ("truncation", "solver", "_block_solve"),
 }
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -441,6 +443,16 @@ class TestResolventAndTMatrix:
         system = make_system(diamond_operator())
         with pytest.raises(DimensionError):
             full_resolvent(system, np.ones(3, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, -np.inf)],
+                             ids=["inf", "nan", "imaginary-inf"])
+    def test_resolvent_refuses_a_non_finite_diagonal(self, bad):
+        # scaling by it gave (inf+nanj) entries, with only a RuntimeWarning
+        system = make_system(SparseOperator(2, [(2, 1, 0.5)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="free-resolvent diagonal has non-finite"):
+                full_resolvent(system, [bad, 1.0])
 
     def test_t_matrix_matches_lu_route(self):
         rng = np.random.default_rng(127)
