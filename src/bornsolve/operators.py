@@ -14,6 +14,9 @@ row, column and amplitude.  Entries are in storage order: grouped by
 row, rows ascending.  Within a row, declared operators and their row
 scalings keep declaration order (a stable sort by row); products are
 stored by (row, col).  Every sum over a row runs in storage order.
+Input values pass four gates, each raising TypeError or ValueError:
+_label (a basis label), _size (a dimension numpy can allocate), _number
+(a scalar number) and _numbers (an array, by dtype kind before any cast).
 One store rule decides what every operator holds, however it was built:
 values become complex, a non-finite one (NaN included) raises a
 ValueError naming its entry, and only exact zeros are dropped: no unit
@@ -88,23 +91,50 @@ _PANEL_TERMS = 16384
 
 Entry = tuple[int, int, complex]
 
+# _number's exact types: Python's numbers and numpy's up to double precision; no bool
+_NUMBERS = frozenset({int, float, complex, np.float16, np.float32, np.float64, np.complex64,
+                      np.complex128, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+
 
 def _label(value) -> int:
-    """A basis label as int; TypeError unless integral (bool is not)."""
-    if isinstance(value, bool):
+    """A basis label as int; TypeError unless integral (bool and numpy's bool are not)."""
+    if isinstance(value, (bool, np.bool_)):
         raise TypeError("bool is not a basis label")
     return index(value)
 
 
 def _size(value, name: str) -> int:
-    """A dimension as int; ValueError unless a positive integer (bool is not)."""
+    """A dimension as int; ValueError unless a positive integer (bool is not) numpy can allocate."""
     try:
         size = _label(value)
     except TypeError:
         size = 0
     if size < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if size >= 1 << 16:  # a state vector under 1 MiB fits wherever numpy runs
+        try:  # numpy refuses one beyond indexing or memory; one that fits touches no page
+            np.empty(size, complex)
+        except (OverflowError, ValueError, MemoryError):
+            raise ValueError(f"{name}: {size} states are too many to index or allocate") from None
     return size
+
+
+def _number(value, name: str) -> complex:
+    """A number as complex; TypeError unless of a type in _NUMBERS, ValueError beyond the floats."""
+    if type(value) not in _NUMBERS:
+        raise TypeError(f"{name} is not a number: {value!r}")
+    try:
+        return complex(value)
+    except OverflowError:
+        raise ValueError(f"{name} is an int beyond the float range") from None
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    """values as an array; TypeError, before any cast, unless of dtype kind i, u, f or c."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iufc":
+        raise TypeError(f"{name} holds {array.dtype}, not numbers")
+    return array
 
 
 def _store(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
@@ -137,11 +167,11 @@ def _loop_records(dim: int, records: list) -> tuple[np.ndarray, np.ndarray, np.n
 
     Every record is read as _triple reads it.  Index faults are found
     first, in record order: a record that is no triple, a non-integral
-    label, one outside 1..dim, a repeated position.  Values are then made
-    complex and tested for finiteness row by row, rows in order of first
-    appearance.  The first fault raises a ValueError naming its record
-    by position or its entry by labels; a record with neither a length
-    nor items raises a TypeError naming it.
+    label, one outside 1..dim, a repeated position.  Values then pass
+    _number and are tested for finiteness row by row, rows in order of
+    first appearance.  The first fault raises a ValueError naming its
+    record by position or its entry by labels; a record with neither a
+    length nor items, or a value of no number type, a TypeError.
     What is kept follows the store rule, record by record: exact zeros
     go; storage order is by row, each row in declaration order.
     """
@@ -169,7 +199,10 @@ def _loop_records(dim: int, records: list) -> tuple[np.ndarray, np.ndarray, np.n
         cols[col] = amp
     for row, cols in rows.items():
         for col, amp in cols.items():
-            value = cols[col] = complex(amp)
+            try:
+                value = cols[col] = _number(amp, "amplitude")
+            except (TypeError, ValueError) as fault:
+                raise type(fault)(f"entry ({row}, {col}) {fault}") from None
             if not isfinite(value):
                 raise ValueError(f"entry ({row}, {col}) is not finite: {value}")
     row_of: list[int] = []
@@ -217,9 +250,9 @@ def _array_records(dim: int, records: list):
 
     The checks are _loop_records', on whole arrays: records read by
     position as triples, labels of type int within 1..dim, no repeated
-    (row, col), values of type complex or float, all finite.  None also
-    for a label or sort key beyond intp; the loop decides those.  Exact
-    zeros go, and the rest are stably sorted by row.
+    (row, col), values of a type in _NUMBERS, all finite.  None also for
+    a label or sort key beyond intp and an int value beyond the floats;
+    the loop decides those.  Exact zeros go; the rest are stably sorted by row.
     """
     try:
         if set(map(len, records)) != {3}:
@@ -231,7 +264,7 @@ def _array_records(dim: int, records: list):
         return None
     if set(map(type, rows)) | set(map(type, cols)) != {int}:
         return None
-    if not {complex, float}.issuperset(map(type, amps)):
+    if not _NUMBERS.issuperset(map(type, amps)):
         return None
     # the (row, col) keys below are less than this bound, so none wraps
     if (dim + 1) ** 2 > np.iinfo(np.intp).max:
@@ -239,11 +272,11 @@ def _array_records(dim: int, records: list):
     try:
         row = np.array(rows, dtype=np.intp)
         col = np.array(cols, dtype=np.intp)
-    except OverflowError:
+        amp = np.array(amps, dtype=complex)
+    except OverflowError:  # a label beyond intp, an int amplitude beyond the floats
         return None
     if min(row.min(), col.min()) < 1 or max(row.max(), col.max()) > dim:
         return None
-    amp = np.array(amps, dtype=complex)
     keys = np.sort(row * (dim + 1) + col)
     if np.count_nonzero(keys[1:] == keys[:-1]) or np.count_nonzero(np.isfinite(amp)) < amp.size:
         return None
@@ -351,7 +384,7 @@ class SparseOperator:
 
 def basis_state(dim: int, label: int) -> np.ndarray:
     """Unit amplitude on basis state `label` (1-based), else zero; TypeError unless integral."""
-    label = _label(label)
+    dim, label = _size(dim, "dimension"), _label(label)
     if not 1 <= label <= dim:
         raise ValueError(f"basis label {label} outside 1..{dim}")
     v = np.zeros(dim, dtype=complex)
@@ -361,11 +394,16 @@ def basis_state(dim: int, label: int) -> np.ndarray:
 
 def as_state_vector(values, dim: int) -> np.ndarray:
     """Validate and convert to a contiguous complex state vector of the given dimension."""
-    v = np.asarray(values, dtype=complex, order="C")
+    return _state(values, _label(dim), "state vector")
+
+
+def _state(values, dim: int, name: str) -> np.ndarray:
+    """values, numbers as _numbers takes them, as a contiguous complex vector of dim finite ones."""
+    v = _numbers(values, name).astype(complex, order="C", copy=False)
     if v.shape != (dim,):
-        raise DimensionError(f"state vector has shape {v.shape}, expected ({dim},)")
+        raise DimensionError(f"{name} has shape {v.shape}, expected ({dim},)")
     if np.count_nonzero(np.isfinite(v)) < v.size:
-        raise ValueError("state vector has non-finite components")
+        raise ValueError(f"{name} has non-finite components")
     return v
 
 
@@ -516,7 +554,7 @@ def _root_sum_squares(modulus: np.ndarray) -> float:
 
 def vector_norm(vec, kind: str = "inf") -> float:
     """Vector norm compatible with the operator norm of the same kind; "fro" sums as it does."""
-    v = np.asarray(vec, dtype=complex)
+    v = _numbers(vec, "vector").astype(complex, copy=False)
     if kind == "inf":
         return float(np.max(np.abs(v))) if v.size else 0.0
     if kind == "one":
@@ -531,23 +569,23 @@ def free_resolvent_diagonal(h0_diagonal, energy: complex) -> np.ndarray:
 
     Raises ResonanceError when the energy comes within RESONANCE_MARGIN *
     max(|E|, max|H0|) of any level, a margin on the Hamiltonian's own
-    scale; a complex energy keeps a probe near a level well posed.  Raises
-    ValueError for levels that are not a non-empty 1-d real array (no
-    cast drops an imaginary part), a non-finite level or energy, an |E|
-    beyond the largest float, a gap whose modulus or reciprocal overflows
-    (which would drop its row) and a least gap below the least normal
-    float (whose reciprocal may overflow), naming the first such or
-    nearest level.  Levels are scanned as Python floats; gaps and
-    reciprocals are numpy's.
+    scale; a complex energy keeps a probe near a level well posed.  Levels
+    and energy pass _numbers and _number.  Raises ValueError for levels
+    that are not a non-empty 1-d real array (no cast drops an imaginary
+    part), a non-finite level or energy, an |E| beyond the largest float,
+    a gap whose modulus or reciprocal overflows (which would drop its row)
+    and a least gap below the least normal float (whose reciprocal may
+    overflow), naming the first such or nearest level.  Levels are
+    scanned as Python floats; gaps and reciprocals are numpy's.
     """
-    h0 = np.asarray(h0_diagonal)
+    h0 = _numbers(h0_diagonal, "free Hamiltonian")
     if h0.dtype.kind == "c" or h0.ndim != 1 or h0.size == 0:
         raise ValueError("free Hamiltonian must be a non-empty 1-d real array")
     h0 = h0.astype(float, copy=False)
     levels = h0.tolist()
     if not all(map(math.isfinite, levels)):
         raise ValueError("free Hamiltonian has non-finite levels")
-    e = complex(energy)
+    e = _number(energy, "energy")
     if not isfinite(e):
         raise ValueError(f"energy is not finite: {e}")
     rescale = "; rescale the Hamiltonian and energy"

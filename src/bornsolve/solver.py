@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionError, NotNilpotentError, SingularError
 from .graph import _strong_components, analyze_acyclicity
-from .operators import (SparseOperator, _apply, _bin_sums, _products, _stable_order,
+from .operators import (SparseOperator, _apply, _bin_sums, _products, _stable_order, _state,
                         as_state_vector)
 
 # Smallest |det(I - T)| the dense oracle accepts.  Pivot-versus-scale
@@ -307,13 +307,7 @@ def full_resolvent(system: AcyclicSystem, free_resolvent_diag) -> np.ndarray:
     that consistency is the caller's contract.  A non-finite component
     raises ValueError, as a state vector's does.
     """
-    g0 = np.asarray(free_resolvent_diag, dtype=complex)
-    if g0.shape != (system.dim,):
-        raise DimensionError(
-            f"free-resolvent diagonal has shape {g0.shape}, expected ({system.dim},)"
-        )
-    if np.count_nonzero(np.isfinite(g0)) < g0.size:
-        raise ValueError("free-resolvent diagonal has non-finite components")
+    g0 = _state(free_resolvent_diag, system.dim, "free-resolvent diagonal")
     x = finite_neumann_inverse(system)
     x *= g0
     return x

@@ -21,13 +21,13 @@ tables.  A state file, read by load_state, is a JSON array of n such
 A parsed spec holds its record lists as checked operators: T in the
 direct form, V in the Hamiltonian form.  The loader does the JSON work
 only: its gates ask for every item a dict with exactly the four record
-keys, labels of type int and parts of type int or float.  A list that
-passes goes to SparseOperator as (to, from, complex(re, im)) triples,
-and the constructor decides range, duplicates, finiteness, the exact
-zero drop and the storage order.  A list that fails a gate, or that the
-constructor refuses, goes to the per-record loop instead, which is the
-only code that names a fault, so every SpecFormatError names the first
-faulty record in list order.
+keys and parts of type int or float.  A list that passes goes to
+SparseOperator as (to, from, complex(re, im)) triples, and the
+constructor decides the labels' type and range, duplicates, finiteness,
+the exact zero drop and the storage order.  A list that fails a gate,
+or that the constructor refuses, goes to the per-record loop instead,
+which is the only code that names a fault, so every SpecFormatError
+names the first faulty record in list order.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from .errors import SpecFormatError
-from .operators import SparseOperator, as_state_vector, build_transfer_operator
+from .operators import SparseOperator, _size, as_state_vector, build_transfer_operator
 
 _TOP_LEVEL_KEYS = {
     "dimension",
@@ -118,8 +118,6 @@ def _column_records(raw: list, dimension: int) -> SparseOperator | None:
                                           for key in _RECORD_KEYS)
     except KeyError:
         return None
-    if set(map(type, sources)) | set(map(type, targets)) != {int}:
-        return None
     if not {int, float}.issuperset(set(map(type, reals)) | set(map(type, imags))):
         return None
     try:
@@ -183,17 +181,10 @@ def parse_spec(text: str) -> SystemSpec:
         raise SpecFormatError(f"unknown top-level keys {sorted(unknown)}")
     if "dimension" not in raw:
         raise SpecFormatError('missing "dimension"')
-    dimension = _require_int(raw["dimension"], "dimension")
-    if dimension < 1:
-        raise SpecFormatError(f"dimension: must be >= 1, got {dimension}")
     try:
-        # one state vector, which every command holds: numpy refuses it when it
-        # is beyond indexing or the machine's memory, and an empty one that
-        # fits touches no page
-        np.empty(dimension, dtype=complex)
-    except (OverflowError, ValueError, MemoryError):
-        raise SpecFormatError(
-            f"dimension: {dimension} states are too many to index or allocate") from None
+        dimension = _size(raw["dimension"], "dimension")
+    except ValueError as fault:
+        raise SpecFormatError(str(fault)) from None
 
     labels: tuple[str, ...] | None = None
     if "basis_labels" in raw:

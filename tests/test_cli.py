@@ -658,6 +658,25 @@ class TestBench:
         assert (code, out) == (EXIT_INPUT, "")
         assert err == "error: the benchmark overflows: speedup = inf\n"
 
+    @pytest.mark.parametrize("density", ["0.0", "0.5"])
+    def test_table(self, density):
+        code, out, err = run_cli(
+            ["bench", "--dim", "6", "--density", density, "--seed", "1", "--table"])
+        assert (code, err) == (EXIT_OK, "")
+        report, table = out.split("\n\n")
+        head, rule, *body = table.splitlines()
+        assert head.split() == ["quantity", "value"]
+        assert set(rule) == {"-", " "}
+        rows = dict(line.rsplit("  ", 1) for line in body)
+        rows = {name.strip(): cell for name, cell in rows.items()}
+        assert list(rows) == ["dimension", "density", "entries", "depth", "finite-sum solve (s)",
+                              "dense LU solve (s)", "speedup", "relative agreement"]
+        kv = parse_kv(report)
+        assert (rows["dimension"], rows["density"]) == ("6", density)
+        assert (rows["entries"], rows["depth"]) == (kv["nnz"], kv["depth"])
+        for name in ("finite-sum solve (s)", "dense LU solve (s)", "speedup"):
+            assert float(rows[name]) > 0.0
+
     def test_dim_below_two_is_input_error(self):
         code, _, err = run_cli(["bench", "--dim", "1"])
         assert code == EXIT_INPUT

@@ -65,6 +65,16 @@ class TestConstruction:
         assert type(op.dim) is int and op.dim == 2
         npt.assert_array_equal(matvec(op, [0, 1]), [1, 0])
 
+    def test_equality_and_repr(self):
+        op = SparseOperator(3, [(2, 1, 0.5), (3, 2, 1j)])
+        assert op == SparseOperator(3, [(3, 2, 1j), (2, 1, 0.5)])
+        assert op != SparseOperator(4, [(2, 1, 0.5), (3, 2, 1j)])  # same rows, another dim
+        assert op != SparseOperator(3, [(2, 1, 0.5), (2, 3, 1j)])  # another row
+        assert op != SparseOperator(3, [(2, 1, 0.5), (3, 1, 1j)])  # another column
+        assert op != SparseOperator(3, [(2, 1, 0.5), (3, 2, 2j)])  # another value
+        assert op.__eq__(1) is NotImplemented and (op == 1) is False
+        assert repr(op) == "SparseOperator(dim=3, nnz=2)"
+
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(ValueError, match="outside"):
             SparseOperator(3, [(1, 4, 1.0)])
@@ -1228,7 +1238,8 @@ class TestRecordChecks:
 
     @pytest.mark.parametrize("count", RECORD_COUNTS)
     def test_other_label_and_value_types(self, count):
-        # numpy labels and int amplitudes take the loop; they store alike
+        # numpy labels take the loop, numpy and int amplitudes the array
+        # checks of a long list; they store alike
         records = padded_records(count, seed=count)
         want = SparseOperator(RECORD_DIM, records)
         converted = [(np.int64(r), np.int32(c), np.complex128(a)) for r, c, a in records]
@@ -1240,11 +1251,16 @@ class TestRecordChecks:
 
     @pytest.mark.parametrize("count", RECORD_COUNTS)
     def test_largest_dimension_stores_as_the_loop(self, count):
-        # dim + 1 is beyond intp, so no sort key fits: the loop decides
+        # dim + 1 is beyond intp, so no sort key fits: the array checks leave
+        # the records to the loop.  No machine holds a state of dim
+        # components, so the constructor refuses the dimension itself
         dim = 2**63 - 1
         records = padded_records(count, seed=count)
-        assert stored_arrays(SparseOperator(dim, records)) == stored_arrays(
-            _loop_records(dim, records))
+        assert _array_records(dim, records) is None
+        assert stored_arrays(_loop_records(dim, records)) == stored_arrays(
+            SparseOperator(RECORD_DIM, records))
+        with pytest.raises(ValueError, match="too many to index or allocate"):
+            SparseOperator(dim, records)
 
     def test_large_labels_sort_stably_by_row(self):
         # dim + 1 > 2**16: the rows sort as intp keys, not 16-bit ones, and
@@ -1262,12 +1278,14 @@ class TestRecordChecks:
     @pytest.mark.parametrize("dim", [2**40, 2**62])
     def test_wrapping_keys_fall_back_to_the_loop(self, dim):
         # the keys row * (dim + 1) + col would wrap in intp; wrapped, sort
-        # keys once stored row dim first at 2**62
+        # keys once stored row dim first at 2**62.  The constructor refuses
+        # both dimensions, which no machine can allocate
         records = [(dim, 1, 1.0), (1, 2, 2.0), (dim, 4, 3.0), (1, dim, 4.0)]
         records += [(2, col, 1.0) for col in range(1, _LOOP_RECORDS)]
-        want = stored_arrays(_loop_records(dim, records))
-        assert stored_arrays(SparseOperator(dim, records)) == want
-        assert want[0][:3] == [1, 1, 2]
+        assert _array_records(dim, records) is None
+        assert stored_arrays(_loop_records(dim, records))[0][:3] == [1, 1, 2]
+        with pytest.raises(ValueError, match="too many to index or allocate"):
+            SparseOperator(dim, records)
 
     def test_records_that_are_not_triples(self):
         for count in RECORD_COUNTS:
@@ -1309,6 +1327,33 @@ class TestRecordChecks:
         else:
             assert outcomes[0][0] is (TypeError if kind == "no_items" else ValueError)
             assert outcomes[0][1].startswith("record 1 is not a (row, col, amplitude) triple")
+
+
+# amplitudes of every type the number gate takes, numpy scalars among them;
+# zeros, negative zeros, subnormals and ints beyond int64 included
+scalar_amplitudes = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from([x, np.float64(x), complex(x, -x), np.complex128(x)])),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from([np.float32(x), np.complex64(complex(x, x))])),
+    st.floats(width=16, allow_nan=False, allow_infinity=False).map(np.float16),
+    st.integers(-2**63, 2**63 - 1).flatmap(lambda n: st.sampled_from([n, np.int64(n)])),
+    st.integers(0, 255).map(np.uint8),
+    st.integers(2**63, 2**80),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(scalar_amplitudes, min_size=_LOOP_RECORDS + 1, max_size=3 * _LOOP_RECORDS))
+def test_numpy_scalar_amplitudes_pass_the_array_checks(amps):
+    # a long list takes the array checks whatever its amplitudes' types, and
+    # stores the bits complex(amp) gives each record, as the loop does
+    records = [(k // RECORD_DIM + 1, k % RECORD_DIM + 1, amp) for k, amp in enumerate(amps)]
+    checked = _array_records(RECORD_DIM, records)
+    assert checked is not None
+    loop = _loop_records(RECORD_DIM, records)
+    assert [a.tobytes() for a in checked] == [a.tobytes() for a in loop]
+    assert np.array_equal(loop[2], [complex(a) for a in amps if complex(a)])
 
 
 record_lists = st.integers(1, 2 * _LOOP_RECORDS + 20).flatmap(

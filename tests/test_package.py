@@ -87,9 +87,10 @@ ROLE = {
 }
 
 # Private names one module imports from another: the kernels shared inside
-# the one sparse representation, the block solve the truncation reuses, and
-# the CLI's report walk and term loop.  specfile imports none: its record
-# lists enter through the public SparseOperator constructor.
+# the one sparse representation, the block solve the truncation reuses, the
+# CLI's report walk and term loop, and two input gates in place of local
+# copies: the spec loader's dimension and the resolvent's G0 vector.  The
+# loader's record lists enter through the public SparseOperator constructor.
 SEAMS = {
     ("cli", "report", "_report_lines"),
     ("cli", "solver", "_born_terms"),
@@ -98,6 +99,8 @@ SEAMS = {
     ("solver", "operators", "_bin_sums"),
     ("solver", "operators", "_products"),
     ("solver", "operators", "_stable_order"),
+    ("solver", "operators", "_state"),
+    ("specfile", "operators", "_size"),
     ("truncation", "solver", "_block_solve"),
 }
 

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bornsolve
+from bornsolve import operators
 from bornsolve.errors import BornsolveError, ResonanceError, SpecFormatError
 from bornsolve.operators import SparseOperator, build_transfer_operator
 from bornsolve.specfile import (
@@ -116,6 +117,14 @@ class TestRoundTrip:
         assert recovered.dimension == original.dimension
         assert recovered.transfer_entries == original.transfer_entries
         assert spec_to_operator(recovered) == spec_to_operator(original)
+
+    def test_round_trip_keeps_the_label_order(self):
+        labels = ["g", "e2", "e1"]
+        spec = parse_spec(direct_spec(3, [{"from": 1, "to": 3, "re": 1.0, "im": 0.0}], labels))
+        assert json.loads(serialize_spec(spec))["basis_labels"] == labels
+        recovered = parse_spec(serialize_spec(spec))
+        assert recovered.basis_labels == tuple(labels)
+        assert recovered == spec
 
     def test_serialized_records_sorted_by_endpoint(self):
         spec = parse_spec(direct_spec(3, [
@@ -310,6 +319,7 @@ class TestSystemSpecType:
 FAULTS = (
     "bool label", "float label", "huge label", "huge value", "nan", "infinity",
     "duplicate", "out of range", "missing key", "extra key", "not a dict",
+    "misnamed key", "non-number value",
 )
 # values the loop accepts, which the column check must read the same way
 EDGES = ("int value", "big int value", "negative zero", "tiny value")
@@ -356,6 +366,10 @@ def inject(raw: list, kind: str, pos: int, dim: int) -> None:
         item["phase"] = 0.0
     elif kind == "not a dict":
         raw[pos] = (list(item.values()), None, "record")[pos % 3]
+    elif kind == "misnamed key":  # four keys still, one of them not a record key
+        item["imag"] = item.pop("im", 0.0)
+    elif kind == "non-number value":
+        item[part] = ("1.5", None, True)[pos % 3]
     elif kind == "int value":
         item[part] = pos - 3
     elif kind == "big int value":
@@ -380,6 +394,10 @@ def outcome(parse, raw: list, dim: int):
 
 
 class TestColumnCheck:
+    # every record well formed but one: the column check's key and part gates
+    # each refuse the list, and the loop names the record
+    @example(seed=1, count=9, dim=5, changes=[("misnamed key", 0.5)])
+    @example(seed=1, count=9, dim=5, changes=[("non-number value", 0.5)])
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -406,9 +424,16 @@ class TestColumnCheck:
                 (r["to"], r["from"], complex(r["re"], r["im"])) for r in raw])))
 
     def test_wrapping_keys_fall_back_to_the_loop(self):
-        # from * (dim + 1) + to wraps in int64 here; the loop decides
+        # from * (dim + 1) + to wraps in int64 here: the array checks leave the
+        # records to the operators' loop.  No machine allocates a state of dim
+        # components, so the loader refuses the dimension before either runs
         dim = 2**40
         raw = [{"from": dim, "to": 1, "re": 1.0, "im": 0.0},
                {"from": 1, "to": dim, "re": 1.0, "im": 0.0}]
-        assert outcome(_parse_records, raw, dim) == outcome(_loop_records, raw, dim)
-        assert outcome(_loop_records, raw, dim)[0] == "operator"
+        triples = [(r["to"], r["from"], complex(r["re"], r["im"])) for r in raw]
+        assert operators._array_records(dim, triples) is None
+        assert [a.tolist() for a in operators._loop_records(dim, triples)] == [
+            [1, dim], [dim, 1], [1 + 0j, 1 + 0j]]
+        with pytest.raises(SpecFormatError) as excinfo:
+            parse_spec(direct_spec(dim, raw))
+        assert str(excinfo.value) == f"dimension: {dim} states are too many to index or allocate"
