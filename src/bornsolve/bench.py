@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SparseOperator, vector_norm
+from .operators import SparseOperator, _size, vector_norm
 from .solver import direct_solve_oracle, make_system, solve_exact
 
 
@@ -36,8 +36,7 @@ def random_dag_operator(dim: int, density: float, rng) -> SparseOperator:
     with probability `density` and gives it an amplitude uniform on the
     complex unit disk.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    dim = _size(dim, "dimension")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     order = rng.permutation(dim)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .graph import analyze_acyclicity
 from .operators import NORM_KINDS, SparseOperator, basis_state, operator_norm
-from .report import _report_lines, first_non_finite, format_complex, format_table
+from .report import format_complex, format_table, report_lines
 from .scenarios import InterferenceReport, classify_interference
 from .solver import _born_terms, det_i_minus_t, make_system, solve_exact
 from .specfile import SystemSpec, load_spec, load_state, spec_to_operator
@@ -56,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(tree: dict[str, Any], table: str, subject: str) -> int:
     """Write the report and the --table block in one write, or refuse an inf or nan."""
-    lines, overflow = _report_lines(tree)
+    lines, overflow = report_lines(tree)
     if overflow:
         print(f"error: the {subject} overflows: {overflow}", file=sys.stderr)
         return EXIT_INPUT
@@ -181,7 +181,7 @@ def _cmd_solve(args) -> int:
         terms = tuple(_born_terms(op, phi, args.order))
         total = np.sum(terms, axis=0)
     tree["term_count"] = len(terms)
-    # complex state vectors: kv_lines prints each as path.k.re/im lines
+    # complex state vectors: report_lines prints each as path.k.re/im lines
     tree["phi"] = phi
     tree["term"] = {str(k): t for k, t in enumerate(terms)}
     tree["total"] = total
@@ -207,7 +207,7 @@ def _cmd_solve(args) -> int:
             else:
                 block["bound"] = trunc.bound
             block["quasi_nilpotent"] = trunc.quasi_nilpotent
-            overflow = first_non_finite(block, "truncation.")
+            overflow = report_lines(block, "truncation.")[1]
             if not overflow:
                 reason = None
             elif not np.isfinite(trunc.exact_remainder_norm):

@@ -26,7 +26,8 @@ of more than _LOOP_RECORDS records is checked on whole arrays, and its
 nonzero entries sorted into storage order, by _array_records, which
 gives None on any fault.  Shorter lists, where numpy's fixed cost per
 call would dominate, and any that fail are checked and stored record by
-record in _loop_records, the only code that names a fault.
+record in _loop_records, the only code that names a fault: the first
+faulty record in list order, as the spec loader does.
 Both read a record's items 0, 1 and 2 by position (_triple), so a record
 list gives the same operator or the same fault whatever its length.  The
 transfer build has one path at every size: it scans the levels and forms
@@ -70,8 +71,9 @@ RESONANCE_MARGIN = 1e-10
 NORM_KINDS = ("inf", "one", "fro")
 
 # Record lists up to this length are checked and stored record by record:
-# the whole-array checks cost a fixed 40 us or so, the loop about 0.8 us a
-# record, and the two break even near 48 records (2-core Xeon VM).
+# the whole-array checks cost a fixed 17 us or so and 0.22 us a record, the
+# loop 2.5 us and 0.6 us a record, and the two break even near 39 records
+# (2-core Xeon VM, one core pinned).  No workload's list lies near the cut.
 _LOOP_RECORDS = 48
 
 # matmul sums a panel's terms in one bin per flat key (row - first row) *
@@ -165,24 +167,23 @@ def _fill(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
 def _loop_records(dim: int, records: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check and store records one by one; their rows, columns and values as arrays.
 
-    Every record is read as _triple reads it.  Index faults are found
-    first, in record order: a record that is no triple, a non-integral
-    label, one outside 1..dim, a repeated position.  Values then pass
-    _number and are tested for finiteness row by row, rows in order of
-    first appearance.  The first fault raises a ValueError naming its
-    record by position or its entry by labels; a record with neither a
-    length nor items, or a value of no number type, a TypeError.
-    What is kept follows the store rule, record by record: exact zeros
-    go; storage order is by row, each row in declaration order.
+    Each record passes every check before the next is read: it is read as
+    _triple reads it, its labels must be integral, within 1..dim and at a
+    position not yet declared, and its value must pass _number and be
+    finite.  So the first faulty record in list order raises, as in the
+    spec loader: a ValueError naming it by position or its entry by
+    labels; a TypeError if it has neither a length nor items, or its
+    value is of no number type.  What is kept follows the store rule,
+    record by record: exact zeros go; storage order is by row, each row
+    in declaration order.
     """
     rows: dict[int, dict[int, complex]] = {}
-    for record in records:
+    for position, record in enumerate(records):
         if type(record) is not tuple or len(record) != 3:
             try:
                 record = _triple(record)
             except (TypeError, ValueError) as fault:
-                # every record before this one stored one entry, so their count is its position
-                raise type(fault)(f"record {sum(map(len, rows.values()))} {fault}") from None
+                raise type(fault)(f"record {position} {fault}") from None
         row, col, amp = record
         if type(row) is not int or type(col) is not int:
             try:
@@ -196,15 +197,12 @@ def _loop_records(dim: int, records: list) -> tuple[np.ndarray, np.ndarray, np.n
             cols = rows[row] = {}
         elif col in cols:
             raise ValueError(f"duplicate entry at ({row}, {col})")
-        cols[col] = amp
-    for row, cols in rows.items():
-        for col, amp in cols.items():
-            try:
-                value = cols[col] = _number(amp, "amplitude")
-            except (TypeError, ValueError) as fault:
-                raise type(fault)(f"entry ({row}, {col}) {fault}") from None
-            if not isfinite(value):
-                raise ValueError(f"entry ({row}, {col}) is not finite: {value}")
+        try:
+            value = cols[col] = _number(amp, "amplitude")
+        except (TypeError, ValueError) as fault:
+            raise type(fault)(f"entry ({row}, {col}) {fault}") from None
+        if not isfinite(value):
+            raise ValueError(f"entry ({row}, {col}) is not finite: {value}")
     row_of: list[int] = []
     col_of: list[int] = []
     amp_of: list[complex] = []
@@ -313,15 +311,10 @@ class SparseOperator:
         _fill(self, dim, *(_loop_records(dim, records) if checked is None else checked))
 
     @classmethod
-    def _from_arrays(cls, dim: int, row, col, amp) -> "SparseOperator":
-        """Operator holding entries with valid labels, given in storage order; see _store."""
-        return _store(cls.__new__(cls), dim, row, col, amp)
-
-    @classmethod
     def identity(cls, dim: int) -> "SparseOperator":
         dim = _size(dim, "dimension")
         labels = np.arange(1, dim + 1, dtype=np.intp)
-        return cls._from_arrays(dim, labels, labels, np.ones(dim, dtype=complex))
+        return _fill(cls.__new__(cls), dim, labels, labels, np.ones(dim, dtype=complex))
 
     @property
     def nnz(self) -> int:
@@ -482,7 +475,7 @@ def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
         keys.append(key + first * width)
         sums.append(out)
     row, col = np.divmod(np.concatenate(keys), width)
-    return SparseOperator._from_arrays(a.dim, row, col, np.concatenate(sums))
+    return _store(SparseOperator.__new__(SparseOperator), a.dim, row, col, np.concatenate(sums))
 
 
 def _panels(row: np.ndarray, count: np.ndarray) -> Iterator[tuple[int, int]]:

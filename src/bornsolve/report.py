@@ -12,7 +12,7 @@ formatting so both views carry identical numbers.
 
 One rule covers every printed number: no report prints inf, -inf or
 nan.  The walk that forms the lines finds the first that would
-(`first_non_finite`), and the command line refuses that report.
+(`report_lines`), and the command line refuses that report.
 """
 
 from __future__ import annotations
@@ -92,20 +92,10 @@ def _walk(tree: dict[str, Any], prefix: str, lines: list[str]) -> str | None:
     return first
 
 
-def _report_lines(tree: dict[str, Any], prefix: str = "") -> tuple[list[str], str | None]:
-    """kv_lines(tree, prefix) and first_non_finite(tree, prefix), from one walk."""
+def report_lines(tree: dict[str, Any], prefix: str = "") -> tuple[list[str], str | None]:
+    """A tree's `path = value` lines, depth first; the first to print inf, -inf or nan, or None."""
     lines: list[str] = []
     return lines, _walk(tree, prefix, lines)
-
-
-def kv_lines(tree: dict[str, Any], prefix: str = "") -> list[str]:
-    """Flatten a report tree into `path = value` lines, depth first."""
-    return _report_lines(tree, prefix)[0]
-
-
-def first_non_finite(tree: dict[str, Any], prefix: str = "") -> str | None:
-    """The first line of kv_lines(tree, prefix) whose number is inf, -inf or nan, if any."""
-    return _report_lines(tree, prefix)[1]
 
 
 def format_table(headers: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:

@@ -46,12 +46,18 @@ def test_no_kept_edges(dim, density):
 
 
 @pytest.mark.parametrize("dim, density, message", [
-    (0, 0.5, "dimension must be positive, got 0"),
-    (-3, 0.5, "dimension must be positive, got -3"),
+    (0, 0.5, "dimension must be a positive integer, got 0"),
+    (-3, 0.5, "dimension must be a positive integer, got -3"),
+    # once a bare MemoryError from rng.permutation
+    (2**40, 0.5, f"dimension: {2**40} states are too many to index or allocate"),
     (5, -0.1, "density must lie in [0, 1], got -0.1"),
     (5, 1.5, "density must lie in [0, 1], got 1.5"),
     (5, math.nan, "density must lie in [0, 1], got nan"),
 ])
 def test_rejects_its_arguments(dim, density, message):
+    # a refusal comes before any draw
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(ValueError, match=re.escape(message)):
-        random_dag_operator(dim, density, np.random.default_rng(0))
+        random_dag_operator(dim, density, rng)
+    assert rng.bit_generator.state == state

@@ -114,11 +114,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-integral"):
             SparseOperator(3, [(np.True_, 2, 1.0)])
 
-    def test_index_faults_reported_before_value_faults(self):
-        # the whole declared pattern is checked before any value is
-        with pytest.raises(ValueError, match="outside"):
+    def test_first_faulty_record_is_reported(self):
+        # each record passes every check before the next is read
+        with pytest.raises(ValueError, match=re.escape("entry (1, 1) is not finite: (nan+0j)")):
             SparseOperator(2, [(1, 1, np.nan), (1, 3, 1.0)])
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=re.escape("entry (1, 1) is not finite: (inf+0j)")):
             SparseOperator(2, [(1, 1, np.inf), (1, 1, 1.0)])
 
     def test_rejects_non_finite(self):
@@ -1178,11 +1178,15 @@ RECORD_DIM = 40
 INF, NAN = float("inf"), float("nan")
 
 
-def with_fault(kind: str, records: list) -> tuple[list, str]:
-    """records with one fault (or several) put in; the exact message it raises."""
+def with_fault(kind: str, records: list, k: int | None = None) -> tuple[list, str]:
+    """records with one fault (or several) put in at position k, by default the middle one.
+
+    Also the exact message the list raises, if it held no fault before
+    (first_of_three also needs k >= 2).
+    """
     out = list(records)
-    k = len(out) // 2
-    row, col, _ = out[k]
+    k = len(out) // 2 if k is None else k
+    row, col = out[k][:2]
     if kind == "non_integral":
         out[k] = (1.5, col, 1.0)
         return out, f"entry (1.5, {col}) has a non-integral index"
@@ -1204,15 +1208,20 @@ def with_fault(kind: str, records: list) -> tuple[list, str]:
     if kind == "nan":
         out[k] = (row, col, complex(1.0, NAN))
         return out, f"entry ({row}, {col}) is not finite: {complex(1.0, NAN)}"
-    if kind == "index_before_value":
-        # a NaN early, then a label out of range: every index is checked first
+    if kind == "not_triple":
+        out[k] = (row, col)
+        return out, (f"record {k} is not a (row, col, amplitude) triple, "
+                     f"not enough values: ({row}, {col})")
+    if kind == "first_of_three":
+        # a NaN early, then a label out of range, then a duplicate: the
+        # NaN's record comes first, so it is named
         out[1] = (out[1][0], out[1][1], NAN)
         out[k] = (row, RECORD_DIM + 5, 1.0)
         out.append((out[0][0], out[0][1], 1.0))
-        return out, f"entry ({row}, {RECORD_DIM + 5}) outside 1..{RECORD_DIM}"
+        return out, f"entry ({out[1][0]}, {out[1][1]}) is not finite: {complex(NAN)}"
     if kind == "first_row_first":
-        # values are tested row by row, rows in order of first appearance:
-        # row RECORD_DIM appears first, so its entry is named, not row 1's
+        # row RECORD_DIM's record comes first in the list, so its entry is
+        # named, not row 1's, though row 1 is stored first
         out.insert(0, (RECORD_DIM, 1, complex(INF, 0.0)))
         out.append((1, 1, complex(NAN, 0.0)))
         return out, f"entry ({RECORD_DIM}, 1) is not finite: {complex(INF, 0.0)}"
@@ -1220,7 +1229,7 @@ def with_fault(kind: str, records: list) -> tuple[list, str]:
 
 
 FAULT_KINDS = ("non_integral", "bool", "out_of_range", "zero_label", "duplicate",
-               "non_finite", "nan", "index_before_value", "first_row_first")
+               "non_finite", "nan", "not_triple", "first_of_three", "first_row_first")
 # record counts on both sides of the cutoff between the loop and the array checks
 RECORD_COUNTS = (5, _LOOP_RECORDS - 1, _LOOP_RECORDS + 1, 300)
 
@@ -1327,6 +1336,37 @@ class TestRecordChecks:
         else:
             assert outcomes[0][0] is (TypeError if kind == "no_items" else ValueError)
             assert outcomes[0][1].startswith("record 1 is not a (row, col, amplitude) triple")
+
+
+def refusal(records: list):
+    """The type and message of the error SparseOperator(RECORD_DIM, records) raises, or None."""
+    try:
+        SparseOperator(RECORD_DIM, records)
+    except (TypeError, ValueError) as fault:
+        return type(fault), str(fault)
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_list_raises_as_its_shortest_refused_prefix(data):
+    """One to three faults at drawn positions: the first faulty record is named, at every length.
+
+    A list on either side of the cut between the loop and the array
+    checks raises the type and message of its shortest refused prefix,
+    and a record named by position is that prefix's last.
+    """
+    records = padded_records(data.draw(st.integers(2, 2 * _LOOP_RECORDS + 20), label="count"),
+                             seed=0)
+    for kind in data.draw(st.lists(st.sampled_from(FAULT_KINDS), min_size=1, max_size=3),
+                          label="faults"):
+        position = data.draw(st.integers(0, len(records) - 1), label=kind)
+        records = with_fault(kind, records, position)[0]
+    refusals = (refusal(records[:n]) for n in range(1, len(records) + 1))
+    length, first = next((n, found) for n, found in enumerate(refusals, 1) if found)
+    assert refusal(records) == first
+    if first[1].startswith("record "):
+        assert first[1].startswith(f"record {length - 1} ")
 
 
 # amplitudes of every type the number gate takes, numpy scalars among them;

@@ -8,14 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from bornsolve.report import (
-    _report_lines,
-    first_non_finite,
-    format_complex,
-    format_scalar,
-    format_table,
-    kv_lines,
-)
+from bornsolve.report import format_complex, format_scalar, format_table, report_lines
 
 
 class TestFormatScalar:
@@ -70,26 +63,26 @@ class TestFormatComplex:
 
 class TestKvLines:
     def test_flat_mapping(self):
-        lines = kv_lines({"alpha": 1, "beta": "two", "ok": True})
+        lines = report_lines({"alpha": 1, "beta": "two", "ok": True})[0]
         assert lines == ["alpha = 1", "beta = two", "ok = true"]
 
     def test_nested_mapping_uses_dots(self):
-        lines = kv_lines({"outer": {"inner": 3, "deep": {"leaf": 0.5}}})
+        lines = report_lines({"outer": {"inner": 3, "deep": {"leaf": 0.5}}})[0]
         assert lines == ["outer.inner = 3", "outer.deep.leaf = 0.5"]
 
     def test_complex_splits_into_re_im(self):
-        lines = kv_lines({"amp": 1.5 - 0.25j})
+        lines = report_lines({"amp": 1.5 - 0.25j})[0]
         assert lines == ["amp.re = 1.5", "amp.im = -0.25"]
 
     def test_numpy_complex_treated_as_complex(self):
-        lines = kv_lines({"amp": np.complex128(2.0 + 1.0j)})
+        lines = report_lines({"amp": np.complex128(2.0 + 1.0j)})[0]
         assert lines == ["amp.re = 2.0", "amp.im = 1.0"]
 
     def test_int_sequence_inlined(self):
-        assert kv_lines({"order": [3, 1, 2]}) == ["order = 3 1 2"]
+        assert report_lines({"order": [3, 1, 2]})[0] == ["order = 3 1 2"]
 
     def test_str_sequence_inlined(self):
-        assert kv_lines({"names": ["a", "b"]}) == ["names = a b"]
+        assert report_lines({"names": ["a", "b"]})[0] == ["names = a b"]
 
     def test_subclass_sequences_inlined_as_format_scalar_prints_them(self):
         class Level(enum.IntEnum):
@@ -97,17 +90,17 @@ class TestKvLines:
             EXCITED = 2
 
         tree = {"order": [Level.EXCITED, np.int64(1), 3], "names": [np.str_("a"), "b"]}
-        assert kv_lines(tree) == ["order = 2 1 3", "names = a b"]
+        assert report_lines(tree)[0] == ["order = 2 1 3", "names = a b"]
 
     def test_bool_sequence_indexed(self):
-        assert kv_lines({"flags": [1, True]}) == ["flags.0 = 1", "flags.1 = true"]
+        assert report_lines({"flags": [1, True]})[0] == ["flags.0 = 1", "flags.1 = true"]
 
     def test_float_sequence_indexed(self):
-        lines = kv_lines({"state": [0.5, 0.25]})
+        lines = report_lines({"state": [0.5, 0.25]})[0]
         assert lines == ["state.0 = 0.5", "state.1 = 0.25"]
 
     def test_complex_sequence_indexed_and_split(self):
-        lines = kv_lines({"psi": [1 + 0j, 0 - 1j]})
+        lines = report_lines({"psi": [1 + 0j, 0 - 1j]})[0]
         assert lines == [
             "psi.0.re = 1.0",
             "psi.0.im = 0.0",
@@ -120,9 +113,9 @@ class TestKvLines:
         values = [complex(a, b) for a in parts for b in parts]
         vec = np.array(values)
         as_dict = {str(k): z for k, z in enumerate(values, start=1)}
-        assert kv_lines({"phi": vec, "term": {"0": vec}, "n": 1}) == kv_lines(
-            {"phi": as_dict, "term": {"0": as_dict}, "n": 1})
-        assert kv_lines({"v": vec[:1]}) == ["v.1.re = 0.0", "v.1.im = 0.0"]
+        assert report_lines({"phi": vec, "term": {"0": vec}, "n": 1})[0] == report_lines(
+            {"phi": as_dict, "term": {"0": as_dict}, "n": 1})[0]
+        assert report_lines({"v": vec[:1]})[0] == ["v.1.re = 0.0", "v.1.im = 0.0"]
 
     @pytest.mark.parametrize("array", [
         np.array([1.0, 2.0]),
@@ -130,22 +123,22 @@ class TestKvLines:
     ])
     def test_other_arrays_are_not_vector_leaves(self, array):
         with pytest.raises(TypeError):
-            kv_lines({"a": array})
+            report_lines({"a": array})[0]
 
     def test_none_values_skipped(self):
-        lines = kv_lines({"kept": 1, "dropped": None, "also": 2})
+        lines = report_lines({"kept": 1, "dropped": None, "also": 2})[0]
         assert lines == ["kept = 1", "also = 2"]
 
     def test_insertion_order_preserved(self):
-        lines = kv_lines({"z": 1, "a": 2})
+        lines = report_lines({"z": 1, "a": 2})[0]
         assert lines == ["z = 1", "a = 2"]
 
     def test_every_line_has_single_separator(self):
-        lines = kv_lines({
+        lines = report_lines({
             "scalar": 1.0,
             "vec": [1 + 1j, 2 + 2j],
             "nest": {"x": [1, 2, 3]},
-        })
+        })[0]
         for line in lines:
             key, sep, value = line.partition(" = ")
             assert sep == " = "
@@ -173,16 +166,16 @@ class TestFirstNonFinite:
         ({"skipped": None, "x": 1e308, "v": np.array([1e-320 + 0j]), "r": [1, "a"]}, None),
     ])
     def test_is_the_first_printed_non_finite_line(self, tree, line):
-        assert first_non_finite(tree) == first_printed_non_finite(kv_lines(tree)) == line
-        assert _report_lines(tree) == (kv_lines(tree), line)
+        lines, first = report_lines(tree)
+        assert first == first_printed_non_finite(lines) == line
 
     def test_prefix_is_part_of_the_line(self):
-        assert first_non_finite({"norm": INF}, "truncation.") == "truncation.norm = inf"
+        assert report_lines({"norm": INF}, "truncation.")[1] == "truncation.norm = inf"
 
     def test_strings_are_not_numbers(self):
         # a string that reads inf is text, such as a spec file's name
-        assert kv_lines({"spec": "inf", "names": ["nan"]}) == ["spec = inf", "names = nan"]
-        assert first_non_finite({"spec": "inf", "names": ["nan"]}) is None
+        assert report_lines({"spec": "inf", "names": ["nan"]})[0] == ["spec = inf", "names = nan"]
+        assert report_lines({"spec": "inf", "names": ["nan"]})[1] is None
 
 
 class TestFormatTable:
@@ -206,7 +199,7 @@ class TestFormatTable:
     def test_numbers_match_kv_rendering(self):
         value = 0.30000000000000004
         table = format_table(["v"], [[value]])
-        kv = kv_lines({"v": value})[0]
+        kv = report_lines({"v": value})[0][0]
         assert kv.split(" = ")[1] in table
 
     def test_rejects_ragged_rows(self):
