@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SparseOperator, _size, vector_norm
+from .operators import SparseOperator, _number, _size, vector_norm
 from .solver import direct_solve_oracle, make_system, solve_exact
 
 
@@ -34,9 +34,13 @@ def random_dag_operator(dim: int, density: float, rng) -> SparseOperator:
 
     Draws a random vertex order, keeps each forward edge independently
     with probability `density` and gives it an amplitude uniform on the
-    complex unit disk.
+    complex unit disk.  density passes _number and must be real, in [0, 1].
     """
     dim = _size(dim, "dimension")
+    value = _number(density, "density")
+    if isinstance(density, (complex, np.complexfloating)):
+        raise TypeError(f"density is not a real number: {density!r}")
+    density = value.real
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
     order = rng.permutation(dim)

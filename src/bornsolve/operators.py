@@ -38,18 +38,26 @@ Products and norms work on whole arrays with Python's roundings: a
 complex product is formed from four float products as Python forms it
 (_products), moduli come from hypot as Python's abs does, and bincount
 adds the terms of each bin in index order from 0.0, as a left-to-right
-loop does (_bin_sums); _apply and matmul share both.  matmul works in
-row panels of a, about _PANEL_TERMS terms each (_panels), so its
-temporaries follow a panel's terms, not the whole product's, and no
-array has (dim + 1)^2 bins.  A panel's bins are its rows' flat keys
-when dense enough, the stored keys being those of the nonzero sums,
-else its distinct keys; each bin adds the same terms in the same order
-either way and whatever the panels, since a row never spans two.  Sums
-in (row, col) order (_sorted) skip the lexsort when the entries are
-stored so, as products are.  An operator holds its three stored arrays
-and nothing derived from them; a caller that walks rows derives the
-row pointer once per call (_row_ptr), and one that walks columns the
-stable by-source index (_by_source).  Stable sorts by key: _stable_order.
+loop does (_bin_sums); _apply and matmul share both.  A product is a
+pattern-only plan (_plan) and a values pass over it (_values), the
+symbolic and numeric phases of Gustavson's method.  The plan works in
+row panels of a, about _PANEL_TERMS terms each (_panels), so no array
+has (dim + 1)^2 bins, and holds per panel b's gather index and each
+term's bin, int32 where they fit: two indices a term of the whole
+product, while the values pass's temporaries follow a panel's terms.
+A panel's bins are the dense rank of its rows' flat keys, from a mark
+over all of them when dense enough, else from np.unique; each bin adds
+the same terms in the same order either way and whatever the panels,
+since a row never spans two.  matmul remembers nothing; power keeps the
+plans of the last pattern it raised, up to _REMEMBERED_PLAN_BYTES, as
+an energy or coupling scan keeps its operator's pattern.  Its powers
+between steps keep exact-zero sums as entries, so the plans follow the
+pattern alone; only the result drops them.  Sums in (row, col) order
+(_sorted) skip the lexsort when the entries are stored so, as products
+are.  An operator holds its three stored arrays and nothing derived
+from them; a caller that walks rows derives the row pointer once per
+call (_row_ptr), and one that walks columns the stable by-source index
+(_by_source).  Stable sorts by key: _stable_order.
 """
 
 from __future__ import annotations
@@ -71,25 +79,36 @@ RESONANCE_MARGIN = 1e-10
 NORM_KINDS = ("inf", "one", "fro")
 
 # Record lists up to this length are checked and stored record by record:
-# the whole-array checks cost a fixed 17 us or so and 0.22 us a record, the
-# loop 2.5 us and 0.6 us a record, and the two break even near 39 records
-# (2-core Xeon VM, one core pinned).  No workload's list lies near the cut.
-_LOOP_RECORDS = 48
+# the whole-array checks cost a fixed 18-19 us and 0.23-0.25 us a record,
+# the loop 2-5 us and 0.61-0.62 us a record, and the two break even at 37
+# to 43 records (three linear fits over 8-128 records at dim 300, 2-core
+# Xeon VM, one core pinned).  No workload's list lies near the cut.
+_LOOP_RECORDS = 40
 
-# matmul sums a panel's terms in one bin per flat key (row - first row) *
-# (dim + 1) + col, with no sort, when there are at most this many keys a
-# term; else in one bin per distinct key, which np.unique sorts out.  The
-# flat bins won at up to 3.7 keys a term and lost from 4.2 on (random
-# products, dim 10-600, 2-core Xeon VM; BENCH_truncation_floor.json).
-_FLAT_BINS = 3
+# _plan ranks a panel's flat keys (row - first row) * (dim + 1) + col by
+# marking the present ones in an array over all of them, with no sort,
+# when there are at most this many keys a term; else by np.unique, which
+# sorts them.  The mark won at up to 8.3 keys a term and lost from 10 on
+# (plans of random squares, dim 150-1000, the median over a product's
+# panels, 2-core Xeon VM, one core pinned).
+_FLAT_BINS = 8
 
-# matmul forms and sums the terms of a's rows one panel of about this many
-# terms at a time.  A panel is sized in terms, not in rows or entries,
+# A product is planned and summed one panel of a's rows, about this many
+# terms, at a time.  A panel is sized in terms, not in rows or entries,
 # because its temporaries (indices, keys, gathered amplitudes, products)
 # hold a few numbers a term, and an entry of a starts anywhere from none
 # to dim terms.  Of 4096 to 65536, 8192 and 16384 ran resolvent_truncation's
 # requests fastest, tied within noise (2-core Xeon VM; BENCH_row_panels.json).
 _PANEL_TERMS = 16384
+
+# power remembers the plans of the last pattern it raised when they, with
+# the pattern's labels, take at most this many bytes: about two int32
+# indices a term and two intp labels an output entry, so the 8 MiB keep
+# some million terms alive between calls.
+_REMEMBERED_PLAN_BYTES = 8 << 20
+
+# (dim, nnz, _row bytes, _col bytes, plans) of that pattern
+_last_plans: tuple[int, int, bytes, bytes, tuple] = (0, 0, b"", b"", ())
 
 Entry = tuple[int, int, complex]
 
@@ -147,14 +166,19 @@ def _store(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
     zeros go.  Order is kept.
     """
     amp = np.ascontiguousarray(amp, dtype=complex)
-    finite = np.isfinite(amp)
-    if np.count_nonzero(finite) < amp.size:
-        k = int(finite.argmin())
-        raise ValueError(f"entry ({row[k]}, {col[k]}) is not finite: {complex(amp[k])}")
+    _finite(row, col, amp)
     keep = amp != 0
     if np.count_nonzero(keep) < amp.size:
         row, col, amp = row[keep], col[keep], amp[keep]
     return _fill(op, dim, row, col, amp)
+
+
+def _finite(row, col, amp: np.ndarray) -> None:
+    """The store rule's non-finite test: a ValueError naming the first such entry in order."""
+    finite = np.isfinite(amp)
+    if np.count_nonzero(finite) < amp.size:
+        k = int(finite.argmin())
+        raise ValueError(f"entry ({row[k]}, {col[k]}) is not finite: {complex(amp[k])}")
 
 
 def _fill(op: "SparseOperator", dim: int, row, col, amp) -> "SparseOperator":
@@ -435,47 +459,76 @@ def _bin_sums(bins: np.ndarray, re: np.ndarray, im: np.ndarray, size: int) -> np
 def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """Sparse operator product a b, row by row (Gustavson), stored by (row, col).
 
-    Every term a[row, mid] b[mid, col] is formed by _products, a's
-    entries in storage order and each followed through b's row mid in
-    storage order.  a's rows are cut into panels of about _PANEL_TERMS
-    terms, never inside a row, and the panels are formed and summed one
-    after another.  An output entry sums its panel's terms in that order
-    from 0, in a bin of its own: one of the panel's (rows) * (dim + 1)
-    flat keys, relative to its first row, when that is at most
-    _FLAT_BINS keys a term, the stored keys being those of the nonzero
-    sums (NaN is not zero, so _store still names it); else one of the
-    distinct keys, from np.unique.  The two give the same bits, and so
-    does any panel size: an entry's terms all lie in its row's panel, in
-    the same order.
+    The product is its pattern's plan (_plan), then a values pass over it
+    (_values) and the store rule; nothing is remembered.  Every term
+    a[row, mid] b[mid, col] is formed by _products, a's entries in
+    storage order and each followed through b's row mid in storage order.
+    An output entry sums its terms in that order from 0, in a bin of its
+    own, so the bits do not depend on the panels or on how the plan
+    ranked the bins.
     """
     if a.dim != b.dim:
         raise DimensionError(f"cannot multiply dimension {a.dim} by {b.dim}")
+    row, col, panels = _plan(a._row, a._col, b)
+    return _store(SparseOperator.__new__(SparseOperator), a.dim, row, col,
+                  _values(panels, a._amp, b._amp))
+
+
+def _plan(a_row: np.ndarray, a_col: np.ndarray, b: SparseOperator) -> tuple:
+    """The pattern-only half of a b for a's stored rows and columns: (row, col, panels).
+
+    row and col are every position some term reaches, by (row, col),
+    whatever its sum.  a's rows are cut into panels of about _PANEL_TERMS
+    terms, never inside a row (_panels), and each panel is planned as
+    (lo, hi, count, right, bins, size): a's entries lo:hi, each repeated
+    count times, meet b's entries right; term t goes to the panel's bin
+    bins[t] of size, its output positions in order.  Bins are the dense
+    rank of the panel's flat keys (row - first row) * (dim + 1) + col:
+    from a mark of the present ones in an array over all keys, with no
+    sort, when there are at most _FLAT_BINS keys a term, else from
+    np.unique.  Indices are int32 where they fit.
+    """
     ptr = b._row_ptr()
-    start = ptr[a._col - 1]
-    count = ptr[a._col] - start
-    width = a.dim + 1
-    keys, sums = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
-    for lo, hi in _panels(a._row, count):
+    start = ptr[a_col - 1]
+    count = ptr[a_col] - start
+    index = np.int32 if max(int(count.sum()), b.nnz) <= np.iinfo(np.int32).max else np.intp
+    width = b.dim + 1
+    keys, panels = [np.zeros(0, dtype=np.intp)], []
+    for lo, hi in _panels(a_row, count):
         n = count[lo:hi]
-        left = np.repeat(np.arange(lo, hi), n)
-        right = np.arange(left.size) + np.repeat(start[lo:hi] - (np.cumsum(n) - n), n)
-        first = a._row[lo]
-        flat = (a._row[left] - first) * width + b._col[right]
-        with np.errstate(over="ignore", invalid="ignore"):  # _store rejects what overflowed
-            products = _products(a._amp[left], b._amp[right])
-        span = (a._row[hi - 1] - first + 1) * width
+        right = np.repeat((start[lo:hi] - (np.cumsum(n) - n)).astype(index), n)
+        right += np.arange(right.size, dtype=index)
+        first = a_row[lo]
+        flat = np.repeat((a_row[lo:hi] - first) * width, n)
+        flat += b._col.take(right)
+        span = (a_row[hi - 1] - first + 1) * width
         if span <= _FLAT_BINS * flat.size:
-            re, im = (np.bincount(flat, part, span) for part in products)
-            key = np.flatnonzero((re != 0) | (im != 0))
-            out = np.empty(key.size, dtype=complex)
-            out.real, out.imag = re[key], im[key]
+            present = np.zeros(span, dtype=bool)
+            present[flat] = True
+            key = np.flatnonzero(present)
+            rank = np.empty(span, dtype=index)
+            rank[key] = np.arange(key.size, dtype=index)
+            bins = rank[flat]
         else:
-            key, slot = np.unique(flat, return_inverse=True)
-            out = _bin_sums(slot, *products, key.size)
+            key, bins = np.unique(flat, return_inverse=True)
         keys.append(key + first * width)
-        sums.append(out)
+        panels.append((lo, hi, n, right, bins.astype(index, copy=False), key.size))
     row, col = np.divmod(np.concatenate(keys), width)
-    return _store(SparseOperator.__new__(SparseOperator), a.dim, row, col, np.concatenate(sums))
+    return row, col, tuple(panels)
+
+
+def _values(panels: tuple, a_amp: np.ndarray, b_amp: np.ndarray) -> np.ndarray:
+    """The values pass over a plan's panels: the sums of its output positions, zeros kept.
+
+    Each panel repeats a's amplitudes by count, gathers b's, forms the
+    terms by _products and sums them by _bin_sums.
+    """
+    sums = [np.zeros(0, dtype=complex)]
+    for lo, hi, count, right, bins, size in panels:
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects what overflowed
+            products = _products(np.repeat(a_amp[lo:hi], count), b_amp.take(right))
+        sums.append(_bin_sums(bins, *products, size))
+    return np.concatenate(sums)
 
 
 def _panels(row: np.ndarray, count: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -496,17 +549,61 @@ def power(op: SparseOperator, k: int) -> SparseOperator:
 
     The identity for k = 0; otherwise op, multiplied by op k - 1 times,
     so power(op, 1) is op and power(op, 2) is matmul(op, op), bit for
-    bit.  Each step reuses the previous power; once a power comes out
-    structurally zero all higher ones are too, so the loop stops early.
+    bit.  Each step runs its plan's values pass on the previous power's
+    values and applies the non-finite test; exact zeros stay as entries
+    until the last step, whose result alone passes the store rule's zero
+    drop.  A term with a zero factor is +-0, and adding +-0 to a sum that
+    starts at +0.0 leaves its bits unchanged, so the result is what
+    dropping them at each step would give, and the plans depend on op's
+    pattern alone, whatever the values cancel.  The plans of the last
+    pattern raised are remembered (_power_plans); once a power's pattern
+    is empty all higher ones are too, and no further plan is made.
     """
     if k < 0:
         raise ValueError(f"power needs k >= 0, got {k}")
-    out = op if k else SparseOperator.identity(op.dim)
-    for _ in range(k - 1):
-        if out.is_zero():
-            break
-        out = matmul(out, op)
-    return out
+    if k < 2:
+        return op if k else SparseOperator.identity(op.dim)
+    *steps, (row, col, panels) = _power_plans(op, k - 1)
+    amp = op._amp
+    for step_row, step_col, step_panels in steps:
+        amp = _values(step_panels, amp, op._amp)
+        _finite(step_row, step_col, amp)
+    return _store(SparseOperator.__new__(SparseOperator), op.dim, row, col,
+                  _values(panels, amp, op._amp))
+
+
+def _power_plans(op: SparseOperator, steps: int) -> tuple:
+    """The plans of op's powers 2 to steps + 1, fewer once a power's pattern is empty.
+
+    Plan s forms power s + 2 from the pattern of power s + 1 (op's for s
+    = 0) and op's.  The plans of the last pattern whose plans took at
+    most _REMEMBERED_PLAN_BYTES are kept with its dim and stored rows
+    and columns, and reused, and extended, for the next operator with
+    the same ones, compared byte for byte (dim and nnz first, so a
+    different pattern costs no copy).  The entry is replaced as one
+    tuple, so a concurrent caller reads the old one or the new one,
+    never a mix.  Plans beyond the bound are made afresh on each call
+    and nothing of them is kept.
+    """
+    global _last_plans
+    dim, nnz, row, col, plans = _last_plans
+    if not (dim == op.dim and nnz == op.nnz and row == op._row.tobytes()
+            and col == op._col.tobytes()):
+        plans = ()
+    known = plans
+    while len(plans) < steps and (not plans or plans[-1][0].size):
+        a_row, a_col = plans[-1][:2] if plans else (op._row, op._col)
+        plans += (_plan(a_row, a_col, op),)
+    if plans is not known and _plan_bytes(op, plans) <= _REMEMBERED_PLAN_BYTES:
+        _last_plans = (op.dim, op.nnz, op._row.tobytes(), op._col.tobytes(), plans)
+    return plans[:steps]
+
+
+def _plan_bytes(op: SparseOperator, plans: tuple) -> int:
+    """Bytes that remembering op's plans keeps alive: their arrays and op's label bytes."""
+    arrays = [array for row, col, panels in plans
+              for array in (row, col, *(part for panel in panels for part in panel[2:5]))]
+    return 2 * op._row.nbytes + sum(array.nbytes for array in arrays)
 
 
 def operator_norm(op: SparseOperator, kind: str = "inf") -> float:

@@ -61,3 +61,28 @@ def test_rejects_its_arguments(dim, density, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         random_dag_operator(dim, density, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("density, error, message", [
+    # an empty array once reached 0.0 <= density, which numpy below 2.2 only warns about
+    (np.array([]), TypeError, "density is not a number: array([], dtype=float64)"),
+    (np.array(0.5), TypeError, "density is not a number: array(0.5)"),
+    ("0.5", TypeError, "density is not a number: '0.5'"),
+    (True, TypeError, "density is not a number: True"),
+    (np.True_, TypeError, "density is not a number: "),
+    (0.5 + 0j, TypeError, "density is not a real number: (0.5+0j)"),
+    (np.complex64(0.5), TypeError, "density is not a real number: "),
+    (2**1024, ValueError, "density is an int beyond the float range"),
+])
+def test_density_passes_the_number_gate(density, error, message):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match=re.escape(message)):
+        random_dag_operator(5, density, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("density", [0, 1, np.int8(1), np.float32(0.25), np.float16(0.5)])
+def test_real_densities_of_any_number_type(density):
+    op = random_dag_operator(12, density, np.random.default_rng(7))
+    assert op == random_dag_operator(12, float(density), np.random.default_rng(7))

@@ -6,6 +6,7 @@ import cmath
 import math
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
 from bisect import bisect_right
@@ -1067,6 +1068,165 @@ def test_dyadic_powers_are_exact(op):
                 assert {(r, c): gaussian(a) for r, c, a in got.entries()} == want
 
 
+# power's memory of plans, as it is before any call
+NO_PLANS = (0, 0, b"", b"", ())
+
+
+def python_power(op: SparseOperator, k: int) -> dict:
+    """op^k, k >= 1, as python_product's chain forms it: exact zeros dropped at every step."""
+    want = stored_rows(op)
+    for _ in range(k - 1):
+        want = python_product(want, stored_rows(op))
+    return want
+
+
+def chain_outcome(op: SparseOperator, k: int):
+    """op^k, k >= 2, as a chain of matmul forms it, or its error, as outcome gives them."""
+    def chain():
+        out = op
+        for _ in range(k - 1):
+            out = matmul(out, op)
+        return out
+    return outcome(chain)
+
+
+def declared(dim: int, cells: list, values: list, shift: int = 0) -> SparseOperator:
+    """An operator on the cells k = (row - 1) * dim + col - 1, each column moved on by shift."""
+    return SparseOperator(dim, [(k // dim + 1, (k + shift) % dim + 1, value)
+                                for k, value in zip(cells, values)])
+
+
+@st.composite
+def patterns_with_values(draw, max_dim: int = 7):
+    """(dim, cells, generic, dyadic): a pattern, cycles allowed, and two value sets on it.
+
+    Generic values are complex of modulus 1/4 to 1.  Dyadic ones are +-1
+    and +-1/2, so an entry of T^2 that two paths reach often cancels
+    exactly, and no rounding hides a wrong term.
+    """
+    dim = draw(st.integers(1, max_dim))
+    cells = draw(st.lists(st.integers(0, dim * dim - 1), unique=True, max_size=dim * dim))
+    size = len(cells)
+    generic = draw(st.lists(st.complex_numbers(min_magnitude=0.25, max_magnitude=1.0,
+                                               allow_nan=False, allow_infinity=False),
+                            min_size=size, max_size=size))
+    dyadic = draw(st.lists(st.sampled_from([1.0, -1.0, 0.5, -0.5]), min_size=size, max_size=size))
+    return dim, cells, generic, dyadic
+
+
+@PROPERTY_SETTINGS
+@given(patterns_with_values())
+def test_remembered_plans_give_the_chain_bits(case):
+    # a fresh power builds and keeps the pattern's plans; the next ones, on
+    # the same pattern with other values, reuse them, or extend them for a
+    # higher power; a pattern with the same stored rows but other columns
+    # gets plans of its own
+    dim, cells, generic, dyadic = case
+    first, second = declared(dim, cells, generic), declared(dim, cells, dyadic)
+    sibling = declared(dim, cells, dyadic, shift=1)
+    with pytest.MonkeyPatch.context() as patch:
+        for k in range(2, 6):
+            patch.setattr(operators, "_last_plans", NO_PLANS)
+            assert_stores(power(first, k), python_power(first, k))
+            remembered = operators._last_plans
+            assert remembered is not NO_PLANS
+            for j in range(2, 6):
+                assert_stores(power(second, j), python_power(second, j))
+                if j <= k:
+                    assert operators._last_plans is remembered
+            assert_stores(power(sibling, k), python_power(sibling, k))
+
+
+@PROPERTY_SETTINGS
+@given(patterns_with_values(), st.sampled_from([1e110, 1e160]))
+def test_non_finite_intermediates_are_named_alike(case, scale):
+    # T^2 overflows at scale 1e160, T^3 at 1e110: the fresh and the
+    # remembered power raise as the chain of matmul does, naming its entry
+    dim, cells, generic, _ = case
+    op = declared(dim, cells, [value * scale for value in generic])
+    with pytest.MonkeyPatch.context() as patch:
+        for k in range(3, 6):
+            patch.setattr(operators, "_last_plans", NO_PLANS)
+            want = chain_outcome(op, k)
+            assert outcome(lambda: power(op, k)) == want
+            assert operators._last_plans is not NO_PLANS
+            assert outcome(lambda: power(op, k)) == want
+
+
+def test_cancelled_intermediates_keep_the_plan(monkeypatch):
+    # T^2 at (4, 1) cancels, and so does T^3 at (1, 1), which has terms
+    # only through it; the plans, made on the generic values, keep both
+    op = SparseOperator(4, [(2, 1, 1.0), (3, 1, 1.0), (4, 2, 1.0), (4, 3, -1.0), (1, 4, 1.0)])
+    generic = SparseOperator(4, [(2, 1, 1.0), (3, 1, 2.0), (4, 2, 1.0), (4, 3, -1.0), (1, 4, 1.0)])
+    monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
+    for k in range(2, 7):
+        assert_stores(power(generic, k), python_power(generic, k))
+        assert_stores(power(op, k), python_power(op, k))
+    assert (4, 1) in pattern(power(generic, 2)) and (4, 1) not in pattern(power(op, 2))
+    assert (1, 1) in pattern(power(generic, 3)) and (1, 1) not in pattern(power(op, 3))
+
+
+def test_threads_get_their_own_plans():
+    # the two patterns have the same stored rows and differ in their columns
+    first = random_operator(np.random.default_rng(67), 9, 0.35)
+    second = SparseOperator(9, [(row, col % 9 + 1, amp) for row, col, amp
+                                in zip(*stored_arrays(first))])
+    npt.assert_array_equal(first._row, second._row)
+    want = {id(op): python_power(op, 4) for op in (first, second)}
+    wrong = []
+    start = threading.Barrier(4, timeout=60)
+
+    def raise_both(one, other):
+        start.wait()
+        for _ in range(150):
+            for op in (one, other):
+                got = power(op, 4)
+                rows = [(row, col, amp) for row, cols in want[id(op)].items()
+                        for col, amp in cols.items()]
+                if list(zip(got._row.tolist(), got._col.tolist(), got._amp.tolist())) != rows:
+                    wrong.append(op)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=raise_both, args=(first, second) if k % 2
+                                    else (second, first)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+def test_plans_beyond_the_bound_are_not_kept(monkeypatch):
+    rng = np.random.default_rng(71)
+    small, large = random_operator(rng, 6, 0.4), random_operator(rng, 12, 0.4)
+    monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
+    power(small, 4)
+    plans = operators._last_plans[4]
+    need = operators._plan_bytes(small, plans)
+    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", need - 1)
+    monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
+    assert_stores(power(small, 4), python_power(small, 4))
+    assert operators._last_plans is NO_PLANS
+    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", need)
+    assert_stores(power(small, 4), python_power(small, 4))
+    kept = operators._last_plans
+    assert len(kept[4]) == 3
+    # a larger pattern's plans are made, used and dropped; the small one's stay
+    assert operators._plan_bytes(large, operators._power_plans(large, 1)) > need
+    assert operators._last_plans is kept
+    assert_stores(power(large, 4), python_power(large, 4))
+    assert operators._last_plans is kept
+    # a power of the small pattern beyond its plans extends them past the
+    # bound, so they are not kept either
+    assert_stores(power(small, 5), python_power(small, 5))
+    assert operators._last_plans is kept
+
+
 def lexsorted(op: SparseOperator) -> np.ndarray:
     return np.lexsort((op._col, op._row))
 
@@ -1430,9 +1590,9 @@ def test_shuffled_records_store_alike(case):
 
 # The transfer build has one path at every size.  Its two steps are held
 # to references formed here, over 1 to 120 levels and entries, on both
-# sides of the record loop's cut at _LOOP_RECORDS = 48, where they once
-# switched path: the level scan to numpy's gaps, moduli and reciprocals,
-# the row scaling to Python's products complex(g[r - 1]) * a.
+# sides of 48, the record loop's cut when they once switched path there:
+# the level scan to numpy's gaps, moduli and reciprocals, the row
+# scaling to Python's products complex(g[r - 1]) * a.
 ORDINARY = [1.0, -2.5, 0.75j, complex(1.5, -0.5), complex(-0.0, 3.0)]
 RESCALE = "rescale the Hamiltonian and energy"
 

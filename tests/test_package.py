@@ -88,14 +88,15 @@ ROLE = {
 
 # Private names one module imports from another: the kernels shared inside
 # the one sparse representation, the block solve the truncation reuses, the
-# CLI's term loop, and three input gates in place of local copies: the spec
-# loader's and the benchmark generator's dimension and the resolvent's G0
-# vector.  The loader's record lists enter through the public SparseOperator
+# CLI's term loop, and four input gates in place of local copies: the spec
+# loader's and the benchmark generator's dimension, the generator's density
+# and the resolvent's G0 vector.  The loader's record lists enter through the public SparseOperator
 # constructor.  The term loop stays private: `solve --order` prints every
 # term and sums them with np.sum, bits the goldens pin, while
 # born_approximation keeps a running sum that stops at the first zero term,
 # so neither serves the other, and a public loop would add a name to __all__.
 SEAMS = {
+    ("bench", "operators", "_number"),
     ("bench", "operators", "_size"),
     ("cli", "solver", "_born_terms"),
     ("solver", "graph", "_strong_components"),
