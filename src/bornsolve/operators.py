@@ -39,25 +39,28 @@ complex product is formed from four float products as Python forms it
 (_products), moduli come from hypot as Python's abs does, and bincount
 adds the terms of each bin in index order from 0.0, as a left-to-right
 loop does (_bin_sums); _apply and matmul share both.  A product is a
-pattern-only plan (_plan) and a values pass over it (_values), the
-symbolic and numeric phases of Gustavson's method.  The plan works in
-row panels of a, about _PANEL_TERMS terms each (_panels), so no array
-has (dim + 1)^2 bins, and holds per panel b's gather index and each
-term's bin, int32 where they fit: two indices a term of the whole
-product, while the values pass's temporaries follow a panel's terms.
-A panel's bins are the dense rank of its rows' flat keys, from a mark
-over all of them when dense enough, else from np.unique; each bin adds
-the same terms in the same order either way and whatever the panels,
-since a row never spans two.  matmul remembers nothing; power keeps the
-plans of the last pattern it raised, up to _REMEMBERED_PLAN_BYTES, as
-an energy or coupling scan keeps its operator's pattern.  Its powers
-between steps keep exact-zero sums as entries, so the plans follow the
-pattern alone; only the result drops them.  Sums in (row, col) order
-(_sorted) skip the lexsort when the entries are stored so, as products
-are.  An operator holds its three stored arrays and nothing derived
-from them; a caller that walks rows derives the row pointer once per
-call (_row_ptr), and one that walks columns the stable by-source index
-(_by_source).  Stable sorts by key: _stable_order.
+pattern-only plan (_plan) and a values pass over it (_sums), the
+symbolic and numeric phases of Gustavson's method, one row panel of a,
+about _PANEL_TERMS terms, at a time (_panels): a panel is planned,
+then summed, before the next is planned, so nothing larger than a
+panel's terms is held besides the output, and no array has (dim + 1)^2
+bins.  A panel's plan holds b's gather index and each term's bin,
+int32 where they fit, and its bins are the dense rank of its rows'
+flat keys, from a mark over all of them when dense enough, else from
+np.unique; each bin adds the same terms in the same order either way
+and whatever the panels, since a row never spans two.  matmul
+remembers nothing; power keeps the plans of the first steps of the
+last pattern it raised, while they take at most
+_REMEMBERED_PLAN_BYTES, as an energy or coupling scan keeps its
+operator's pattern, and holds no other step's plan beyond its own
+step.  Its powers between steps keep exact-zero sums as entries, so
+the plans follow the pattern alone; only the result drops them, and
+a power whose values are all zero ends the steps.  Sums in (row, col)
+order (_sorted) skip the lexsort when the entries are stored so, as
+products are.  An operator holds its three stored arrays and nothing
+derived from them; a caller that walks rows derives the row pointer
+once per call (_row_ptr), and one that walks columns the stable
+by-source index (_by_source).  Stable sorts by key: _stable_order.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ NORM_KINDS = ("inf", "one", "fro")
 # Xeon VM, one core pinned).  No workload's list lies near the cut.
 _LOOP_RECORDS = 40
 
-# _plan ranks a panel's flat keys (row - first row) * (dim + 1) + col by
+# _bins ranks a panel's flat keys (row - first row) * (dim + 1) + col by
 # marking the present ones in an array over all of them, with no sort,
 # when there are at most this many keys a term; else by np.unique, which
 # sorts them.  The mark won at up to 8.3 keys a term and lost from 10 on
@@ -101,11 +104,12 @@ _FLAT_BINS = 8
 # requests fastest, tied within noise (2-core Xeon VM; BENCH_row_panels.json).
 _PANEL_TERMS = 16384
 
-# power remembers the plans of the last pattern it raised when they, with
-# the pattern's labels, take at most this many bytes: about two int32
-# indices a term and two intp labels an output entry, so the 8 MiB keep
-# some million terms alive between calls.
-_REMEMBERED_PLAN_BYTES = 8 << 20
+# power remembers the plans of its first steps on the last pattern it
+# raised while they, with the pattern's labels, take at most this many
+# bytes: two int32 indices a term and two intp labels an output entry.
+# resolvent_truncation's T^4 needs 2.05 MB of them (T^2 to T^4, dim 300,
+# 2290 entries); the bound is about twice that.
+_REMEMBERED_PLAN_BYTES = 4 << 20
 
 # (dim, nnz, _row bytes, _col bytes, plans) of that pattern
 _last_plans: tuple[int, int, bytes, bytes, tuple] = (0, 0, b"", b"", ())
@@ -459,8 +463,9 @@ def _bin_sums(bins: np.ndarray, re: np.ndarray, im: np.ndarray, size: int) -> np
 def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """Sparse operator product a b, row by row (Gustavson), stored by (row, col).
 
-    The product is its pattern's plan (_plan), then a values pass over it
-    (_values) and the store rule; nothing is remembered.  Every term
+    The product is planned (_plan) and summed (_sums) one row panel at a
+    time, then passes the store rule; nothing is remembered, and nothing
+    larger than a panel's terms is held besides the output.  Every term
     a[row, mid] b[mid, col] is formed by _products, a's entries in
     storage order and each followed through b's row mid in storage order.
     An output entry sums its terms in that order from 0, in a bin of its
@@ -469,66 +474,108 @@ def matmul(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     """
     if a.dim != b.dim:
         raise DimensionError(f"cannot multiply dimension {a.dim} by {b.dim}")
-    row, col, panels = _plan(a._row, a._col, b)
-    return _store(SparseOperator.__new__(SparseOperator), a.dim, row, col,
-                  _values(panels, a._amp, b._amp))
+    row, col, amp, _ = _planned(a._row, a._col, a._amp, b, -1)
+    return _store(SparseOperator.__new__(SparseOperator), a.dim, row, col, amp)
 
 
-def _plan(a_row: np.ndarray, a_col: np.ndarray, b: SparseOperator) -> tuple:
-    """The pattern-only half of a b for a's stored rows and columns: (row, col, panels).
+def _plan(a_row: np.ndarray, a_col: np.ndarray, b: SparseOperator) -> Iterator[tuple]:
+    """The pattern-only half of a b for a's stored rows and columns, one panel at a time.
 
-    row and col are every position some term reaches, by (row, col),
-    whatever its sum.  a's rows are cut into panels of about _PANEL_TERMS
-    terms, never inside a row (_panels), and each panel is planned as
-    (lo, hi, count, right, bins, size): a's entries lo:hi, each repeated
-    count times, meet b's entries right; term t goes to the panel's bin
-    bins[t] of size, its output positions in order.  Bins are the dense
-    rank of the panel's flat keys (row - first row) * (dim + 1) + col:
-    from a mark of the present ones in an array over all keys, with no
-    sort, when there are at most _FLAT_BINS keys a term, else from
-    np.unique.  Indices are int32 where they fit.
+    a's rows are cut into panels of about _PANEL_TERMS terms, never inside
+    a row (_panels).  Each panel is yielded as ((lo, hi, count, right,
+    bins, size), keys): a's entries lo:hi, each repeated count times,
+    meet b's entries right; term t goes to the panel's bin bins[t] of
+    size, whose flat keys row * (dim + 1) + col are keys, in order,
+    whatever their sums (_bins).  Indices are int32 where they fit.
     """
     ptr = b._row_ptr()
     start = ptr[a_col - 1]
     count = ptr[a_col] - start
     index = np.int32 if max(int(count.sum()), b.nnz) <= np.iinfo(np.int32).max else np.intp
-    width = b.dim + 1
-    keys, panels = [np.zeros(0, dtype=np.intp)], []
     for lo, hi in _panels(a_row, count):
         n = count[lo:hi]
         right = np.repeat((start[lo:hi] - (np.cumsum(n) - n)).astype(index), n)
         right += np.arange(right.size, dtype=index)
-        first = a_row[lo]
-        flat = np.repeat((a_row[lo:hi] - first) * width, n)
-        flat += b._col.take(right)
-        span = (a_row[hi - 1] - first + 1) * width
-        if span <= _FLAT_BINS * flat.size:
-            present = np.zeros(span, dtype=bool)
-            present[flat] = True
-            key = np.flatnonzero(present)
-            rank = np.empty(span, dtype=index)
-            rank[key] = np.arange(key.size, dtype=index)
-            bins = rank[flat]
-        else:
-            key, bins = np.unique(flat, return_inverse=True)
-        keys.append(key + first * width)
-        panels.append((lo, hi, n, right, bins.astype(index, copy=False), key.size))
-    row, col = np.divmod(np.concatenate(keys), width)
-    return row, col, tuple(panels)
+        keys, bins = _bins(a_row[lo:hi], n, b._col.take(right), b.dim + 1, index)
+        yield (lo, hi, n, right, bins, keys.size), keys
+
+
+def _bins(row: np.ndarray, count: np.ndarray, col: np.ndarray, width: int, index) -> tuple:
+    """A panel's distinct flat keys row * width + col, in order, and each term's bin among them.
+
+    Term t pairs row r, repeated count times, with col[t].  Bins are the
+    dense rank of the keys: from a mark of the present ones in an array
+    over all of the panel's rows' keys, with no sort, when there are at
+    most _FLAT_BINS keys a term, else from np.unique.  The bins are of
+    dtype index; the temporaries die on return, before the values pass.
+    """
+    first = row[0]
+    flat = np.repeat((row - first) * width, count)
+    flat += col
+    span = (row[-1] - first + 1) * width
+    if span <= _FLAT_BINS * flat.size:
+        present = np.zeros(span, dtype=bool)
+        present[flat] = True
+        keys = np.flatnonzero(present)
+        rank = np.empty(span, dtype=index)
+        rank[keys] = np.arange(keys.size, dtype=index)
+        bins = rank[flat]
+    else:
+        keys, bins = np.unique(flat, return_inverse=True)
+    return keys + first * width, bins.astype(index, copy=False)
+
+
+def _sums(panel: tuple, a_amp: np.ndarray, b_amp: np.ndarray) -> np.ndarray:
+    """The values pass over one planned panel: its bins' sums, zeros kept.
+
+    It repeats a's amplitudes by count, gathers b's, forms the terms by
+    _products and sums them by _bin_sums.
+    """
+    lo, hi, count, right, bins, size = panel
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects what overflowed
+        products = _products(np.repeat(a_amp[lo:hi], count), b_amp.take(right))
+    return _bin_sums(bins, *products, size)
 
 
 def _values(panels: tuple, a_amp: np.ndarray, b_amp: np.ndarray) -> np.ndarray:
-    """The values pass over a plan's panels: the sums of its output positions, zeros kept.
+    """The values pass over a remembered plan's panels: its sums, zeros kept."""
+    return np.concatenate([np.zeros(0, dtype=complex), *(_sums(p, a_amp, b_amp) for p in panels)])
 
-    Each panel repeats a's amplitudes by count, gathers b's, forms the
-    terms by _products and sums them by _bin_sums.
+
+def _planned(a_row, a_col, a_amp, b: SparseOperator, room: int) -> tuple:
+    """a b's positions and sums, zeros kept, planned and summed panel by panel, and its plan.
+
+    Returns (row, col, amp, plan).  plan is (row, col, panels), the
+    planned panels in order, when it takes at most room bytes
+    (_plan_bytes), else None: panels are collected only while their
+    running size stays within room, so beyond room bytes of them only
+    the panel at hand is held.
     """
-    sums = [np.zeros(0, dtype=complex)]
-    for lo, hi, count, right, bins, size in panels:
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite rejects what overflowed
-            products = _products(np.repeat(a_amp[lo:hi], count), b_amp.take(right))
-        sums.append(_bin_sums(bins, *products, size))
-    return np.concatenate(sums)
+    keys, sums = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
+    panels, size = [] if room >= 0 else None, 0
+    for panel, key in _plan(a_row, a_col, b):
+        keys.append(key)
+        sums.append(_sums(panel, a_amp, b._amp))
+        if panels is not None:
+            size += 2 * key.size * np.dtype(np.intp).itemsize + _panel_bytes(panel)
+            if size <= room:
+                panels.append(panel)
+            else:
+                panels = None
+    row, col = np.divmod(np.concatenate(keys), b.dim + 1)
+    plan = None if panels is None else (row, col, tuple(panels))
+    return row, col, np.concatenate(sums), plan
+
+
+def _panel_bytes(panel: tuple) -> int:
+    """Bytes of a planned panel's arrays: count, right and bins."""
+    return sum(part.nbytes for part in panel[2:5])
+
+
+def _plan_bytes(plan: tuple) -> int:
+    """Bytes of a plan's arrays: its output rows and columns and its panels'."""
+    row, col, panels = plan
+    return row.nbytes + col.nbytes + sum(map(_panel_bytes, panels))
 
 
 def _panels(row: np.ndarray, count: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -549,61 +596,61 @@ def power(op: SparseOperator, k: int) -> SparseOperator:
 
     The identity for k = 0; otherwise op, multiplied by op k - 1 times,
     so power(op, 1) is op and power(op, 2) is matmul(op, op), bit for
-    bit.  Each step runs its plan's values pass on the previous power's
+    bit.  Each step takes its plan from the remembered ones or plans it
+    afresh, panel by panel, runs the values pass on the previous power's
     values and applies the non-finite test; exact zeros stay as entries
     until the last step, whose result alone passes the store rule's zero
     drop.  A term with a zero factor is +-0, and adding +-0 to a sum that
     starts at +0.0 leaves its bits unchanged, so the result is what
     dropping them at each step would give, and the plans depend on op's
-    pattern alone, whatever the values cancel.  The plans of the last
-    pattern raised are remembered (_power_plans); once a power's pattern
-    is empty all higher ones are too, and no further plan is made.
+    pattern alone, whatever the values cancel.  Once a power's values are
+    all zero, its pattern empty or its sums cancelled, all higher powers
+    are zero too, and the steps stop.  Only one step's plan is held at a
+    time beyond those kept: the plans of the first steps, while they and
+    op's labels take at most _REMEMBERED_PLAN_BYTES, are remembered for
+    the next power of the same pattern (_remembered_plans).
     """
+    global _last_plans
     if k < 0:
         raise ValueError(f"power needs k >= 0, got {k}")
     if k < 2:
         return op if k else SparseOperator.identity(op.dim)
-    *steps, (row, col, panels) = _power_plans(op, k - 1)
-    amp = op._amp
-    for step_row, step_col, step_panels in steps:
-        amp = _values(step_panels, amp, op._amp)
-        _finite(step_row, step_col, amp)
-    return _store(SparseOperator.__new__(SparseOperator), op.dim, row, col,
-                  _values(panels, amp, op._amp))
+    remembered = _remembered_plans(op)
+    kept, room = [], _REMEMBERED_PLAN_BYTES - 2 * op._row.nbytes
+    row, col, amp = op._row, op._col, op._amp
+    try:
+        for step in range(k - 1):
+            if step:
+                _finite(row, col, amp)
+            if not amp.any():
+                break
+            if step < len(remembered):
+                row, col, panels = plan = remembered[step]
+                amp = _values(panels, amp, op._amp)
+            else:
+                row, col, amp, plan = _planned(row, col, amp, op, room if len(kept) == step else -1)
+            if plan is not None and len(kept) == step:
+                kept.append(plan)
+                room -= _plan_bytes(plan)
+    finally:  # the plans hold for op's pattern whatever its values, a non-finite one too
+        if len(kept) > len(remembered):
+            _last_plans = (op.dim, op.nnz, op._row.tobytes(), op._col.tobytes(), tuple(kept))
+    return _store(SparseOperator.__new__(SparseOperator), op.dim, row, col, amp)
 
 
-def _power_plans(op: SparseOperator, steps: int) -> tuple:
-    """The plans of op's powers 2 to steps + 1, fewer once a power's pattern is empty.
+def _remembered_plans(op: SparseOperator) -> tuple:
+    """The remembered plans of op's first powers if op has the remembered pattern, else ().
 
-    Plan s forms power s + 2 from the pattern of power s + 1 (op's for s
-    = 0) and op's.  The plans of the last pattern whose plans took at
-    most _REMEMBERED_PLAN_BYTES are kept with its dim and stored rows
-    and columns, and reused, and extended, for the next operator with
-    the same ones, compared byte for byte (dim and nnz first, so a
-    different pattern costs no copy).  The entry is replaced as one
-    tuple, so a concurrent caller reads the old one or the new one,
-    never a mix.  Plans beyond the bound are made afresh on each call
-    and nothing of them is kept.
+    Plan s forms power s + 2 from the pattern of power s + 1 (op's for
+    s = 0) and op's.  The pattern is op's dim and stored rows and
+    columns, compared byte for byte (dim and nnz first, so a different
+    pattern costs no copy).  power replaces the memory as one tuple, so
+    a concurrent caller reads the old one or the new one, never a mix.
     """
-    global _last_plans
     dim, nnz, row, col, plans = _last_plans
-    if not (dim == op.dim and nnz == op.nnz and row == op._row.tobytes()
-            and col == op._col.tobytes()):
-        plans = ()
-    known = plans
-    while len(plans) < steps and (not plans or plans[-1][0].size):
-        a_row, a_col = plans[-1][:2] if plans else (op._row, op._col)
-        plans += (_plan(a_row, a_col, op),)
-    if plans is not known and _plan_bytes(op, plans) <= _REMEMBERED_PLAN_BYTES:
-        _last_plans = (op.dim, op.nnz, op._row.tobytes(), op._col.tobytes(), plans)
-    return plans[:steps]
-
-
-def _plan_bytes(op: SparseOperator, plans: tuple) -> int:
-    """Bytes that remembering op's plans keeps alive: their arrays and op's label bytes."""
-    arrays = [array for row, col, panels in plans
-              for array in (row, col, *(part for panel in panels for part in panel[2:5]))]
-    return 2 * op._row.nbytes + sum(array.nbytes for array in arrays)
+    if dim == op.dim and nnz == op.nnz and row == op._row.tobytes() and col == op._col.tobytes():
+        return plans
+    return ()
 
 
 def operator_norm(op: SparseOperator, kind: str = "inf") -> float:

@@ -4,8 +4,9 @@ A cyclic transition graph leaves a residual beyond every finite
 truncation order.  The residual after order m is (I - T)^(-1) T^(m+1) phi
 whenever I - T is invertible.  The budget at order m holds the norms of
 T and of its (m+1)-th power, formed sparsely by operators.power, which
-remembers the product plans of the last pattern it raised: a scan of
-reports over energies or couplings on one pattern builds them once.
+remembers the product plans of the last pattern it raised, up to 4 MiB
+of them: a scan of reports over energies or couplings on one pattern
+builds them once.
 defect_norm is zero exactly when truncation at order m is exact.  The
 budget also holds the geometric bound ||T^(m+1)|| ||phi|| / (1 - ||T||)
 when ||T|| < 1, and the residual's norm, exactly: zero with no solve

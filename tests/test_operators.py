@@ -1117,10 +1117,10 @@ def patterns_with_values(draw, max_dim: int = 7):
 @PROPERTY_SETTINGS
 @given(patterns_with_values())
 def test_remembered_plans_give_the_chain_bits(case):
-    # a fresh power builds and keeps the pattern's plans; the next ones, on
-    # the same pattern with other values, reuse them, or extend them for a
-    # higher power; a pattern with the same stored rows but other columns
-    # gets plans of its own
+    # a fresh power builds and keeps the plans of the steps it runs; the
+    # next ones, on the same pattern with other values, reuse them, or
+    # extend them when they run more steps; a pattern with the same stored
+    # rows but other columns gets plans of its own
     dim, cells, generic, dyadic = case
     first, second = declared(dim, cells, generic), declared(dim, cells, dyadic)
     sibling = declared(dim, cells, dyadic, shift=1)
@@ -1129,12 +1129,18 @@ def test_remembered_plans_give_the_chain_bits(case):
             patch.setattr(operators, "_last_plans", NO_PLANS)
             assert_stores(power(first, k), python_power(first, k))
             remembered = operators._last_plans
-            assert remembered is not NO_PLANS
+            assert len(remembered[4]) == steps_run(first, k)
             for j in range(2, 6):
                 assert_stores(power(second, j), python_power(second, j))
-                if j <= k:
-                    assert operators._last_plans is remembered
+                extended = steps_run(second, j) > len(remembered[4])
+                assert (operators._last_plans is not remembered) == extended
+                remembered = operators._last_plans
             assert_stores(power(sibling, k), python_power(sibling, k))
+
+
+def steps_run(op: SparseOperator, k: int) -> int:
+    """How many products power(op, k), k >= 2, forms: one a power before the first zero one."""
+    return sum(bool(python_power(op, s)) for s in range(1, k))
 
 
 @PROPERTY_SETTINGS
@@ -1149,7 +1155,7 @@ def test_non_finite_intermediates_are_named_alike(case, scale):
             patch.setattr(operators, "_last_plans", NO_PLANS)
             want = chain_outcome(op, k)
             assert outcome(lambda: power(op, k)) == want
-            assert operators._last_plans is not NO_PLANS
+            assert (operators._last_plans is NO_PLANS) == op.is_zero()
             assert outcome(lambda: power(op, k)) == want
 
 
@@ -1207,24 +1213,82 @@ def test_plans_beyond_the_bound_are_not_kept(monkeypatch):
     monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
     power(small, 4)
     plans = operators._last_plans[4]
-    need = operators._plan_bytes(small, plans)
-    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", need - 1)
+    assert len(plans) == 3
+    # bytes that keeping the first one, two and three plans takes, op's labels included
+    need = [2 * small._row.nbytes + sum(map(operators._plan_bytes, plans[:s])) for s in (1, 2, 3)]
+    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", need[0] - 1)
     monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
     assert_stores(power(small, 4), python_power(small, 4))
     assert operators._last_plans is NO_PLANS
-    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", need)
+    # the first two steps' plans fit and are kept; the third is made, used
+    # and dropped on each call
+    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", need[2] - 1)
     assert_stores(power(small, 4), python_power(small, 4))
     kept = operators._last_plans
-    assert len(kept[4]) == 3
-    # a larger pattern's plans are made, used and dropped; the small one's stay
-    assert operators._plan_bytes(large, operators._power_plans(large, 1)) > need
+    assert len(kept[4]) == 2
+    assert_stores(power(small, 4), python_power(small, 4))
     assert operators._last_plans is kept
+    # a larger pattern whose first plan passes the bound leaves the small one's plans
+    first = operators._planned(large._row, large._col, large._amp, large, 1 << 40)[3]
+    assert operators._plan_bytes(first) > need[2]
     assert_stores(power(large, 4), python_power(large, 4))
     assert operators._last_plans is kept
-    # a power of the small pattern beyond its plans extends them past the
-    # bound, so they are not kept either
-    assert_stores(power(small, 5), python_power(small, 5))
-    assert operators._last_plans is kept
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that numpy and Python allocate during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_power_holds_one_step_beyond_the_kept_plans(monkeypatch):
+    # a 4000-cycle's powers all have 4000 entries, so a step costs the same
+    # at every k; a plan takes some 130 kB, and holding every step's plan
+    # would add that at each step
+    dim = 4000
+    cycle = SparseOperator(dim, [(col % dim + 1, col, 0.5) for col in range(1, dim + 1)])
+    monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
+    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", 0)
+    low, high = traced_peak(lambda: power(cycle, 3)), traced_peak(lambda: power(cycle, 40))
+    assert operators._last_plans is NO_PLANS
+    assert high < low + 50_000  # bytes
+    # on the resolvent benchmark's input, T^2 to T^12 grow from 2290 to
+    # 54102 entries: the peak beyond the last step's own product is the
+    # kept plans, within the bound
+    op = resolvent_like_input()
+    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", 4 << 20)
+    for k in (4, 8, 12):
+        before = power(op, k - 1)
+        step = traced_peak(lambda: matmul(before, op)) + 32 * before.nnz
+        monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
+        assert traced_peak(lambda: power(op, k)) < step + operators._REMEMBERED_PLAN_BYTES
+
+
+def test_products_with_many_terms_an_entry_stay_in_panels():
+    # 120 x 120 at density 0.9: 1.4 million terms, 14400 output entries;
+    # two indices a term of the whole product would take 11 MB
+    op = random_operator(np.random.default_rng(73), 120, 0.9)
+    peak = traced_peak(lambda: matmul(op, op))
+    assert peak < 4e6  # bytes
+
+
+def test_powers_whose_values_cancel_stop_at_once(monkeypatch):
+    # T^2 = 0 by values on a cyclic pattern: every higher power is the
+    # empty operator, after one step however high k is
+    op = SparseOperator(2, [(1, 1, 1.0), (1, 2, 1.0), (2, 1, -1.0), (2, 2, -1.0)])
+    monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
+    calls = []
+    planned = operators._planned
+    monkeypatch.setattr(operators, "_planned", lambda *args: calls.append(1) or planned(*args))
+    for k in (2, 3, 10**4):
+        got = power(op, k)
+        assert got.is_zero() and got.dim == 2
+    assert len(calls) == 1
+    assert len(operators._last_plans[4]) == 1
 
 
 def lexsorted(op: SparseOperator) -> np.ndarray:
