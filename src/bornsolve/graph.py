@@ -6,10 +6,10 @@ graph's edge list, grouped by target, and no separate graph is built.  An
 acyclic transition graph certifies that the operator is nilpotent with
 index depth + 1, where depth is the longest directed-path length; that
 certificate is structural and involves no floating-point test.
-Topological orders are by level, so by the pattern alone, and the last
-small operator's report is remembered by its pattern.  On a cyclic
-graph, the strongly connected components in sources-first order
-(_strong_components) order the solver's block solve.
+Topological orders are by level, so by the pattern alone, and the
+pattern memory of operators keeps a report for the next operator with
+that pattern.  On a cyclic graph, the strongly connected components in
+sources-first order (_strong_components) order the solver's block solve.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import SparseOperator
+from .operators import SparseOperator, _derived
 
 
 @dataclass(frozen=True)
@@ -36,40 +36,20 @@ class AcyclicityReport:
     witness_cycle: tuple[int, ...] | None = None
 
 
-# analyze_acyclicity remembers the report of the last operator of at most
-# this many states.  Its key holds the stored rows and columns, two intp
-# labels an entry, so at most 64^2 entries x 16 bytes = 64 KiB stay alive
-# between calls, however large the operators certified; unbounded, the last
-# of a stream of 25k-entry patterns that never repeat would stay alive.
-_REMEMBERED_STATES = 64
-
-# (dim, nnz, _row bytes, _col bytes, report) of that operator
-_last: tuple[int, int, bytes, bytes, AcyclicityReport | None] = (0, 0, b"", b"", None)
-
-
 def analyze_acyclicity(op: SparseOperator) -> AcyclicityReport:
     """Classify the operator's transition graph as acyclic or exhibit a directed cycle.
 
     The report follows from dim and the stored _row and _col alone, so
-    the last one for an operator of at most _REMEMBERED_STATES states is
-    kept with its pattern and returned again, the same object, for the
-    next operator of that dimension whose stored rows and columns are
-    equal byte for byte: an energy scan's transfer operators keep their
-    potential's pattern and are certified once.  dim and nnz are compared
-    first, so a different pattern costs no copy.  The entry is replaced
-    as one tuple, so a concurrent caller reads the old one or the new
-    one, never a mix.  A larger operator is certified afresh and nothing
-    of it is kept.
+    it is one of the facts the pattern memory keeps (operators._derived):
+    the next operator with that pattern, as an energy scan's transfer
+    operators keep their potential's, gets the same report object again.
     """
-    if op.dim > _REMEMBERED_STATES:
-        return _certify(op)
-    global _last
-    dim, nnz, row, col, report = _last
-    if dim == op.dim and nnz == op.nnz and row == op._row.tobytes() and col == op._col.tobytes():
-        return report
-    report = _certify(op)
-    _last = (op.dim, op.nnz, op._row.tobytes(), op._col.tobytes(), report)
-    return report
+    return _derived(op, _certify, _report_bytes)
+
+
+def _report_bytes(report: AcyclicityReport) -> int:
+    """Bytes the pattern memory counts for a report: 40 a label, a tuple slot and an int object."""
+    return 40 * len(report.topological_order or report.witness_cycle)
 
 
 def _certify(op: SparseOperator) -> AcyclicityReport:

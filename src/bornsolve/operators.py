@@ -48,19 +48,21 @@ bins.  A panel's plan holds b's gather index and each term's bin,
 int32 where they fit, and its bins are the dense rank of its rows'
 flat keys, from a mark over all of them when dense enough, else from
 np.unique; each bin adds the same terms in the same order either way
-and whatever the panels, since a row never spans two.  matmul
-remembers nothing; power keeps the plans of the first steps of the
-last pattern it raised, while they take at most
-_REMEMBERED_PLAN_BYTES, as an energy or coupling scan keeps its
-operator's pattern, and holds no other step's plan beyond its own
-step.  Its powers between steps keep exact-zero sums as entries, so
-the plans follow the pattern alone; only the result drops them, and
-a power whose values are all zero ends the steps.  Sums in (row, col)
-order (_sorted) skip the lexsort when the entries are stored so, as
-products are.  An operator holds its three stored arrays and nothing
-derived from them; a caller that walks rows derives the row pointer
-once per call (_row_ptr), and one that walks columns the stable
-by-source index (_by_source).  Stable sorts by key: _stable_order.
+and whatever the panels, since a row never spans two.  Between its
+steps, power keeps exact-zero sums as entries, so its plans follow the
+pattern alone; only the result drops them.  The one pattern memory
+(_derived) keeps what follows from a stored pattern alone, for the
+next operator with it, as an energy or coupling scan's operators share
+one: graph's certificate, solver's block layout and power's plans of
+its first steps; matmul remembers nothing.  It holds the last
+_REMEMBERED_PATTERNS patterns, most recent first, in _REMEMBERED_BYTES
+in all, keys included; a fact beyond that is derived, used and not
+kept.  Sums in (row, col) order (_sorted) skip the sort when the
+entries are stored so, as products are.  An operator holds its three
+stored arrays and nothing derived from them; a caller that walks rows
+derives the row pointer once per call (_row_ptr), and one that walks
+columns the stable by-source index (_by_source).  Stable sorts by key:
+_stable_order.
 """
 
 from __future__ import annotations
@@ -104,15 +106,15 @@ _FLAT_BINS = 8
 # requests fastest, tied within noise (2-core Xeon VM; BENCH_row_panels.json).
 _PANEL_TERMS = 16384
 
-# power remembers the plans of its first steps on the last pattern it
-# raised while they, with the pattern's labels, take at most this many
-# bytes: two int32 indices a term and two intp labels an output entry.
-# resolvent_truncation's T^4 needs 2.05 MB of them (T^2 to T^4, dim 300,
-# 2290 entries); the bound is about twice that.
-_REMEMBERED_PLAN_BYTES = 4 << 20
-
-# (dim, nnz, _row bytes, _col bytes, plans) of that pattern
-_last_plans: tuple[int, int, bytes, bytes, tuple] = (0, 0, b"", b"", ())
+# The pattern memory: ((dim, _row bytes, _col bytes), facts) of the last
+# _REMEMBERED_PATTERNS patterns, most recent first, facts mapping the function
+# that derived a fact to (fact, bytes).  Two, so that a scan alternating two
+# fixed operators, as resolvent_truncation alternates T and its cyclic one,
+# keeps both.  Their power needs 2.05 MB of plans (T^2 to T^4, dim 300, 2290
+# entries); the bound, copied labels included, is about twice that.
+_REMEMBERED_PATTERNS = 2
+_REMEMBERED_BYTES = 4 << 20
+_memory: tuple[tuple[tuple, dict], ...] = ()
 
 Entry = tuple[int, int, complex]
 
@@ -373,12 +375,15 @@ class SparseOperator:
 
         Rows never descend in storage order, so the entries are sorted
         when each one starts a new row or has a larger column than the one
-        before; products are stored so, and skip the lexsort.
+        before; products are stored so, and skip the sort.  Else two
+        stable passes, by column, then by row, give np.lexsort((col, row))'s
+        order: each (row, col) is stored once.
         """
         row, col = self._row, self._col
         if np.all((row[1:] > row[:-1]) | (col[1:] > col[:-1])):
             return slice(None)
-        return np.lexsort((col, row))
+        by_col = _stable_order(col, self.dim + 1)
+        return by_col[_stable_order(row[by_col], self.dim + 1)]
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -537,11 +542,6 @@ def _sums(panel: tuple, a_amp: np.ndarray, b_amp: np.ndarray) -> np.ndarray:
     return _bin_sums(bins, *products, size)
 
 
-def _values(panels: tuple, a_amp: np.ndarray, b_amp: np.ndarray) -> np.ndarray:
-    """The values pass over a remembered plan's panels: its sums, zeros kept."""
-    return np.concatenate([np.zeros(0, dtype=complex), *(_sums(p, a_amp, b_amp) for p in panels)])
-
-
 def _planned(a_row, a_col, a_amp, b: SparseOperator, room: int) -> tuple:
     """a b's positions and sums, zeros kept, planned and summed panel by panel, and its plan.
 
@@ -596,7 +596,7 @@ def power(op: SparseOperator, k: int) -> SparseOperator:
 
     The identity for k = 0; otherwise op, multiplied by op k - 1 times,
     so power(op, 1) is op and power(op, 2) is matmul(op, op), bit for
-    bit.  Each step takes its plan from the remembered ones or plans it
+    bit.  Each step takes its plan from the pattern memory or plans it
     afresh, panel by panel, runs the values pass on the previous power's
     values and applies the non-finite test; exact zeros stay as entries
     until the last step, whose result alone passes the store rule's zero
@@ -606,17 +606,16 @@ def power(op: SparseOperator, k: int) -> SparseOperator:
     pattern alone, whatever the values cancel.  Once a power's values are
     all zero, its pattern empty or its sums cancelled, all higher powers
     are zero too, and the steps stop.  Only one step's plan is held at a
-    time beyond those kept: the plans of the first steps, while they and
-    op's labels take at most _REMEMBERED_PLAN_BYTES, are remembered for
-    the next power of the same pattern (_remembered_plans).
+    time beyond those kept: the pattern memory keeps the first steps'
+    plans while they fit beside op's labels and its other facts.
     """
-    global _last_plans
     if k < 0:
         raise ValueError(f"power needs k >= 0, got {k}")
     if k < 2:
         return op if k else SparseOperator.identity(op.dim)
-    remembered = _remembered_plans(op)
-    kept, room = [], _REMEMBERED_PLAN_BYTES - 2 * op._row.nbytes
+    entry = _recall(op)
+    remembered, held = entry[1].get(power, ((), 0))
+    kept, room = [], _REMEMBERED_BYTES - _entry_bytes(entry) + held
     row, col, amp = op._row, op._col, op._amp
     try:
         for step in range(k - 1):
@@ -626,7 +625,7 @@ def power(op: SparseOperator, k: int) -> SparseOperator:
                 break
             if step < len(remembered):
                 row, col, panels = plan = remembered[step]
-                amp = _values(panels, amp, op._amp)
+                amp = np.concatenate([_sums(panel, amp, op._amp) for panel in panels])
             else:
                 row, col, amp, plan = _planned(row, col, amp, op, room if len(kept) == step else -1)
             if plan is not None and len(kept) == step:
@@ -634,23 +633,64 @@ def power(op: SparseOperator, k: int) -> SparseOperator:
                 room -= _plan_bytes(plan)
     finally:  # the plans hold for op's pattern whatever its values, a non-finite one too
         if len(kept) > len(remembered):
-            _last_plans = (op.dim, op.nnz, op._row.tobytes(), op._col.tobytes(), tuple(kept))
+            _remember(entry, power, tuple(kept), sum(map(_plan_bytes, kept)))
     return _store(SparseOperator.__new__(SparseOperator), op.dim, row, col, amp)
 
 
-def _remembered_plans(op: SparseOperator) -> tuple:
-    """The remembered plans of op's first powers if op has the remembered pattern, else ().
+def _derived(op: SparseOperator, derive, nbytes):
+    """derive(op), a fact of op's stored pattern alone, kept in the pattern memory.
 
-    Plan s forms power s + 2 from the pattern of power s + 1 (op's for
-    s = 0) and op's.  The pattern is op's dim and stored rows and
-    columns, compared byte for byte (dim and nnz first, so a different
-    pattern costs no copy).  power replaces the memory as one tuple, so
-    a concurrent caller reads the old one or the new one, never a mix.
+    The same object again while the memory keeps it; else derived and
+    kept, counted as nbytes(fact) bytes (_remember).
     """
-    dim, nnz, row, col, plans = _last_plans
-    if dim == op.dim and nnz == op.nnz and row == op._row.tobytes() and col == op._col.tobytes():
-        return plans
-    return ()
+    entry = _recall(op)
+    if derive in entry[1]:
+        return entry[1][derive][0]
+    fact = derive(op)
+    _remember(entry, derive, fact, nbytes(fact))
+    return fact
+
+
+def _recall(op: SparseOperator) -> tuple:
+    """The pattern memory's entry for op's pattern, made the most recent; a new, empty one if none.
+
+    A pattern is a dim and stored rows and columns, byte for byte; rows
+    of another length compare unequal at once.  The memory is replaced
+    whole, so a concurrent caller reads the old one or the new one.
+    """
+    global _memory
+    memory, key = _memory, (op.dim, op._row.tobytes(), op._col.tobytes())
+    if memory and memory[0][0] == key:
+        return memory[0]
+    for entry in memory[1:]:
+        if entry[0] == key:
+            _memory = (entry, *(other for other in memory if other is not entry))
+            return entry
+    return key, {}
+
+
+def _remember(entry: tuple, derive, fact, nbytes: int) -> None:
+    """Keep fact, counted as nbytes bytes, as what derive gives for the pattern of entry.
+
+    entry, as _recall gave it, comes first with the fact, then the other
+    patterns' entries, most recent first, while they number at most
+    _REMEMBERED_PATTERNS and take at most _REMEMBERED_BYTES in all; if
+    it alone passes the bound, the memory stays and the fact is not kept.
+    """
+    global _memory
+    kept = ((entry[0], {**entry[1], derive: (fact, nbytes)}),)
+    if _entry_bytes(kept[0]) > _REMEMBERED_BYTES:
+        return
+    for other in _memory:
+        if len(kept) < _REMEMBERED_PATTERNS and other[0] != entry[0]:
+            if sum(map(_entry_bytes, (*kept, other))) <= _REMEMBERED_BYTES:
+                kept += (other,)
+    _memory = kept
+
+
+def _entry_bytes(entry: tuple) -> int:
+    """Bytes of a memory entry: its copied labels and its facts as counted."""
+    return len(entry[0][1]) + len(entry[0][2]) + sum(size for _, size in entry[1].values())
 
 
 def operator_norm(op: SparseOperator, kind: str = "inf") -> float:

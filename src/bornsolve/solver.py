@@ -15,7 +15,9 @@ over the strongly connected components of T (_block_solve), where a
 component with a cycle or a self-loop is a dense block.  det(I - T) of
 any operator is the product of those blocks' determinants, from one
 slogdet per block, and I - T counts as singular when that determinant
-fails the dense oracle's test.
+fails the dense oracle's test.  The components and each block's entries
+(_layout) follow from T's pattern alone and the pattern memory keeps
+them; each call forms the blocks from its own values.
 The term loop, which applies T once per order, makes the Born terms on
 demand and the truncations of any operator.  A dense LU route is kept
 alongside as an independent cross-check; it shares none of this code.
@@ -32,8 +34,8 @@ import numpy as np
 
 from .errors import DimensionError, NotNilpotentError, SingularError
 from .graph import _strong_components, analyze_acyclicity
-from .operators import (SparseOperator, _apply, _bin_sums, _products, _stable_order, _state,
-                        as_state_vector)
+from .operators import (SparseOperator, _apply, _bin_sums, _derived, _products, _stable_order,
+                        _state, as_state_vector)
 
 # Smallest |det(I - T)| the dense oracle accepts.  Pivot-versus-scale
 # tests misfire here: graded systems put legitimate pivots many orders
@@ -99,9 +101,9 @@ def make_system(operator: SparseOperator) -> AcyclicSystem:
     Raises NotNilpotentError, carrying a witness cycle, when the graph is
     cyclic.  The certificate is purely structural: no power of the
     operator is formed and no floating-point comparison is involved.  So
-    analyze_acyclicity returns a small operator's certificate again for
-    the next one with the same stored pattern, as an energy scan's
-    transfer operators have; the system always holds the operator given.
+    analyze_acyclicity returns an operator's certificate again for the
+    next one with the same stored pattern, as an energy scan's transfer
+    operators have; the system always holds the operator given.
     """
     report = analyze_acyclicity(operator)
     if not report.is_acyclic:
@@ -199,34 +201,18 @@ def _sweep(order: Iterable[int], ptr: list[int], index: np.ndarray,
     return x
 
 
-@dataclass(frozen=True, eq=False)
-class _BlockStructure:
-    """I - T in block lower triangular form, over T's strong components (Duff & Reid 1978).
+def _layout(op: SparseOperator) -> tuple:
+    """T's strong components as the steps of a block forward substitution (Duff & Reid 1978).
 
-    components come sources first, each listing its states ascending;
-    at[j] is state j's place in its component.  blocks maps each
-    component with a cycle or a self-loop to its dense rows of I - T, in
-    label order, and the indices of the stored entries flowing into it.
-    det(I - T) = sign * exp(log_det), over the blocks' slogdets; a
-    single state with no self-loop contributes exactly 1.
+    They follow from T's pattern alone, so the pattern memory keeps them.
+    Sources first, a maximal run of single states with no self-loop is a
+    list of their labels, one _sweep; any other component is a block
+    (rows, own, at_row, at_col, inflow, inflow_at): its 0-based states,
+    its stored entries and their places in it, and the entries flowing
+    into it from earlier components and their rows' places.
     """
-
-    components: list[list[int]]
-    at: np.ndarray
-    blocks: dict[int, tuple[np.ndarray, np.ndarray]]
-    sign: complex
-    log_det: float
-
-    @property
-    def det(self) -> complex:
-        """det(I - T); exactly 1 + 0j when no component is a block."""
-        return complex(self.sign * np.exp(self.log_det))
-
-
-def _block_structure(op: SparseOperator) -> _BlockStructure:
-    """Components, blocks and det(I - T) of an operator; one slogdet per block."""
     components = _strong_components(op)
-    row, col, amp = op._row, op._col, op._amp
+    row, col = op._row, op._col
     sizes = np.array([len(states) for states in components])
     labels = np.fromiter(chain.from_iterable(components), dtype=np.intp, count=op.dim)
     of = np.empty(op.dim + 1, dtype=np.intp)  # each state's component ...
@@ -237,47 +223,68 @@ def _block_structure(op: SparseOperator) -> _BlockStructure:
     # entries grouped by their row's component, in storage order within it
     grouped = _stable_order(of[row], sizes.size)
     bounds = list(accumulate(np.bincount(of[row], minlength=sizes.size).tolist(), initial=0))
-    sign, log_det = 1 + 0j, 0.0
-    blocks = {}
-    for k in np.unique(of[row[inner]]).tolist():  # components with a cycle or a self-loop
-        e = grouped[bounds[k]:bounds[k + 1]]
-        own = e[inner[e]]
-        block = np.eye(sizes[k], dtype=complex)  # I - T as the oracle forms it
-        block[at[row[own]], at[col[own]]] -= amp[own]
-        block_sign, block_log = np.linalg.slogdet(block)
-        sign *= block_sign
-        log_det += block_log
-        blocks[k] = block, e[~inner[e]]
-    return _BlockStructure(components, at, blocks, sign, log_det)
+    blocks = set(np.unique(of[row[inner]]).tolist())  # components with a cycle or a self-loop
+    steps: list = []
+    for k, states in enumerate(components):
+        if k in blocks:
+            e = grouped[bounds[k]:bounds[k + 1]]
+            own, inflow = e[inner[e]], e[~inner[e]]
+            steps.append((np.array(states) - 1, own, at[row[own]], at[col[own]],
+                          inflow, at[row[inflow]]))
+        elif steps and isinstance(steps[-1], list):
+            steps[-1] += states
+        else:
+            steps.append(list(states))
+    return tuple(steps)
+
+
+def _layout_bytes(steps: tuple) -> int:
+    """Bytes the pattern memory counts for a layout: its blocks' arrays, 40 a state in a run."""
+    return sum(40 * len(s) if isinstance(s, list) else sum(a.nbytes for a in s) for s in steps)
+
+
+def _dense_blocks(op: SparseOperator, steps: tuple) -> tuple[list[np.ndarray], complex, float]:
+    """The blocks' rows of I - T from op's values, in the steps' order, and det(I - T).
+
+    Returns (blocks, sign, log_det), det = sign * exp(log_det) from one slogdet a block.
+    """
+    dense, sign, log_det = [], 1 + 0j, 0.0
+    for step in steps:
+        if isinstance(step, tuple):
+            rows, own, at_row, at_col, _, _ = step
+            a = np.eye(rows.size, dtype=complex)  # I - T as the oracle forms it
+            a[at_row, at_col] -= op._amp[own]
+            block_sign, block_log = np.linalg.slogdet(a)
+            sign *= block_sign
+            log_det += block_log
+            dense.append(a)
+    return dense, sign, log_det
 
 
 def _block_solve(op: SparseOperator, x: np.ndarray) -> np.ndarray:
     """Overwrite x with (I - T)^(-1) x, by forward substitution over T's components.
 
-    With its strongly connected components in sources-first order,
-    I - T is block lower triangular (Duff & Reid 1978).  A single state
-    with no self-loop is a step of _sweep, the acyclic solve's own
-    loop.  Every other component, a self-loop state included, is a
-    block: it adds its inflow from finished states, then takes one dense
-    solve of its own rows, in label order.  Before any solve, the
-    blocks' log|det(I - T)| goes through the singularity test of
-    direct_solve_oracle.
+    Sources first, I - T is block lower triangular.  A run of single
+    states with no self-loop is one call of _sweep, the acyclic solve's
+    own loop; every other component, a self-loop state included, adds
+    its inflow from finished states, then takes one dense solve of its
+    rows.  Before any solve, the blocks' log|det(I - T)| goes through
+    the singularity test of direct_solve_oracle.
     """
-    structure = _block_structure(op)
-    _check_invertible(structure.log_det)
-    row, amp, at = op._row, op._amp, structure.at
-    ptr = op._row_ptr().tolist()
-    source = op._col - 1
-    for k, states in enumerate(structure.components):
-        if k not in structure.blocks:
-            _sweep(states, ptr, source, amp, x)
+    steps = _derived(op, _layout, _layout_bytes)
+    dense, _, log_det = _dense_blocks(op, steps)
+    _check_invertible(log_det)
+    amp, source, ptr = op._amp, op._col - 1, op._row_ptr().tolist()
+    blocks = iter(dense)  # in the steps' order
+    for step in steps:
+        if isinstance(step, list):
+            _sweep(step, ptr, source, amp, x)
             continue
-        block, e = structure.blocks[k]
-        rows = np.array(states) - 1
+        rows, _, _, _, inflow, inflow_at = step
         rhs = x[rows]
-        if e.size:
-            rhs += _bin_sums(at[row[e]], *_products(amp[e], x[source[e]]), rows.size)
-        x[rows] = np.linalg.solve(block, rhs)
+        if inflow.size:
+            rhs += _bin_sums(inflow_at, *_products(amp[inflow], x[source[inflow]]), rows.size)
+        x[rows] = np.linalg.solve(next(blocks), rhs)
     return x
 
 
@@ -287,7 +294,8 @@ def det_i_minus_t(operator: SparseOperator) -> complex:
     Exactly 1 + 0j for an acyclic T, where no component is a block; no
     dense matrix of the whole operator is formed.
     """
-    return _block_structure(operator).det
+    _, sign, log_det = _dense_blocks(operator, _derived(operator, _layout, _layout_bytes))
+    return complex(sign * np.exp(log_det))
 
 
 def det_check(system: AcyclicSystem) -> complex:

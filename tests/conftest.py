@@ -10,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 from hypothesis import strategies as st
 
+from bornsolve import operators
 from bornsolve.operators import SparseOperator, operator_norm
 from oracles import scaled
 
@@ -24,6 +25,11 @@ def assert_same_bits(got, want) -> None:
     """Equal values and equal signs, so -0.0 and 0.0 count as different."""
     npt.assert_array_equal(got, want)
     npt.assert_array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+def forget() -> None:
+    """Empty the pattern memory, so that nothing derived from a test operator's pattern is kept."""
+    operators._memory = ()
 
 
 def random_phase(rng) -> complex:

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 
 from bornsolve.errors import NotNilpotentError
-from bornsolve.graph import _REMEMBERED_STATES, _strong_components, analyze_acyclicity
+from bornsolve import operators
+from bornsolve.graph import _strong_components, analyze_acyclicity
 from bornsolve.operators import SparseOperator, build_transfer_operator, power
 from bornsolve.scenarios import WeightedPath
 from bornsolve.solver import make_system
 from bornsolve.specfile import parse_spec, spec_to_operator
-from conftest import planted_blocks, random_dag, random_operator
+from conftest import forget, planted_blocks, random_dag, random_operator
 from oracles import (
     TooManyPathsError,
     TransitionGraph,
@@ -303,13 +304,8 @@ def assert_brute_force_levels(op, report):
     assert report.depth == max(levels.values())
 
 
-def forget() -> None:
-    """Certify a one-state pattern, so that no test operator's is remembered."""
-    analyze_acyclicity(SparseOperator(1))
-
-
 class TestRememberedCertificate:
-    """analyze_acyclicity returns a small pattern's report again, and only for that pattern."""
+    """analyze_acyclicity returns a remembered pattern's report again, and only for that pattern."""
 
     def test_hit_equals_miss(self):
         # a transfer operator keeps its potential's stored pattern: the same
@@ -390,25 +386,34 @@ class TestRememberedCertificate:
         assert second.depth == 2
         assert list(second.operator.entries()) == list(b.entries()) != list(a.entries())
 
-    def test_only_small_patterns_are_kept(self):
-        large = random_dag(np.random.default_rng(89), _REMEMBERED_STATES + 1)
-        kept = weakref.ref(large._row)
-        assert analyze_acyclicity(large).is_acyclic
+    def test_only_small_patterns_are_kept(self, monkeypatch):
+        # a pattern whose labels and report pass the memory's bound is
+        # certified, and nothing of it is kept; nor is the operator's array
+        # of a small one, whose report is kept until two others evict it
+        monkeypatch.setattr(operators, "_REMEMBERED_BYTES", 1000)
+        large = random_dag(np.random.default_rng(89), 65)
+        forget()
+        kept = weakref.ref(large._row), weakref.ref(analyze_acyclicity(large))
+        assert operators._memory == ()
         del large
         gc.collect()
-        assert kept() is None
+        assert kept[0]() is None and kept[1]() is None
         small = SparseOperator(3, [(2, 1, 1.0), (3, 2, 1.0)])
-        kept = weakref.ref(small._row)
-        analyze_acyclicity(small)
+        kept = weakref.ref(small._row), weakref.ref(analyze_acyclicity(small))
         del small
-        analyze_acyclicity(SparseOperator(3, [(3, 1, 1.0)]))
         gc.collect()
-        assert kept() is None
+        assert kept[0]() is None and kept[1]() is not None
+        analyze_acyclicity(SparseOperator(3, [(3, 1, 1.0)]))
+        analyze_acyclicity(SparseOperator(3, [(3, 2, 1.0)]))
+        gc.collect()
+        assert kept[1]() is None
 
-    def test_a_large_operator_is_not_remembered(self):
-        # it neither hits nor replaces the small entry
+    def test_a_large_operator_is_not_remembered(self, monkeypatch):
+        # one that passes the bound neither hits nor replaces the small entry
+        monkeypatch.setattr(operators, "_REMEMBERED_BYTES", 1000)
         small = SparseOperator(3, [(2, 1, 1.0), (3, 2, 1.0)])
-        large = random_dag(np.random.default_rng(97), _REMEMBERED_STATES + 1)
+        large = random_dag(np.random.default_rng(97), 65)
+        forget()
         remembered = analyze_acyclicity(small)
         assert analyze_acyclicity(large) is not analyze_acyclicity(large)
         assert analyze_acyclicity(small) is remembered

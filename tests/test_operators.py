@@ -1068,8 +1068,12 @@ def test_dyadic_powers_are_exact(op):
                 assert {(r, c): gaussian(a) for r, c, a in got.entries()} == want
 
 
-# power's memory of plans, as it is before any call
-NO_PLANS = (0, 0, b"", b"", ())
+def kept_plans(op: SparseOperator) -> tuple:
+    """The plans the pattern memory holds for op's pattern; () if none."""
+    for key, facts in operators._memory:
+        if key == (op.dim, op._row.tobytes(), op._col.tobytes()):
+            return facts.get(power, ((), 0))[0]
+    return ()
 
 
 def python_power(op: SparseOperator, k: int) -> dict:
@@ -1126,15 +1130,15 @@ def test_remembered_plans_give_the_chain_bits(case):
     sibling = declared(dim, cells, dyadic, shift=1)
     with pytest.MonkeyPatch.context() as patch:
         for k in range(2, 6):
-            patch.setattr(operators, "_last_plans", NO_PLANS)
+            patch.setattr(operators, "_memory", ())
             assert_stores(power(first, k), python_power(first, k))
-            remembered = operators._last_plans
-            assert len(remembered[4]) == steps_run(first, k)
+            remembered = kept_plans(first)
+            assert len(remembered) == steps_run(first, k)
             for j in range(2, 6):
                 assert_stores(power(second, j), python_power(second, j))
-                extended = steps_run(second, j) > len(remembered[4])
-                assert (operators._last_plans is not remembered) == extended
-                remembered = operators._last_plans
+                extended = steps_run(second, j) > len(remembered)
+                assert (kept_plans(second) is not remembered) == extended
+                remembered = kept_plans(second)
             assert_stores(power(sibling, k), python_power(sibling, k))
 
 
@@ -1152,10 +1156,10 @@ def test_non_finite_intermediates_are_named_alike(case, scale):
     op = declared(dim, cells, [value * scale for value in generic])
     with pytest.MonkeyPatch.context() as patch:
         for k in range(3, 6):
-            patch.setattr(operators, "_last_plans", NO_PLANS)
+            patch.setattr(operators, "_memory", ())
             want = chain_outcome(op, k)
             assert outcome(lambda: power(op, k)) == want
-            assert (operators._last_plans is NO_PLANS) == op.is_zero()
+            assert (operators._memory == ()) == op.is_zero()
             assert outcome(lambda: power(op, k)) == want
 
 
@@ -1164,7 +1168,7 @@ def test_cancelled_intermediates_keep_the_plan(monkeypatch):
     # only through it; the plans, made on the generic values, keep both
     op = SparseOperator(4, [(2, 1, 1.0), (3, 1, 1.0), (4, 2, 1.0), (4, 3, -1.0), (1, 4, 1.0)])
     generic = SparseOperator(4, [(2, 1, 1.0), (3, 1, 2.0), (4, 2, 1.0), (4, 3, -1.0), (1, 4, 1.0)])
-    monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
+    monkeypatch.setattr(operators, "_memory", ())
     for k in range(2, 7):
         assert_stores(power(generic, k), python_power(generic, k))
         assert_stores(power(op, k), python_power(op, k))
@@ -1210,29 +1214,29 @@ def test_threads_get_their_own_plans():
 def test_plans_beyond_the_bound_are_not_kept(monkeypatch):
     rng = np.random.default_rng(71)
     small, large = random_operator(rng, 6, 0.4), random_operator(rng, 12, 0.4)
-    monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
+    monkeypatch.setattr(operators, "_memory", ())
     power(small, 4)
-    plans = operators._last_plans[4]
+    plans = kept_plans(small)
     assert len(plans) == 3
     # bytes that keeping the first one, two and three plans takes, op's labels included
     need = [2 * small._row.nbytes + sum(map(operators._plan_bytes, plans[:s])) for s in (1, 2, 3)]
-    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", need[0] - 1)
-    monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
+    monkeypatch.setattr(operators, "_REMEMBERED_BYTES", need[0] - 1)
+    monkeypatch.setattr(operators, "_memory", ())
     assert_stores(power(small, 4), python_power(small, 4))
-    assert operators._last_plans is NO_PLANS
+    assert operators._memory == ()
     # the first two steps' plans fit and are kept; the third is made, used
     # and dropped on each call
-    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", need[2] - 1)
+    monkeypatch.setattr(operators, "_REMEMBERED_BYTES", need[2] - 1)
     assert_stores(power(small, 4), python_power(small, 4))
-    kept = operators._last_plans
-    assert len(kept[4]) == 2
+    kept = kept_plans(small)
+    assert len(kept) == 2
     assert_stores(power(small, 4), python_power(small, 4))
-    assert operators._last_plans is kept
+    assert kept_plans(small) is kept
     # a larger pattern whose first plan passes the bound leaves the small one's plans
     first = operators._planned(large._row, large._col, large._amp, large, 1 << 40)[3]
     assert operators._plan_bytes(first) > need[2]
     assert_stores(power(large, 4), python_power(large, 4))
-    assert operators._last_plans is kept
+    assert kept_plans(small) is kept
 
 
 def traced_peak(call) -> int:
@@ -1251,21 +1255,21 @@ def test_power_holds_one_step_beyond_the_kept_plans(monkeypatch):
     # would add that at each step
     dim = 4000
     cycle = SparseOperator(dim, [(col % dim + 1, col, 0.5) for col in range(1, dim + 1)])
-    monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
-    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", 0)
+    monkeypatch.setattr(operators, "_memory", ())
+    monkeypatch.setattr(operators, "_REMEMBERED_BYTES", 0)
     low, high = traced_peak(lambda: power(cycle, 3)), traced_peak(lambda: power(cycle, 40))
-    assert operators._last_plans is NO_PLANS
+    assert operators._memory == ()
     assert high < low + 50_000  # bytes
     # on the resolvent benchmark's input, T^2 to T^12 grow from 2290 to
     # 54102 entries: the peak beyond the last step's own product is the
     # kept plans, within the bound
     op = resolvent_like_input()
-    monkeypatch.setattr(operators, "_REMEMBERED_PLAN_BYTES", 4 << 20)
+    monkeypatch.setattr(operators, "_REMEMBERED_BYTES", 4 << 20)
     for k in (4, 8, 12):
         before = power(op, k - 1)
         step = traced_peak(lambda: matmul(before, op)) + 32 * before.nnz
-        monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
-        assert traced_peak(lambda: power(op, k)) < step + operators._REMEMBERED_PLAN_BYTES
+        monkeypatch.setattr(operators, "_memory", ())
+        assert traced_peak(lambda: power(op, k)) < step + operators._REMEMBERED_BYTES
 
 
 def test_products_with_many_terms_an_entry_stay_in_panels():
@@ -1280,7 +1284,7 @@ def test_powers_whose_values_cancel_stop_at_once(monkeypatch):
     # T^2 = 0 by values on a cyclic pattern: every higher power is the
     # empty operator, after one step however high k is
     op = SparseOperator(2, [(1, 1, 1.0), (1, 2, 1.0), (2, 1, -1.0), (2, 2, -1.0)])
-    monkeypatch.setattr(operators, "_last_plans", NO_PLANS)
+    monkeypatch.setattr(operators, "_memory", ())
     calls = []
     planned = operators._planned
     monkeypatch.setattr(operators, "_planned", lambda *args: calls.append(1) or planned(*args))
@@ -1288,7 +1292,7 @@ def test_powers_whose_values_cancel_stop_at_once(monkeypatch):
         got = power(op, k)
         assert got.is_zero() and got.dim == 2
     assert len(calls) == 1
-    assert len(operators._last_plans[4]) == 1
+    assert len(kept_plans(op)) == 1
 
 
 def lexsorted(op: SparseOperator) -> np.ndarray:
@@ -1296,7 +1300,7 @@ def lexsorted(op: SparseOperator) -> np.ndarray:
 
 
 class TestSortedOrder:
-    """The stored entries in (row, col) order, skipping the lexsort where they already are."""
+    """The stored entries in (row, col) order, skipping the sort where they already are."""
 
     def operators(self, rng):
         for _ in range(40):
@@ -1315,6 +1319,17 @@ class TestSortedOrder:
             if isinstance(order, np.ndarray):
                 assert order.dtype == np.intp
         assert taken == {False, True}
+
+    @PROPERTY_SETTINGS
+    @given(st.one_of(st.integers(1, 40), st.integers(65530, 65545)).flatmap(
+        lambda dim: st.tuples(st.just(dim), st.lists(st.tuples(st.integers(1, dim), st.integers(
+            1, dim)), unique=True, max_size=120))))
+    def test_two_stable_passes_are_the_lexsort(self, case):
+        # (row, col) pairs declared in any order, on either side of the
+        # 16-bit radix cut of _stable_order: the index is the lexsort's
+        dim, cells = case
+        op = SparseOperator(dim, [(row, col, 1.0) for row, col in cells])
+        npt.assert_array_equal(np.arange(op.nnz)[op._sorted()], lexsorted(op))
 
     def test_norms_entries_and_equality_as_with_the_lexsort(self):
         rng = np.random.default_rng(61)

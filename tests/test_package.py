@@ -87,7 +87,8 @@ ROLE = {
 }
 
 # Private names one module imports from another: the kernels shared inside
-# the one sparse representation, the block solve the truncation reuses, the
+# the one sparse representation, the pattern memory that keeps the
+# certificate and the block layout, the block solve the truncation reuses, the
 # CLI's term loop, and four input gates in place of local copies: the spec
 # loader's and the benchmark generator's dimension, the generator's density
 # and the resolvent's G0 vector.  The loader's record lists enter through the public SparseOperator
@@ -99,9 +100,11 @@ SEAMS = {
     ("bench", "operators", "_number"),
     ("bench", "operators", "_size"),
     ("cli", "solver", "_born_terms"),
+    ("graph", "operators", "_derived"),
     ("solver", "graph", "_strong_components"),
     ("solver", "operators", "_apply"),
     ("solver", "operators", "_bin_sums"),
+    ("solver", "operators", "_derived"),
     ("solver", "operators", "_products"),
     ("solver", "operators", "_stable_order"),
     ("solver", "operators", "_state"),

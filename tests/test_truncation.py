@@ -34,6 +34,7 @@ from bornsolve.truncation import (
 from conftest import (
     DYADIC,
     assert_same_bits,
+    forget,
     planted_blocks,
     random_dag,
     random_operator,
@@ -377,7 +378,7 @@ class TestExactRemainder:
         # second certificate is the remembered one
         op, _ = case
         op = SparseOperator(op.dim, [(r, c, abs(a)) for r, c, a in op.entries()])
-        analyze_acyclicity(SparseOperator(1))  # remember no pattern of these
+        forget()  # remember no pattern of these
         fresh, remembered = make_system(op), make_system(op)
         assert remembered.topological_order is fresh.topological_order
         powers = [rational_power(op, 0)]
