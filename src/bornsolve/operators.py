@@ -57,7 +57,9 @@ one: graph's certificate, solver's block layout and power's plans of
 its first steps; matmul remembers nothing.  It holds the last
 _REMEMBERED_PATTERNS patterns, most recent first, in _REMEMBERED_BYTES
 in all, keys included; a fact beyond that is derived, used and not
-kept.  Sums in (row, col) order (_sorted) skip the sort when the
+kept.  A pattern is kept from its second offer on: the first leaves a
+fingerprint of a few hundred bytes (_seen), so operators used once copy
+no labels.  Sums in (row, col) order (_sorted) skip the sort when the
 entries are stored so, as products are.  An operator holds its three
 stored arrays and nothing derived from them; a caller that walks rows
 derives the row pointer once per call (_row_ptr), and one that walks
@@ -111,10 +113,17 @@ _PANEL_TERMS = 16384
 # that derived a fact to (fact, bytes).  Two, so that a scan alternating two
 # fixed operators, as resolvent_truncation alternates T and its cyclic one,
 # keeps both.  Their power needs 2.05 MB of plans (T^2 to T^4, dim 300, 2290
-# entries); the bound, copied labels included, is about twice that.
+# entries); the bound, copied labels included, is about twice that.  A pattern
+# enters only at its second offer (a _remember call); its first leaves in
+# _seen, which holds the last _REMEMBERED_PATTERNS of them, its fingerprint:
+# dim, the byte count of its rows and the first and last 64 bytes of its rows
+# and of its columns.  Kept at first sight, deep_dag's 25k-entry draws, which
+# never repeat, each pinned 400 kB of labels: its peak RSS rose 81.2 -> 85.7
+# MB (2-core Xeon VM, one core pinned).
 _REMEMBERED_PATTERNS = 2
 _REMEMBERED_BYTES = 4 << 20
 _memory: tuple[tuple[tuple, dict], ...] = ()
+_seen: tuple[tuple, ...] = ()
 
 Entry = tuple[int, int, complex]
 
@@ -672,12 +681,21 @@ def _recall(op: SparseOperator) -> tuple:
 def _remember(entry: tuple, derive, fact, nbytes: int) -> None:
     """Keep fact, counted as nbytes bytes, as what derive gives for the pattern of entry.
 
-    entry, as _recall gave it, comes first with the fact, then the other
+    A pattern new to the memory leaves at its first offer only its
+    fingerprint in _seen, which admits it at the next; a fact is still
+    found by its pattern's whole key (_recall).  Once admitted, entry,
+    as _recall gave it, comes first with the fact, then the other
     patterns' entries, most recent first, while they number at most
     _REMEMBERED_PATTERNS and take at most _REMEMBERED_BYTES in all; if
     it alone passes the bound, the memory stays and the fact is not kept.
     """
-    global _memory
+    global _memory, _seen
+    if not entry[1]:  # an entry the memory holds has a fact
+        dim, row, col = entry[0]
+        mark = dim, len(row), row[:64] + row[-64:] + col[:64] + col[-64:]
+        if mark not in _seen:
+            _seen = (mark, *_seen[:_REMEMBERED_PATTERNS - 1])
+            return
     kept = ((entry[0], {**entry[1], derive: (fact, nbytes)}),)
     if _entry_bytes(kept[0]) > _REMEMBERED_BYTES:
         return

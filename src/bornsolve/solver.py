@@ -192,12 +192,20 @@ def _sweep(order: Iterable[int], ptr: list[int], index: np.ndarray,
     """The one substitution loop: x[j - 1] += amp @ x[index] over each state j's group.
 
     State j's group of entries sits at ptr[j - 1]:ptr[j] of index, the
-    0-based states it reads, and of amp, their amplitudes.
+    0-based states it reads, and of amp, their amplitudes.  A state's
+    groups of two or more entries go through np.dot, which runs @'s dot
+    kernel on two vectors without the matmul ufunc's dispatch, 0.3 us a
+    group.  A group of one entry, and a block's groups, keep @: np.dot
+    takes a 1-entry vector for a scalar and returns the bare product,
+    where @ adds it to +0.0 (so a -0.0 part becomes +0.0), and scales a
+    block's row by it with other roundings.
     """
+    at = np.matmul  # @ as a function
+    dot = np.dot if x.ndim == 1 else at
     for j in order:
         lo, hi = ptr[j - 1], ptr[j]
         if lo < hi:
-            x[j - 1] += amp[lo:hi] @ x[index[lo:hi]]
+            x[j - 1] += (dot if hi - lo > 1 else at)(amp[lo:hi], x[index[lo:hi]])
     return x
 
 

@@ -6,8 +6,9 @@ whenever I - T is invertible.  The budget at order m holds the norms of
 T and of its (m+1)-th power, formed sparsely by operators.power.  The
 power's plans and the solver's block layout follow from T's pattern
 alone, and operators' pattern memory keeps them for the last two
-patterns, up to 4 MiB in all: a scan of reports on one pattern, in
-alternation with another operator or not, derives them once.
+patterns, up to 4 MiB in all, from a pattern's second offer on: a scan
+of reports on one pattern, in alternation with another operator or
+not, derives them at most twice, in its first two reports.
 defect_norm is zero exactly when truncation at order m is exact.  The
 budget also holds the geometric bound ||T^(m+1)|| ||phi|| / (1 - ||T||)
 when ||T|| < 1, and the residual's norm, exactly: zero with no solve

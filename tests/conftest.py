@@ -29,7 +29,7 @@ def assert_same_bits(got, want) -> None:
 
 def forget() -> None:
     """Empty the pattern memory, so that nothing derived from a test operator's pattern is kept."""
-    operators._memory = ()
+    operators._memory = operators._seen = ()
 
 
 def random_phase(rng) -> complex:

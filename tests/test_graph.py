@@ -316,6 +316,7 @@ class TestRememberedCertificate:
             dim = int(rng.integers(1, 14))
             op = random_dag(rng, dim) if trial % 2 else random_operator(rng, dim, density=0.3)
             forget()
+            analyze_acyclicity(op)  # the first offer: the memory keeps a pattern from its second
             miss = analyze_acyclicity(op)
             hit = analyze_acyclicity(build_transfer_operator(np.zeros(dim), op, 2j))
             assert hit is miss
@@ -393,18 +394,21 @@ class TestRememberedCertificate:
         monkeypatch.setattr(operators, "_REMEMBERED_BYTES", 1000)
         large = random_dag(np.random.default_rng(89), 65)
         forget()
+        analyze_acyclicity(large)  # each pattern's first offer: kept from the second on
         kept = weakref.ref(large._row), weakref.ref(analyze_acyclicity(large))
         assert operators._memory == ()
         del large
         gc.collect()
         assert kept[0]() is None and kept[1]() is None
         small = SparseOperator(3, [(2, 1, 1.0), (3, 2, 1.0)])
+        analyze_acyclicity(small)
         kept = weakref.ref(small._row), weakref.ref(analyze_acyclicity(small))
         del small
         gc.collect()
         assert kept[0]() is None and kept[1]() is not None
-        analyze_acyclicity(SparseOperator(3, [(3, 1, 1.0)]))
-        analyze_acyclicity(SparseOperator(3, [(3, 2, 1.0)]))
+        for other in (SparseOperator(3, [(3, 1, 1.0)]), SparseOperator(3, [(3, 2, 1.0)])):
+            analyze_acyclicity(other)
+            analyze_acyclicity(other)
         gc.collect()
         assert kept[1]() is None
 
@@ -414,6 +418,8 @@ class TestRememberedCertificate:
         small = SparseOperator(3, [(2, 1, 1.0), (3, 2, 1.0)])
         large = random_dag(np.random.default_rng(97), 65)
         forget()
+        analyze_acyclicity(small)  # each pattern's first offer: kept from the second on
+        analyze_acyclicity(large)
         remembered = analyze_acyclicity(small)
         assert analyze_acyclicity(large) is not analyze_acyclicity(large)
         assert analyze_acyclicity(small) is remembered

@@ -1,10 +1,14 @@
-"""The one pattern memory: what is derived from a stored pattern alone, kept for the last two."""
+"""The one pattern memory: what is derived from a stored pattern alone, kept for the last two.
+
+A pattern is kept from its second offer on; its first leaves only a fingerprint.
+"""
 
 from __future__ import annotations
 
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornsolve import graph, operators, solver
+from bornsolve.bench import random_dag_operator
 from bornsolve.errors import SingularError
 from bornsolve.graph import analyze_acyclicity
 from bornsolve.operators import SparseOperator, power
@@ -66,6 +71,8 @@ def test_alternating_patterns_both_hit(monkeypatch):
              counting(monkeypatch, solver, "_strong_components"),
              counting(monkeypatch, operators, "_plan")]
     forget()
+    analyze_acyclicity(t)  # each pattern's first offer: kept from the second on
+    det_i_minus_t(c)
 
     def request(t_now, c_now):
         return repr((make_system(t_now).topological_order, det_check(make_system(t_now)),
@@ -85,6 +92,64 @@ def test_alternating_patterns_both_hit(monkeypatch):
             assert got == request(t_now, c_now)
 
 
+def test_offers_interleaved_are_kept_from_the_second_request(monkeypatch):
+    # T and C offered in turn, T, C, T, C a request: each is kept at its
+    # second offer, in the first request, so only the facts derived before
+    # then, T's certificate and C's plans, are derived again in the second,
+    # and none after; the fingerprints of both must outlast the other's offer
+    rng = np.random.default_rng(411)
+    t, c = random_dag(rng, 30, 0.2), random_operator(rng, 30, 0.08)
+    calls = [counting(monkeypatch, graph, "_certify"),
+             counting(monkeypatch, solver, "_strong_components"),
+             counting(monkeypatch, operators, "_plan")]
+    forget()
+
+    def request(t_now, c_now):
+        return repr((analyze_acyclicity(t_now), list(power(c_now, 4).entries()),
+                     det_i_minus_t(t_now), det_i_minus_t(c_now)))
+
+    for k in range(4):
+        t_now = revalued(t, 0.5 + 0.5 * rng.random(t.nnz))
+        c_now = revalued(c, 0.2 * rng.standard_normal(c.nnz) + 0j)
+        before = list(map(len, calls))
+        got = request(t_now, c_now)
+        assert [len(made) - was for made, was in zip(calls, before)] == [[1, 2, 3], [1, 0, 3],
+                                                                         [0, 0, 0], [0, 0, 0]][k]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(operators, "_memory", ())
+            patch.setattr(operators, "_seen", ())
+            assert got == request(t_now, c_now)
+
+
+def test_a_one_off_pattern_pins_no_labels():
+    # one offer of a 25k-entry pattern: its certificate is derived, used
+    # and freed, and what stays is a fingerprint of a few hundred bytes,
+    # not the 400 kB of its copied rows and columns
+    rng = np.random.default_rng(413)
+    op = random_dag_operator(1000, 0.05, rng)
+    assert op.nnz > 20_000
+    forget()
+    # another one-off pattern first, untraced, so that whatever the first
+    # certificate of this size sets up, and the first fingerprint, are in place
+    analyze_acyclicity(random_dag_operator(1000, 0.05, rng))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = weakref.ref(analyze_acyclicity(op))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report() is None
+    assert operators._memory == ()
+    assert len(operators._seen) == 2
+    assert held < 1000  # bytes
+    # its second offer keeps it, labels and all
+    assert analyze_acyclicity(op) is analyze_acyclicity(op)
+    assert [key[0] for key, _ in operators._memory] == [1000]
+
+
 def test_a_third_pattern_evicts_the_least_recent():
     # A, then B, then A again: A is the most recent, so C evicts B, and
     # nothing derived from B stays alive
@@ -93,6 +158,7 @@ def test_a_third_pattern_evicts_the_least_recent():
     forget()
     kept = {}
     for name, op in (("a", a), ("b", b)):
+        analyze_acyclicity(op)  # the first offer: kept from the second on
         det_i_minus_t(op)
         power(op, 3)
         block = next(step for step in fact(op, _layout) if isinstance(step, tuple))
@@ -100,6 +166,7 @@ def test_a_third_pattern_evicts_the_least_recent():
                       weakref.ref(fact(op, power)[0][2][0][3])]
         del block
     remembered = analyze_acyclicity(a)
+    analyze_acyclicity(c)
     analyze_acyclicity(c)
     gc.collect()
     assert [ref() is None for ref in kept["b"]] == [True, True, True]
@@ -145,18 +212,33 @@ def test_patterns_of_equal_rows_are_told_apart():
         op = random_operator(rng, dim, 0.35) if trial % 2 else random_dag(rng, dim, 0.4)
         sibling = SparseOperator(dim, [(r, c % dim + 1, a) for r, c, a in
                                        zip(op._row.tolist(), op._col.tolist(), op._amp.tolist())])
-        phi = rng.standard_normal(dim) + 0j
-        wants = []
-        for current in (op, sibling):
-            forget()
-            wants.append(repr((analyze_acyclicity(current), det_i_minus_t(current),
-                               solve_outcome(current, phi), list(power(current, 3).entries()))))
+        assert_told_apart(op, sibling, rng.standard_normal(dim) + 0j)
+    # the same rows and first and last 16 columns too, so the same
+    # fingerprint: only the middle rows' columns move on by one
+    for trial in range(10):
+        op = random_operator(rng, 40, 0.1) if trial % 2 else random_dag(rng, 40, 0.25)
+        row, col = op._row.tolist(), op._col.tolist()
+        ends = set(row[:16] + row[-16:])
+        sibling = SparseOperator(40, [(r, c if r in ends else c % 40 + 1, a)
+                                      for r, c, a in zip(row, col, op._amp.tolist())])
+        assert sibling._col.tobytes() != op._col.tobytes()
+        assert sibling._col[:16].tolist() == col[:16] and sibling._col[-16:].tolist() == col[-16:]
+        assert_told_apart(op, sibling, rng.standard_normal(40) + 0j)
+
+
+def assert_told_apart(op: SparseOperator, sibling: SparseOperator, phi: np.ndarray) -> None:
+    """op and sibling, in turn twice, give what each gives on a fresh memory."""
+    wants = []
+    for current in (op, sibling):
         forget()
-        for _ in range(2):
-            for current, want in zip((op, sibling), wants):
-                got = repr((analyze_acyclicity(current), det_i_minus_t(current),
-                            solve_outcome(current, phi), list(power(current, 3).entries())))
-                assert got == want
+        wants.append(repr((analyze_acyclicity(current), det_i_minus_t(current),
+                           solve_outcome(current, phi), list(power(current, 3).entries()))))
+    forget()
+    for _ in range(2):
+        for current, want in zip((op, sibling), wants):
+            got = repr((analyze_acyclicity(current), det_i_minus_t(current),
+                        solve_outcome(current, phi), list(power(current, 3).entries())))
+            assert got == want
 
 
 def test_the_memory_stays_within_its_bound(monkeypatch):

@@ -1131,6 +1131,8 @@ def test_remembered_plans_give_the_chain_bits(case):
     with pytest.MonkeyPatch.context() as patch:
         for k in range(2, 6):
             patch.setattr(operators, "_memory", ())
+            patch.setattr(operators, "_seen", ())
+            power(first, k)  # the first offer: the memory keeps a pattern from its second
             assert_stores(power(first, k), python_power(first, k))
             remembered = kept_plans(first)
             assert len(remembered) == steps_run(first, k)
@@ -1157,7 +1159,10 @@ def test_non_finite_intermediates_are_named_alike(case, scale):
     with pytest.MonkeyPatch.context() as patch:
         for k in range(3, 6):
             patch.setattr(operators, "_memory", ())
+            patch.setattr(operators, "_seen", ())
             want = chain_outcome(op, k)
+            assert outcome(lambda: power(op, k)) == want  # the first offer, not kept
+            assert operators._memory == ()
             assert outcome(lambda: power(op, k)) == want
             assert (operators._memory == ()) == op.is_zero()
             assert outcome(lambda: power(op, k)) == want
@@ -1215,6 +1220,8 @@ def test_plans_beyond_the_bound_are_not_kept(monkeypatch):
     rng = np.random.default_rng(71)
     small, large = random_operator(rng, 6, 0.4), random_operator(rng, 12, 0.4)
     monkeypatch.setattr(operators, "_memory", ())
+    monkeypatch.setattr(operators, "_seen", ())
+    power(small, 4)  # the first offer: the memory keeps a pattern from its second
     power(small, 4)
     plans = kept_plans(small)
     assert len(plans) == 3
@@ -1285,6 +1292,8 @@ def test_powers_whose_values_cancel_stop_at_once(monkeypatch):
     # empty operator, after one step however high k is
     op = SparseOperator(2, [(1, 1, 1.0), (1, 2, 1.0), (2, 1, -1.0), (2, 2, -1.0)])
     monkeypatch.setattr(operators, "_memory", ())
+    monkeypatch.setattr(operators, "_seen", ())
+    power(op, 2)  # the first offer: the memory keeps a pattern from its second
     calls = []
     planned = operators._planned
     monkeypatch.setattr(operators, "_planned", lambda *args: calls.append(1) or planned(*args))

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from bornsolve.graph import analyze_acyclicity
 from bornsolve.operators import SparseOperator, build_transfer_operator
 from bornsolve.solver import (
+    _substitute,
     _substitute_transposed,
     finite_neumann_inverse,
     make_system,
     solve_exact,
 )
-from conftest import backward_error
+from conftest import assert_same_bits, backward_error
 
 EPS = np.finfo(float).eps
 
@@ -89,6 +90,36 @@ def test_transposed_sweep_is_the_transposed_inverse(case, width):
     bound = size @ (np.eye(dim) + np.abs(system.operator.to_dense())).T @ size @ np.abs(x)
     assert got.shape == x.shape
     assert np.all(np.abs(got - expected) <= 8 * dim * EPS * bound)
+
+
+SIGNED_ZEROS = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+
+
+@PROPERTY_SETTINGS
+@given(shuffled_dags(), st.lists(st.sampled_from([None, *SIGNED_ZEROS]), max_size=30),
+       st.integers(0, 3))
+@example((2, [(2, 1, -1 + 0j)], np.array([0j, 0j])), [None, complex(-0.0, 0.0)], 0)
+def test_sweep_dots_are_the_matmul_loop_bits(case, zeros, width):
+    """_substitute of a state or a block is a loop of @ over the rows, bit for bit.
+
+    phi takes a signed zero wherever zeros has one.  A state's groups of
+    two or more entries go through np.dot, which runs @'s kernel on two
+    vectors; np.dot of 1-entry vectors gives -0.0 where @ gives +0.0, as
+    in the example: -1 times state 1's +0 added to state 2's -0.
+    """
+    dim, entries, phi = case
+    for k, zero in enumerate(zeros[:dim]):
+        if zero is not None:
+            phi[k] = zero
+    system = make_system(SparseOperator(dim, entries))
+    x = phi if not width else np.stack([np.roll(phi, k) * 1j ** k for k in range(width)], axis=1)
+    op, want = system.operator, x.copy()
+    ptr = op._row_ptr()
+    for j in system.topological_order:
+        lo, hi = ptr[j - 1], ptr[j]
+        if lo < hi:
+            want[j - 1] += op._amp[lo:hi] @ want[op._col[lo:hi] - 1]
+    assert_same_bits(_substitute(system, x.copy()), want)
 
 
 # a part is an exact zero or lies within a factor 4 of 1, so that every

@@ -379,6 +379,7 @@ class TestExactRemainder:
         op, _ = case
         op = SparseOperator(op.dim, [(r, c, abs(a)) for r, c, a in op.entries()])
         forget()  # remember no pattern of these
+        make_system(op)  # the first offer: the memory keeps a pattern from its second
         fresh, remembered = make_system(op), make_system(op)
         assert remembered.topological_order is fresh.topological_order
         powers = [rational_power(op, 0)]
